@@ -203,6 +203,8 @@ def cmd_field(args) -> int:
 
 
 def cmd_trajectory(args) -> int:
+    if args.samples < 1:
+        raise InvalidParams(f"--samples must be a positive integer, got {args.samples}")
     field_ = _build_field(args)
     times = np.linspace(args.t0, args.t1, args.samples)
     header = ["particle", "t", "r", "theta", "x", "y", "circle_residual"]

@@ -384,17 +384,6 @@ def diagnostics(field_: FlowField, point) -> Diagnostics:
     )
 
 
-def state_diagnostics(state, params: FlowParameters, omega: float = math.nan) -> Diagnostics:
-    """Diagnostics from a bare state when derivatives are not needed."""
-    if state.h <= DEPTH_FLOOR:
-        raise ZeroDepth(f"depth {state.h!r} at or below floor {DEPTH_FLOOR!r}")
-    if isinstance(state, PolarState):
-        speed = math.hypot(state.U, state.V)
-    else:
-        speed = math.hypot(state.u, state.v)
-    return Diagnostics(omega=omega, froude=speed / math.sqrt(params.g * state.h), speed=speed)
-
-
 def as_cartesian(field_: FlowField, label: str | None = None) -> FlowField:
     """Cartesian view of a polar field, with exact chain-rule jets.
 

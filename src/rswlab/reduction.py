@@ -12,7 +12,8 @@ Contents:
 * the implicit solution of the self-similar collapse submodel: a tabulated
   monotone map t(eta) built by quadrature with a square-root substitution
   removing the integrable endpoint singularity, its inverse, the blow-up
-  time, and an independent Runge-Kutta cross-check of the reduced ODEs.
+  time, and an independent cross-check of the reduced ODEs integrated by
+  the package's Dormand-Prince 5(4) integrator (:func:`verify.integrate_ode`).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 
 from .core import FlowParameters
 from .errors import InvalidParams, NoRingExists, QuadratureFail
+from .verify import integrate_ode
 
 # ---------------------------------------------------------------------------
 # Cubic solving
@@ -469,33 +471,6 @@ def collapse2_build(
 # ---------------------------------------------------------------------------
 
 
-def _rk4_step(fn, t, y, h):
-    k1 = fn(t, y)
-    k2 = fn(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = fn(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = fn(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _rk4_adaptive_to(fn, t, y, t_target, tol):
-    """Advance y to t_target with step-doubling local error control."""
-    h = (t_target - t) / 8.0
-    while t < t_target:
-        h = min(h, t_target - t)
-        big = _rk4_step(fn, t, y, h)
-        half = _rk4_step(fn, t, y, 0.5 * h)
-        two = _rk4_step(fn, t + 0.5 * h, half, 0.5 * h)
-        err = float(np.max(np.abs(two - big) / np.maximum(1.0, np.abs(two))))
-        if err > tol and h > 1e-14 * max(1.0, abs(t_target)):
-            h *= 0.5
-            continue
-        y = two + (two - big) / 15.0
-        t += h
-        if err < tol / 64.0:
-            h *= 2.0
-    return y
-
-
 @dataclass(frozen=True)
 class CollapseOdeReport:
     """Agreement between the implicit tabulation and direct integration."""
@@ -523,8 +498,11 @@ def collapse2_verify_ode(
         psi' = -(2 psi + f) phi,
         eta' = -4 phi eta
 
-    is integrated by adaptive Runge-Kutta (in log eta for stability) from
-    (phi0, -f/2, eta0).  The swirl equation is fulfilled automatically, so
+    is integrated (in log eta for stability) from (phi0, -f/2, eta0) in one
+    :func:`rswlab.verify.integrate_ode` call, the adaptive Dormand-Prince
+    5(4) pair landing exactly on the ``n_samples`` comparison times; ``tol``
+    bounds its local error per step, relative to max(1, |y|), not the
+    accumulated error.  The swirl equation is fulfilled automatically, so
     psi staying at -f/2 is itself a check.  The piston law
     R(t) = R0 (eta0/eta)^{1/4} must satisfy R' = U(t, R) = phi R, which is
     checked by differencing the implicit tabulation.
@@ -545,13 +523,12 @@ def collapse2_verify_ode(
 
     t_end = t_end_fraction * ic.Tstar
     times = np.linspace(0.0, t_end, n_samples)
-    y = np.array([ic.phi0, -f / 2.0, math.log(ic.eta0)])
+    y0 = np.array([ic.phi0, -f / 2.0, math.log(ic.eta0)])
+    ts, ys, _ = integrate_ode(rhs, y0, 0.0, t_end, tol, record=times)
     max_phi = max_eta = max_psi = max_piston = 0.0
     turning = None
     prev_phi = ic.phi0
-    for i in range(1, len(times)):
-        y = _rk4_adaptive_to(rhs, times[i - 1], y, times[i], tol)
-        t = times[i]
+    for t, y in zip(ts[1:], ys[1:]):
         phi_rk, psi_rk, eta_rk = y[0], y[1], math.exp(y[2])
         phi_im, eta_im = ic.state_of_t(t)
         max_phi = max(max_phi, abs(phi_rk - phi_im))

@@ -3,7 +3,9 @@
 * PDE residuals of a field in Cartesian or polar form, normalized per
   equation by the local term scale so that tolerances mean the same thing
   whether the depth is order one or spans decades;
-* adaptive Runge-Kutta particle trajectory integration with event-aligned
+* particle trajectory integration with the package's one adaptive ODE
+  integrator, an embedded Dormand-Prince 5(4) pair whose ``tol`` bounds the
+  local error per step relative to max(1, |y|), with event-aligned
   stepping at the half-period times;
 * material-curve evolution (a ring of markers advected together);
 * a deliberately simple first-order finite-volume solver used as a
@@ -276,12 +278,23 @@ class Trajectory:
     stats: dict = dc_field(default_factory=dict)
 
 
-def _rk4(fn, t, y, h):
-    k1 = fn(t, y)
-    k2 = fn(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = fn(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = fn(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+# Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
+# Table II.5.2).  The last row of _DP_A holds the fifth-order weights, so
+# the seventh stage is evaluated at the propagated solution and is the
+# first stage of the next step (FSAL); _DP_E is fifth- minus fourth-order.
+# Stages six and seven (c = 1) are evaluated at the step's end time itself,
+# so that a landing step evaluates exactly at its event or record time.
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9)
+_DP_A = [np.array(row) for row in (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)]
+_DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 
 
 def integrate_ode(
@@ -294,49 +307,62 @@ def integrate_ode(
     record: Sequence[float] | None = None,
     max_steps: int = 2_000_000,
 ):
-    """Adaptive fourth-order Runge-Kutta with step halving.
+    """Adaptive Dormand-Prince 5(4) integration with event-aligned landing.
 
-    The local error estimate comes from step doubling; steps whose error
-    exceeds ``tol`` (relative to max(1, |y|)) are halved, comfortable steps
-    are doubled.  The integrator lands exactly on every time in ``events``
-    and in ``record``; recorded states are returned.
+    Steps propagate the fifth-order solution.  ``tol`` (finite, > 0) bounds
+    the local error per step, estimated by the embedded fourth-order pair as
+    max_i |err_i| / max(1, |y_i|); steps with a larger or non-finite error
+    are rejected, and h scales by clamp(0.9 (tol/err)^(1/5), 0.2, 5).  With
+    FSAL a step costs six evaluations of ``fn``.  The integrator lands
+    exactly on every time in ``events`` and ``record`` and returns the
+    recorded states with ``{"steps", "rejected", "rhs_evals"}`` counts.
+    :class:`BlowUp` is raised on step underflow or after ``max_steps``
+    accepted plus rejected steps.
     """
-    span = t1 - t0
-    if span <= 0.0:
-        raise InvalidParams("t1 must exceed t0")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise InvalidParams(f"tol must be finite and > 0, got {tol!r}")
+    if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
+        raise InvalidParams("t1 must exceed t0, both finite")
     recorded = [] if record is None else [float(t) for t in record]
     checkpoints = sorted({float(t) for t in (*events, *recorded, t1) if t0 < t <= t1})
     record_set = set(recorded) or {t1}
     ts_out = [t0] if (record is None or t0 in record_set) else []
     ys_out = [y0.copy()] if ts_out else []
     t, y = t0, y0.astype(float).copy()
-    h = span / 64.0
+    k = np.empty((7, y.size))
+    k[0] = fn(t, y)
+    h = (t1 - t0) / 64.0
     steps = rejects = 0
     for target in checkpoints:
         while t < target - 1e-14 * max(1.0, abs(target)):
-            h = min(h, target - t)
+            lands = h >= target - t
+            if lands:
+                h = target - t
             if h < 1e-14 * max(1.0, abs(t)):
                 raise BlowUp(f"step size underflow at t={t!r}")
-            big = _rk4(fn, t, y, h)
-            mid = _rk4(fn, t, y, 0.5 * h)
-            two = _rk4(fn, t + 0.5 * h, mid, 0.5 * h)
-            err = float(np.max(np.abs(two - big) / np.maximum(1.0, np.abs(two))))
+            if steps + rejects >= max_steps:
+                raise BlowUp(f"step budget exhausted at t={t!r}")
+            t_new = target if lands else t + h
+            for i in range(1, 7):
+                y_new = y + h * (_DP_A[i] @ k[:i])
+                k[i] = fn(t + _DP_C[i] * h if i < 5 else t_new, y_new)
+            err = float(np.max(np.abs(h * (_DP_E @ k)) / np.maximum(1.0, np.abs(y_new))))
+            if math.isnan(err):
+                err = math.inf  # rejected and shrunk like an infinite error
+            factor = 0.9 * (tol / err) ** 0.2 if err > 0.0 else 5.0
+            h *= min(5.0, max(0.2, factor))
             if err > tol:
-                h *= 0.5
                 rejects += 1
                 continue
-            y = two + (two - big) / 15.0
-            t += h
+            t, y = t_new, y_new
+            k[0] = k[6]
             steps += 1
-            if steps + rejects > max_steps:
-                raise BlowUp(f"step budget exhausted at t={t!r}")
-            if err < tol / 64.0:
-                h *= 2.0
         t = target
         if target in record_set or (record is None):
             ts_out.append(t)
             ys_out.append(y.copy())
-    return np.array(ts_out), np.array(ys_out), {"steps": steps, "rejected": rejects}
+    stats = {"steps": steps, "rejected": rejects, "rhs_evals": 1 + 6 * (steps + rejects)}
+    return np.array(ts_out), np.array(ys_out), stats
 
 
 def _half_period_events(params: FlowParameters, t0: float, t1: float) -> list[float]:
@@ -398,8 +424,12 @@ def integrate_trajectory(
         # member; report a single fixed sample
         times = np.array([t0])
         return Trajectory(times, np.array([[0.0, theta0]]), field_.frame, (r0, theta0),
-                          {"steps": 0, "rejected": 0, "fixed_point": True})
+                          {"steps": 0, "rejected": 0, "rhs_evals": 0,
+                           "fixed_point": True})
 
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        # an infinite span would have infinitely many half-period events
+        raise InvalidParams("trajectory times must be finite")
     events = _half_period_events(field_.params, t0, t1)
     ts, ys, stats = integrate_ode(rhs, y0, t0, t1, tol=tol, events=events, record=record)
     return Trajectory(ts, ys, field_.frame, (r0, theta0), stats)

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -148,6 +150,66 @@ class TestTrajectories:
         traj = integrate_trajectory(field, 0.5, 0.3, 0.0, 2 * math.pi, record=record)
         pv = pv_along_trajectory(field, traj)
         assert np.max(np.abs(pv - pv[0])) / abs(pv[0]) < 1e-5
+
+
+class TestIntegrateOde:
+    """The Dormand-Prince 5(4) integrator on a problem with a closed form."""
+
+    @staticmethod
+    def rotation(calls):
+        def rhs(t, y):
+            calls.append(t)
+            return np.array([-2.0 * y[1], 2.0 * y[0]])
+
+        return rhs
+
+    def test_global_error_shrinks_with_tol_and_lands_exactly(self):
+        record = np.linspace(0.0, 10.0, 11)
+        events = [0.3, math.pi, 7.77]
+        errors = []
+        for tol in (1e-6, 1e-8, 1e-10, 1e-12):
+            calls = []
+            ts, ys, _ = integrate_ode(self.rotation(calls), np.array([1.0, 0.0]), 0.0, 10.0,
+                                      tol=tol, events=events, record=record)
+            assert np.array_equal(ts, record)
+            assert all(e in calls for e in events)
+            exact = np.column_stack([np.cos(2.0 * ts), np.sin(2.0 * ts)])
+            errors.append(float(np.max(np.abs(ys - exact))))
+            assert errors[-1] < 50.0 * tol
+        assert all(b < a for a, b in zip(errors, errors[1:]))
+
+    def test_rhs_evals_counts_fsal_stages(self):
+        calls = []
+        _, _, stats = integrate_ode(self.rotation(calls), np.array([1.0, 0.0]), 0.0, 10.0,
+                                    tol=1e-10, record=[2.5, 10.0])
+        assert stats["rhs_evals"] == len(calls)
+        assert stats["rhs_evals"] == 6 * (stats["steps"] + stats["rejected"]) + 1
+
+    def test_trajectory_stats_carry_rhs_evals(self):
+        field = pulsating_cylinder(2.0, 1.0, P)
+        traj = integrate_trajectory(field, 1.0, 0.0, 0.0, 1.0)
+        stats = traj.stats
+        assert stats["rhs_evals"] == 6 * (stats["steps"] + stats["rejected"]) + 1
+
+    def test_nan_error_estimate_rejects_until_underflow(self):
+        with pytest.raises(BlowUp):
+            integrate_ode(lambda t, y: np.array([math.nan]), np.array([0.0]), 0.0, 1.0)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_tol_rejected(self, tol):
+        with pytest.raises(InvalidParams):
+            integrate_ode(self.rotation([]), np.array([1.0, 0.0]), 0.0, 1.0, tol=tol)
+
+    @pytest.mark.parametrize("flag, value", [("--tol", "0"), ("--tol", "nan"),
+                                             ("--samples", "-1"), ("--t1", "inf")])
+    def test_cli_bad_trajectory_args_exit_2(self, flag, value):
+        proc = subprocess.run(
+            [sys.executable, "-m", "rswlab.cli", "trajectory", "--family", "cylinder",
+             "--alpha", "2", flag, value],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestMaterialCurves:
