@@ -11,9 +11,7 @@ Conventions:
 * output is written to a temporary file and atomically renamed, so no
   partial files survive a crash;
 * exit codes: 0 ok, 1 verification failure, 2 bad arguments,
-  3 domain/window violation;
-* ``RSW_THREADS`` caps the threads used for grid evaluation (default 1;
-  row order, and hence output bytes, do not depend on it).
+  3 domain/window violation.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -108,23 +105,6 @@ def _parse_list(spec: str) -> list[float]:
         raise InvalidParams(f"bad number list {spec!r}") from exc
 
 
-def _n_threads() -> int:
-    raw = os.environ.get("RSW_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _eval_rows(field_: FlowField, points: list[tuple[float, float, float]]):
-    """Evaluate many points, optionally with a thread pool, keeping order."""
-    workers = _n_threads()
-    if workers == 1:
-        return [field_.eval(*pt) for pt in points]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda pt: field_.eval(*pt), points))
-
-
 def _family_kwargs(args) -> dict:
     kw = {}
     for name in ("h0", "u0", "v0", "alpha", "c1", "c2", "c3",
@@ -177,7 +157,7 @@ def _field_points(field_: FlowField, args) -> list[tuple[float, float, float]]:
 def cmd_field(args) -> int:
     field_ = _build_field(args)
     points = _field_points(field_, args)
-    values = _eval_rows(field_, points)
+    values = [field_.eval(*pt) for pt in points]
     if field_.frame == "polar":
         header = ["t", "r", "theta", "U", "V", "h"]
     else:
@@ -205,6 +185,8 @@ def cmd_field(args) -> int:
 def cmd_trajectory(args) -> int:
     if args.samples < 1:
         raise InvalidParams(f"--samples must be a positive integer, got {args.samples}")
+    if not (math.isfinite(args.t0) and math.isfinite(args.t1)):
+        raise InvalidParams("trajectory times must be finite")
     field_ = _build_field(args)
     times = np.linspace(args.t0, args.t1, args.samples)
     header = ["particle", "t", "r", "theta", "x", "y", "circle_residual"]
@@ -338,7 +320,7 @@ def cmd_map(args) -> int:
     else:
         raise InvalidParams("map needs either --transport or --direction")
     points = _field_points(mapped, args)
-    values = _eval_rows(mapped, points)
+    values = [mapped.eval(*pt) for pt in points]
     if mapped.frame == "polar":
         header = ["t", "r", "theta", "U", "V", "h"]
     else:
@@ -347,7 +329,13 @@ def cmd_map(args) -> int:
         [pt[0], pt[1], pt[2], float(v[0]), float(v[1]), float(v[2])]
         for pt, v in zip(points, values)
     ]
-    report = residual_report(mapped, points=np.array(points))
+    checked = np.array(points)
+    if mapped.frame == "polar":
+        # every row is exported, but the polar equations divide by r
+        checked = checked[checked[:, 1] > 0.0]
+        if not len(checked):
+            raise OriginSingular("the map's polar residual needs a point with r > 0")
+    report = residual_report(mapped, points=checked)
     payload = {
         "command": "map",
         "source": source.label,

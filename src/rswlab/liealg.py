@@ -14,10 +14,13 @@ Three generator bases act on the six-dimensional jet space with coordinates
   translations, Galilean boosts, rotation, scaling, time translation,
   projective transformation, and dilation.
 
-Commutators use hand-coded analytic derivatives of the coefficient
-functions; every coefficient is a polynomial in ``(x, y, u, v, h)`` times a
-trigonometric function of ``f t``, so the bracket values are exact up to
-rounding.  Structure constants are recovered by least squares over generic
+Every generator is affine in ``w = (1, x, y, u, v, h)`` with coefficients
+that depend on ``t`` only, and is stated once, as ``A(t) = sum_m B_m
+phi_m(t)`` with constant matrices ``B_m`` and time factors ``(1, cos f t,
+sin f t)`` (X, Y) or ``(1, t, t^2)`` (Z).  Values are ``A(t) @ w`` and the
+jacobians used by the commutators, ``[A'(t) @ w | A(t)[:, 1:]]``, follow
+from the same matrices, so the bracket values are exact up to rounding.
+Structure constants are recovered by least squares over generic
 sample points and snapped to exact values, which makes the comparison with
 the canonical table sharp.
 """
@@ -34,8 +37,6 @@ from .core import FlowParameters
 from .errors import FitDegenerate, InvalidParams, SingularTime
 
 Family = Literal["X", "Y", "Z"]
-
-_VARS = ("t", "x", "y", "u", "v", "h")
 
 
 @dataclass(frozen=True)
@@ -73,193 +74,88 @@ class GeneratorId:
 
 
 # ---------------------------------------------------------------------------
-# Coefficient functions and their jacobians
+# Generators as coefficient matrices
 # ---------------------------------------------------------------------------
 
+# Every generator is affine in w = (1, x, y, u, v, h) with coefficients that
+# depend on t only: its coefficient 6-vector is A(t) @ w with
+# A(t) = sum_m B_m phi_m(t) and constant 6x6 matrices B_m.  The time factors
+# are phi = (1, cos f t, sin f t) for X (and hence Y) and phi = (1, t, t^2)
+# for Z.  Rows of B_m are the components (t, x, y, u, v, h); column 0 is the
+# constant term and column j > 0 multiplies jet coordinate j, so the
+# jacobian is [A'(t) @ w | A(t)[:, 1:]].  Entries are listed as
+# {(m, row, column): value}; the comment above each gives the closed form
+# with c, s = cos f t, sin f t.
 
-def _x_coeffs(k: int, p: np.ndarray, f: float) -> np.ndarray:
-    t, x, y, u, v, h = p
-    c, s = math.cos(f * t), math.sin(f * t)
-    if k == 1:
-        return np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-    if k == 2:
-        return np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
-    if k == 3:
-        return np.array([0.0, c, -s, -f * s, -f * c, 0.0])
-    if k == 4:
-        return np.array([0.0, s, c, f * c, -f * s, 0.0])
-    if k == 5:
-        return np.array([0.0, -y, x, -v, u, 0.0])
-    if k == 6:
-        return np.array([0.0, x, y, u, v, 2.0 * h])
-    if k == 7:
-        return np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-    if k == 8:
-        return np.array(
-            [
-                c,
-                -(f / 2) * (x * s - y * c),
-                -(f / 2) * (x * c + y * s),
-                (f / 2) * ((u - f * y) * s + (v - f * x) * c),
-                -(f / 2) * ((u + f * y) * c - (v + f * x) * s),
-                f * h * s,
-            ]
-        )
-    if k == 9:
-        return np.array(
-            [
-                s,
-                (f / 2) * (x * c + y * s),
-                -(f / 2) * (x * s - y * c),
-                -(f / 2) * ((u - f * y) * c - (v - f * x) * s),
-                -(f / 2) * ((u + f * y) * s + (v + f * x) * c),
-                -f * h * c,
-            ]
-        )
-    raise InvalidParams(f"X index out of range: {k}")
+_T, _X, _Y, _U, _V, _H = range(6)
+_ONE, _COS, _SIN = range(3)
+_T1, _T2 = 1, 2  # Z time factors t and t^2
+
+# (0, -y, x, -v, u, 0) in both bases
+_ROTATION = {(_ONE, _X, _Y): -1.0, (_ONE, _Y, _X): 1.0, (_ONE, _U, _V): -1.0, (_ONE, _V, _U): 1.0}
+# (0, x, y, u, v, 2h) in both bases
+_SCALING = {
+    (_ONE, _X, _X): 1.0, (_ONE, _Y, _Y): 1.0, (_ONE, _U, _U): 1.0, (_ONE, _V, _V): 1.0,
+    (_ONE, _H, _H): 2.0,
+}
 
 
-def _x_jac(k: int, p: np.ndarray, f: float) -> np.ndarray:
-    """J[i, j] = d coeff_i / d var_j for the X generators."""
-    t, x, y, u, v, h = p
-    c, s = math.cos(f * t), math.sin(f * t)
-    J = np.zeros((6, 6))
-    if k in (1, 2, 7):
-        return J
-    if k == 3:
-        J[1, 0] = -f * s
-        J[2, 0] = -f * c
-        J[3, 0] = -f * f * c
-        J[4, 0] = f * f * s
-        return J
-    if k == 4:
-        J[1, 0] = f * c
-        J[2, 0] = -f * s
-        J[3, 0] = -f * f * s
-        J[4, 0] = -f * f * c
-        return J
-    if k == 5:
-        J[1, 2] = -1.0
-        J[2, 1] = 1.0
-        J[3, 4] = -1.0
-        J[4, 3] = 1.0
-        return J
-    if k == 6:
-        J[1, 1] = 1.0
-        J[2, 2] = 1.0
-        J[3, 3] = 1.0
-        J[4, 4] = 1.0
-        J[5, 5] = 2.0
-        return J
-    if k == 8:
-        J[0, 0] = -f * s
-        J[1, 0] = -(f * f / 2) * (x * c + y * s)
-        J[1, 1] = -(f / 2) * s
-        J[1, 2] = (f / 2) * c
-        J[2, 0] = (f * f / 2) * (x * s - y * c)
-        J[2, 1] = -(f / 2) * c
-        J[2, 2] = -(f / 2) * s
-        J[3, 0] = (f * f / 2) * ((u - f * y) * c - (v - f * x) * s)
-        J[3, 1] = -(f * f / 2) * c
-        J[3, 2] = -(f * f / 2) * s
-        J[3, 3] = (f / 2) * s
-        J[3, 4] = (f / 2) * c
-        J[4, 0] = (f * f / 2) * ((u + f * y) * s + (v + f * x) * c)
-        J[4, 1] = (f * f / 2) * s
-        J[4, 2] = -(f * f / 2) * c
-        J[4, 3] = -(f / 2) * c
-        J[4, 4] = (f / 2) * s
-        J[5, 0] = f * f * h * c
-        J[5, 5] = f * s
-        return J
-    if k == 9:
-        J[0, 0] = f * c
-        J[1, 0] = (f * f / 2) * (-x * s + y * c)
-        J[1, 1] = (f / 2) * c
-        J[1, 2] = (f / 2) * s
-        J[2, 0] = -(f * f / 2) * (x * c + y * s)
-        J[2, 1] = -(f / 2) * s
-        J[2, 2] = (f / 2) * c
-        J[3, 0] = (f * f / 2) * ((u - f * y) * s + (v - f * x) * c)
-        J[3, 1] = -(f * f / 2) * s
-        J[3, 2] = (f * f / 2) * c
-        J[3, 3] = -(f / 2) * c
-        J[3, 4] = (f / 2) * s
-        J[4, 0] = -(f * f / 2) * ((u + f * y) * c - (v + f * x) * s)
-        J[4, 1] = -(f * f / 2) * c
-        J[4, 2] = -(f * f / 2) * s
-        J[4, 3] = -(f / 2) * s
-        J[4, 4] = -(f / 2) * c
-        J[5, 0] = f * f * h * s
-        J[5, 5] = -f * c
-        return J
-    raise InvalidParams(f"X index out of range: {k}")
+def _x_terms(f: float) -> list[dict[tuple[int, int, int], float]]:
+    g = f / 2.0
+    gf = g * f
+    return [
+        {(_ONE, _X, 0): 1.0},
+        {(_ONE, _Y, 0): 1.0},
+        # (0, c, -s, -f s, -f c, 0)
+        {(_COS, _X, 0): 1.0, (_SIN, _Y, 0): -1.0, (_SIN, _U, 0): -f, (_COS, _V, 0): -f},
+        # (0, s, c, f c, -f s, 0)
+        {(_SIN, _X, 0): 1.0, (_COS, _Y, 0): 1.0, (_COS, _U, 0): f, (_SIN, _V, 0): -f},
+        _ROTATION,
+        _SCALING,
+        {(_ONE, _T, 0): 1.0},
+        # (c, -g (x s - y c), -g (x c + y s), g ((u - f y) s + (v - f x) c),
+        #  -g ((u + f y) c - (v + f x) s), f h s) with g = f/2
+        {
+            (_COS, _T, 0): 1.0,
+            (_SIN, _X, _X): -g, (_COS, _X, _Y): g,
+            (_COS, _Y, _X): -g, (_SIN, _Y, _Y): -g,
+            (_SIN, _U, _U): g, (_SIN, _U, _Y): -gf, (_COS, _U, _V): g, (_COS, _U, _X): -gf,
+            (_COS, _V, _U): -g, (_COS, _V, _Y): -gf, (_SIN, _V, _V): g, (_SIN, _V, _X): gf,
+            (_SIN, _H, _H): f,
+        },
+        # (s, g (x c + y s), -g (x s - y c), -g ((u - f y) c - (v - f x) s),
+        #  -g ((u + f y) s + (v + f x) c), -f h c)
+        {
+            (_SIN, _T, 0): 1.0,
+            (_COS, _X, _X): g, (_SIN, _X, _Y): g,
+            (_SIN, _Y, _X): -g, (_COS, _Y, _Y): g,
+            (_COS, _U, _U): -g, (_COS, _U, _Y): gf, (_SIN, _U, _V): g, (_SIN, _U, _X): -gf,
+            (_SIN, _V, _U): -g, (_SIN, _V, _Y): -gf, (_COS, _V, _V): -g, (_COS, _V, _X): -gf,
+            (_COS, _H, _H): -f,
+        },
+    ]
 
 
-def _z_coeffs(k: int, p: np.ndarray, f: float) -> np.ndarray:
-    t, x, y, u, v, h = p
-    if k == 1:
-        return np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-    if k == 2:
-        return np.array([0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
-    if k == 3:
-        return np.array([0.0, t, 0.0, 1.0, 0.0, 0.0])
-    if k == 4:
-        return np.array([0.0, 0.0, t, 0.0, 1.0, 0.0])
-    if k == 5:
-        return np.array([0.0, -y, x, -v, u, 0.0])
-    if k == 6:
-        return np.array([0.0, x, y, u, v, 2.0 * h])
-    if k == 7:
-        return np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-    if k == 8:
-        return np.array(
-            [t * t, t * x, t * y, x - t * u, y - t * v, -2.0 * t * h]
-        )
-    if k == 9:
-        return np.array([2.0 * t, x, y, -u, -v, -2.0 * h])
-    raise InvalidParams(f"Z index out of range: {k}")
-
-
-def _z_jac(k: int, p: np.ndarray, f: float) -> np.ndarray:
-    t, x, y, u, v, h = p
-    J = np.zeros((6, 6))
-    if k in (1, 2, 7):
-        return J
-    if k == 3:
-        J[1, 0] = 1.0
-        return J
-    if k == 4:
-        J[2, 0] = 1.0
-        return J
-    if k == 5:
-        return _x_jac(5, p, f)
-    if k == 6:
-        return _x_jac(6, p, f)
-    if k == 8:
-        J[0, 0] = 2.0 * t
-        J[1, 0] = x
-        J[1, 1] = t
-        J[2, 0] = y
-        J[2, 2] = t
-        J[3, 0] = -u
-        J[3, 1] = 1.0
-        J[3, 3] = -t
-        J[4, 0] = -v
-        J[4, 2] = 1.0
-        J[4, 4] = -t
-        J[5, 0] = -2.0 * h
-        J[5, 5] = -2.0 * t
-        return J
-    if k == 9:
-        J[0, 0] = 2.0
-        J[1, 1] = 1.0
-        J[2, 2] = 1.0
-        J[3, 3] = -1.0
-        J[4, 4] = -1.0
-        J[5, 5] = -2.0
-        return J
-    raise InvalidParams(f"Z index out of range: {k}")
+_Z_TERMS: list[dict[tuple[int, int, int], float]] = [
+    {(_ONE, _X, 0): 1.0},
+    {(_ONE, _Y, 0): 1.0},
+    {(_T1, _X, 0): 1.0, (_ONE, _U, 0): 1.0},  # (0, t, 0, 1, 0, 0)
+    {(_T1, _Y, 0): 1.0, (_ONE, _V, 0): 1.0},  # (0, 0, t, 0, 1, 0)
+    _ROTATION,
+    _SCALING,
+    {(_ONE, _T, 0): 1.0},
+    # (t^2, t x, t y, x - t u, y - t v, -2 t h)
+    {
+        (_T2, _T, 0): 1.0, (_T1, _X, _X): 1.0, (_T1, _Y, _Y): 1.0,
+        (_ONE, _U, _X): 1.0, (_T1, _U, _U): -1.0, (_ONE, _V, _Y): 1.0, (_T1, _V, _V): -1.0,
+        (_T1, _H, _H): -2.0,
+    },
+    # (2t, x, y, -u, -v, -2h)
+    {
+        (_T1, _T, 0): 2.0, (_ONE, _X, _X): 1.0, (_ONE, _Y, _Y): 1.0,
+        (_ONE, _U, _U): -1.0, (_ONE, _V, _V): -1.0, (_ONE, _H, _H): -2.0,
+    },
+]
 
 
 def _y_combo(f: float) -> np.ndarray:
@@ -285,38 +181,59 @@ def _y_combo(f: float) -> np.ndarray:
     return M
 
 
+def _family_matrices(family: Family, f: float) -> np.ndarray:
+    """B[k, m] of the nine generators of a family, shape (9, 3, 6, 6)."""
+    B = np.zeros((9, 3, 6, 6))
+    for k, terms in enumerate(_Z_TERMS if family == "Z" else _x_terms(f)):
+        for (m, i, j), value in terms.items():
+            B[k, m, i, j] = value
+    if family == "Y":
+        B = np.einsum("kl,lmij->kmij", _y_combo(f), B)
+    return B
+
+
+def _affine_jet(
+    B: np.ndarray, family: Family, f: float, pts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients and jacobians of the fields ``B`` (shape (..., 3, 6, 6))
+    at the jet points ``pts`` (shape (n, 6)).
+
+    Returns arrays of shape (..., n, 6) and (..., n, 6, 6).
+    """
+    t = pts[:, 0]
+    w = pts.copy()
+    w[:, 0] = 1.0
+    one, zero = np.ones_like(t), np.zeros_like(t)
+    if family == "Z":
+        phi, dphi = np.stack([one, t, t * t]), np.stack([zero, one, 2.0 * t])
+    else:
+        c, s = np.cos(f * t), np.sin(f * t)
+        phi, dphi = np.stack([one, c, s]), np.stack([zero, -f * s, f * c])
+    A = np.einsum("...mij,mn->...nij", B, phi)
+    dA_w = np.einsum("...mij,mn,nj->...ni", B, dphi, w)
+    values = np.einsum("...nij,nj->...ni", A, w)
+    return values, np.concatenate([dA_w[..., None], A[..., 1:]], axis=-1)
+
+
+def _generator_jet(
+    gid: GeneratorId, p: JetPoint, params: FlowParameters
+) -> tuple[np.ndarray, np.ndarray]:
+    B = _family_matrices(gid.family, params.f)[gid.index - 1]
+    values, jac = _affine_jet(B, gid.family, params.f, p.as_array()[None, :])
+    return values[0], jac[0]
+
+
 def generator_eval(gid: GeneratorId, p: JetPoint, params: FlowParameters) -> np.ndarray:
-    """Coefficient 6-vector of a generator at a jet point."""
-    arr = p.as_array()
-    f = params.f
-    if gid.family == "X":
-        return _x_coeffs(gid.index, arr, f)
-    if gid.family == "Z":
-        return _z_coeffs(gid.index, arr, f)
-    combo = _y_combo(f)[gid.index - 1]
-    out = np.zeros(6)
-    for j, w in enumerate(combo):
-        if w != 0.0:
-            out += w * _x_coeffs(j + 1, arr, f)
-    return out
+    """Coefficient 6-vector A(t) @ w of a generator at a jet point."""
+    return _generator_jet(gid, p, params)[0]
 
 
 def generator_jacobian(
     gid: GeneratorId, p: JetPoint, params: FlowParameters
 ) -> np.ndarray:
-    """Jacobian of the coefficient functions with respect to (t,x,y,u,v,h)."""
-    arr = p.as_array()
-    f = params.f
-    if gid.family == "X":
-        return _x_jac(gid.index, arr, f)
-    if gid.family == "Z":
-        return _z_jac(gid.index, arr, f)
-    combo = _y_combo(f)[gid.index - 1]
-    out = np.zeros((6, 6))
-    for j, w in enumerate(combo):
-        if w != 0.0:
-            out += w * _x_jac(j + 1, arr, f)
-    return out
+    """Jacobian of the coefficient functions with respect to (t,x,y,u,v,h),
+    derived from the same matrices: [A'(t) @ w | A(t)[:, 1:]]."""
+    return _generator_jet(gid, p, params)[1]
 
 
 CoeffFn = Callable[[np.ndarray], np.ndarray]
@@ -414,12 +331,6 @@ class StructureTable:
         return bool(np.max(np.abs(self.coeffs - canonical_structure_array())) <= tol)
 
 
-def _snap(value: float, tol: float = 1e-9) -> float:
-    """Snap to the nearest half-integer when within ``tol`` of it."""
-    nearest = round(2.0 * value) / 2.0
-    return nearest if abs(value - nearest) <= tol else value
-
-
 def sample_jet_points(
     params: FlowParameters, n: int, seed: int = 0
 ) -> list[JetPoint]:
@@ -442,23 +353,27 @@ def structure_constants(
 ) -> StructureTable:
     """Fit every commutator onto the nine-generator frame by least squares.
 
-    Generic points make the frame pointwise independent; a rank-deficient
-    sample is retried with fresh points and ultimately raises
-    :class:`FitDegenerate`.  Fitted coefficients within ``snap_tol`` of a
+    All nine generators are evaluated at all sample points at once, and the
+    36 brackets are fitted by one least-squares call with 36 right-hand
+    sides.  Generic points make the frame pointwise independent; a
+    rank-deficient sample is retried with fresh points and ultimately
+    raises :class:`FitDegenerate`.  Fitted coefficients within ``snap_tol`` of a
     half-integer are snapped, giving exact table entries.
     """
     if family == "X":
         raise InvalidParams("structure constants are tabulated for Y and Z bases")
+    if n_points < 2:
+        raise InvalidParams(f"structure constants need n_points >= 2, got {n_points}")
+    B = _family_matrices(family, params.f)
+    upper = np.triu_indices(9, k=1)
     attempt = 0
     while True:
         pts = list(points) if points is not None else sample_jet_points(
             params, n_points, seed + attempt
         )
-        arrs = [p.as_array() for p in pts]
-        gens = [_field_closures(GeneratorId(family, k), params) for k in range(1, 10)]
-        basis = np.zeros((6 * len(pts), 9))
-        for k, (coeff, _) in enumerate(gens):
-            basis[:, k] = np.concatenate([coeff(a) for a in arrs])
+        values, jac = _affine_jet(B, family, params.f, np.array([p.as_array() for p in pts]))
+        # rows (point, component), one column per generator
+        basis = values.transpose(1, 2, 0).reshape(-1, 9)
         if np.linalg.matrix_rank(basis) < 9:
             attempt += 1
             if points is not None or attempt > max_retries:
@@ -466,21 +381,16 @@ def structure_constants(
                     f"sample matrix rank deficient after {attempt} attempt(s)"
                 )
             continue
+        # jv[i, j] = J_j @ G_i, so [G_i, G_j] = jv[i, j] - jv[j, i]
+        jv = np.einsum("jnkl,inl->ijnk", jac, values)
+        rhs = (jv - jv.transpose(1, 0, 2, 3))[upper].reshape(36, -1).T
+        sol, _, _, _ = np.linalg.lstsq(basis, rhs, rcond=None)
+        worst = float(np.max(np.abs(basis @ sol - rhs)))
+        nearest = np.round(2.0 * sol) / 2.0
+        snapped = np.where(np.abs(sol - nearest) <= snap_tol, nearest, sol).T
         coeffs = np.zeros((9, 9, 9))
-        worst = 0.0
-        for i in range(9):
-            for j in range(i + 1, 9):
-                rhs = np.concatenate(
-                    [
-                        bracket_values(gens[i][0], gens[i][1], gens[j][0], gens[j][1], a)
-                        for a in arrs
-                    ]
-                )
-                sol, _, _, _ = np.linalg.lstsq(basis, rhs, rcond=None)
-                worst = max(worst, float(np.max(np.abs(basis @ sol - rhs))))
-                snapped = np.array([_snap(c, snap_tol) for c in sol])
-                coeffs[i, j] = snapped
-                coeffs[j, i] = -snapped
+        coeffs[upper] = snapped
+        coeffs[upper[::-1]] = -snapped
         return StructureTable(family=family, coeffs=coeffs, fit_residual=worst)
 
 

@@ -56,7 +56,7 @@ from .reduction import (
     ring_bounds,
     solve_cubic_real,
 )
-from .transforms import y9_time_map
+from .transforms import y9_dilation, y9_factor_rates, y9_factors
 
 FAMILY_NAMES = (
     "rest",
@@ -367,30 +367,13 @@ def stationary_rotsym(
 # ---------------------------------------------------------------------------
 
 
-def _pulsation_scalars(t: float, alpha: float, f: float):
-    """Shared time factors of the transported families.
-
-    D = cos^2(f t/2) + alpha^2 sin^2(f t/2) written via cos(f t); it is the
-    squared inverse of the radial stretch rho = sqrt(alpha / D).  All four
-    are smooth for all t.
-    """
-    c = math.cos(f * t)
-    s = math.sin(f * t)
-    D = 0.5 * ((1.0 + alpha * alpha) + c * (1.0 - alpha * alpha))
-    Ddot = 0.5 * f * s * (alpha * alpha - 1.0)
-    return c, s, D, Ddot
-
-
 def pulsating_cylinder(alpha: float, h0: float, params: FlowParameters) -> FlowField:
     """Pulsating liquid column: transport of the rest state.
 
-    U = f r (alpha^2 - 1) sin(f t) / (4 D),
-    V = -f r (alpha - 1) ((alpha - 1) - cos(f t)(alpha + 1)) / (4 D),
-    h = alpha h0 / D,
-
-    with D as in :func:`_pulsation_scalars`.  The depth depends on time
-    only; every particle rides a circle and returns after one inertial
-    period; the potential vorticity is f / h0 everywhere.
+    U = cu r, V = cv r, h = alpha h0 / D with the time factors cu, cv, D
+    of the dilation, :func:`~rswlab.transforms.y9_factors`.  The depth
+    depends on time only; every particle rides a circle and returns after one
+    inertial period; the potential vorticity is f / h0 everywhere.
     """
     if not (alpha > 0.0 and math.isfinite(alpha)):
         raise InvalidParams(f"alpha must be positive, got {alpha}")
@@ -398,25 +381,13 @@ def pulsating_cylinder(alpha: float, h0: float, params: FlowParameters) -> FlowF
         raise InvalidParams(f"h0 must be positive, got {h0}")
     f = params.f
 
-    def coeffs(t):
-        c, s, D, Ddot = _pulsation_scalars(t, alpha, f)
-        cu = f * (alpha * alpha - 1.0) * s / (4.0 * D)
-        cv = -f * (alpha - 1.0) * ((alpha - 1.0) - c * (alpha + 1.0)) / (4.0 * D)
-        return c, s, D, Ddot, cu, cv
-
     def value_fn(t, r, theta):
-        _, _, D, _, cu, cv = coeffs(t)
+        _, _, D, cu, cv = y9_factors(t, alpha, f)
         return cu * r, cv * r, alpha * h0 / D
 
     def jet_fn(t, r, theta):
-        c, s, D, Ddot, cu, cv = coeffs(t)
-        cu_dot = f * (alpha * alpha - 1.0) * (f * c * D - s * Ddot) / (4.0 * D * D)
-        cv_dot = (
-            -f
-            * (alpha - 1.0)
-            * ((f * s * (alpha + 1.0)) * D - ((alpha - 1.0) - c * (alpha + 1.0)) * Ddot)
-            / (4.0 * D * D)
-        )
+        c, s, D, cu, cv = y9_factors(t, alpha, f)
+        Ddot, cu_dot, cv_dot = y9_factor_rates(c, s, D, alpha, f)
         vals = np.array([cu * r, cv * r, alpha * h0 / D])
         grad = np.array(
             [
@@ -491,28 +462,18 @@ def pulsating_drop(alpha: float, params: FlowParameters) -> FlowField:
     a0 = f ** 4 / (12.0 * g * l * l)
 
     def value_fn(t, r, theta):
-        c, s, D, _ = _pulsation_scalars(t, alpha, f)
+        _, _, D, cu, B = y9_factors(t, alpha, f)
         P = alpha / D  # rho^2
-        cu = f * (alpha * alpha - 1.0) * s / (4.0 * D)
-        B = -f * (alpha - 1.0) * ((alpha - 1.0) - c * (alpha + 1.0)) / (4.0 * D)
         U = cu * r
         V = l * r * r * P ** 1.5 + B * r
         h = a4 * r ** 4 * P ** 3 + a3 * r ** 3 * P ** 2.5 + a0 * P
         return U, V, h
 
     def jet_fn(t, r, theta):
-        c, s, D, Ddot = _pulsation_scalars(t, alpha, f)
+        c, s, D, cu, B = y9_factors(t, alpha, f)
+        Ddot, cu_dot, B_dot = y9_factor_rates(c, s, D, alpha, f)
         P = alpha / D
         Pdot = -P * Ddot / D
-        cu = f * (alpha * alpha - 1.0) * s / (4.0 * D)
-        B = -f * (alpha - 1.0) * ((alpha - 1.0) - c * (alpha + 1.0)) / (4.0 * D)
-        cu_dot = f * (alpha * alpha - 1.0) * (f * c * D - s * Ddot) / (4.0 * D * D)
-        B_dot = (
-            -f
-            * (alpha - 1.0)
-            * ((f * s * (alpha + 1.0)) * D - ((alpha - 1.0) - c * (alpha + 1.0)) * Ddot)
-            / (4.0 * D * D)
-        )
         U = cu * r
         V = l * r * r * P ** 1.5 + B * r
         h = a4 * r ** 4 * P ** 3 + a3 * r ** 3 * P ** 2.5 + a0 * P
@@ -537,7 +498,7 @@ def pulsating_drop(alpha: float, params: FlowParameters) -> FlowField:
         return vals, grad
 
     def boundary_radius(t: float) -> float:
-        _, _, D, _ = _pulsation_scalars(t, alpha, f)
+        D = y9_factors(t, alpha, f)[2]
         return (-f / l) * math.sqrt(D / alpha)
 
     r_box = 0.9 * min(boundary_radius(0.0), boundary_radius(math.pi / f))
@@ -1049,13 +1010,6 @@ class TrajectoryFormula:
     label: str
 
 
-def _pulsation_angle(t: float, alpha: float, f: float) -> float:
-    """Continuous closed form of atan(alpha tan(ft/2)) - atan(tan(ft/2))."""
-    s = math.sin(f * t)
-    c = math.cos(f * t)
-    return math.atan2((alpha - 1.0) * s, (1.0 + alpha) - (alpha - 1.0) * c)
-
-
 def trajectory_formula(
     field_: FlowField, r0: float, theta0: float
 ) -> TrajectoryFormula:
@@ -1082,11 +1036,11 @@ def trajectory_formula(
         C = profile(r0 * sa) / (r0 * sa) if r0 > 0.0 else 0.0
 
         def r_of_t(t):
-            _, _, D, _ = _pulsation_scalars(t, alpha, f)
-            return r0 * math.sqrt(D)
+            return r0 * math.sqrt(y9_factors(t, alpha, f)[2])
 
         def theta_of_t(t):
-            return theta0 + _pulsation_angle(t, alpha, f) + C * y9_time_map(t, alpha, f)
+            tbar, angle, _, _, _ = y9_dilation(t, alpha, f)
+            return theta0 + angle + C * tbar
 
         circle = None
         if family == "pulsating-cylinder":

@@ -7,13 +7,19 @@ Three pieces of machinery live here:
   one and back (the rotating-frame solution lives on one inertial period
   ``0 < t < 2*pi/f``);
 * finite transformations of the three non-obvious canonical generators,
-  obtained by integrating their flow equations in polar variables, with
-  the piecewise-constant time offsets that keep the maps continuous across
-  the half-period times ``t = (2n+1)*pi/f``;
-* the solution-transport operator built from the dilation-like flow: given
-  any polar solution and a positive parameter ``alpha`` it produces another
-  exact solution, which is how the time-periodic pulsating solutions are
+  obtained by integrating their flow equations in polar variables.  The two
+  parabolic flows (Y7, Y8) carry piecewise-constant time offsets that keep
+  them continuous across the half-period times ``t = (2n+1)*pi/f``; the
+  dilation (Y9) is written in ``cos f t`` and ``sin f t``, which is smooth
+  for all t;
+* the solution-transport operator built from the dilation: given any polar
+  solution and a positive parameter ``alpha`` it produces another exact
+  solution, which is how the time-periodic pulsating solutions are
   generated from stationary ones.
+
+The Y9 dilation is defined once, by :func:`y9_factors` and
+:func:`y9_dilation`; the finite transformation, the transport operator, the
+pulsating cylinder and drop, and their trajectory formulas all use it.
 """
 
 from __future__ import annotations
@@ -37,9 +43,9 @@ from .errors import InvalidParams, SingularTime
 
 Direction = Literal["rsw2sw", "sw2rsw"]
 
-#: |cos(f t / 2)| below this triggers the exact half-period formulas in the
-#: group actions (tan overflows); |sin(f t / 2)| below it marks the singular
-#: times of the equivalence map.
+#: |cos(f t / 2)| (Y8) or |sin(f t / 2)| (Y7) below this triggers the exact
+#: half-period formulas of the parabolic group actions (tan overflows);
+#: |sin(f t / 2)| below it marks the singular times of the equivalence map.
 SINGULAR_GUARD = 1e-9
 
 
@@ -226,7 +232,7 @@ def map_field_sw_to_rsw(field_: FlowField, params: FlowParameters | None = None)
 class GroupAction:
     """One-parameter group element for one of the three nontrivial flows.
 
-    The dilation-like flow ("Y9") is parametrized by ``alpha > 0``; the two
+    The dilation ("Y9") is parametrized by ``alpha > 0``; the two
     parabolic flows ("Y7", "Y8") by an arbitrary real ``a``.
     """
 
@@ -242,38 +248,6 @@ class GroupAction:
             raise InvalidParams(
                 f"dilation parameter alpha must be positive, got {self.parameter}"
             )
-
-
-def _y9_map(t, r, theta, U, V, h, alpha, f):
-    half = f * t / 2.0
-    c2 = math.cos(half)
-    if abs(c2) < SINGULAR_GUARD:
-        sa = math.sqrt(alpha)
-        return (
-            t,
-            r / sa,
-            theta,
-            U * sa,
-            (V + (alpha - 1.0) / (2.0 * alpha) * f * r) * sa,
-            alpha * h,
-        )
-    tau = math.sin(half) / c2
-    q = 1.0 + alpha * alpha * tau * tau
-    d = alpha * (1.0 + tau * tau)
-    ratio = math.sqrt(q / d)
-    tbar = (2.0 / f) * math.atan(alpha * tau) + chi(t, f)
-    rbar = r / ratio
-    thbar = theta + math.atan(tau) - math.atan(alpha * tau)
-    shift_u = (f * r / 2.0) * (alpha * alpha - 1.0) * tau / q
-    shift_v = (f * r / 2.0) * (alpha - 1.0) * (alpha * tau * tau - 1.0) / q
-    return (
-        tbar,
-        rbar,
-        thbar,
-        (U - shift_u) * ratio,
-        (V + shift_v) * ratio,
-        h * q / d,
-    )
 
 
 def _parabolic_map(t, r, theta, U, V, h, a, f, sigma, offset):
@@ -301,16 +275,20 @@ def finite_transform(
 ) -> tuple[PolarPoint, PolarState]:
     """Apply a finite transformation to a polar point/state pair.
 
-    At the times where the underlying tangent half-angle degenerates the
-    continuous completion values are used, so the map is defined for all
-    times in the generator's domain.
+    For Y7 and Y8, at the times where the underlying tangent half-angle
+    degenerates, the continuous completion values are used, so the map is
+    defined for all times in the generator's domain; Y9 is
+    :func:`y9_dilation`, which is smooth everywhere.
     """
     f = params.f
     t, r, theta = p.t, p.r, p.theta
     U, V, h = s.U, s.V, s.h
     half = f * t / 2.0
     if action.generator == "Y9":
-        out = _y9_map(t, r, theta, U, V, h, action.parameter, f)
+        alpha = action.parameter
+        tbar, angle, rho, cu, cv = y9_dilation(t, alpha, f)
+        out = (tbar, r * rho, theta - angle, (U - cu * r) / rho, (V - cv * r) / rho,
+               h / (rho * rho))
     elif action.generator == "Y8":
         c2 = math.cos(half)
         if abs(c2) < SINGULAR_GUARD:
@@ -334,19 +312,70 @@ def finite_transform(
 
 
 # ---------------------------------------------------------------------------
-# Solution transport
+# The Y9 dilation
 # ---------------------------------------------------------------------------
 
 
+def y9_factors(t: float, alpha: float, f: float) -> tuple[float, float, float, float, float]:
+    """Time factors (c, s, D, cu, cv) of the Y9 dilation with parameter alpha.
+
+    With c, s = cos f t, sin f t:
+
+    * D = ((1 + alpha^2) + c (1 - alpha^2)) / 2 = cos^2(f t/2) + alpha^2 sin^2(f t/2),
+      so the radial stretch is rho = sqrt(alpha / D);
+    * cu = f (alpha^2 - 1) s / (4 D) and
+      cv = -f (alpha - 1) ((alpha - 1) - c (alpha + 1)) / (4 D) are the rigid
+      velocity shifts per unit radius.
+
+    All of them are smooth for all t; this is the whole cost of the pulsating
+    cylinder, so the angle is left to :func:`y9_dilation`.
+    """
+    c = math.cos(f * t)
+    s = math.sin(f * t)
+    D = 0.5 * ((1.0 + alpha * alpha) + c * (1.0 - alpha * alpha))
+    cu = f * (alpha * alpha - 1.0) * s / (4.0 * D)
+    cv = -f * (alpha - 1.0) * ((alpha - 1.0) - c * (alpha + 1.0)) / (4.0 * D)
+    return c, s, D, cu, cv
+
+
+def y9_factor_rates(
+    c: float, s: float, D: float, alpha: float, f: float
+) -> tuple[float, float, float]:
+    """Time derivatives (D', cu', cv') from the (c, s, D) of :func:`y9_factors`."""
+    Ddot = 0.5 * f * s * (alpha * alpha - 1.0)
+    cu_dot = f * (alpha * alpha - 1.0) * (f * c * D - s * Ddot) / (4.0 * D * D)
+    cv_dot = (
+        -f
+        * (alpha - 1.0)
+        * ((f * s * (alpha + 1.0)) * D - ((alpha - 1.0) - c * (alpha + 1.0)) * Ddot)
+        / (4.0 * D * D)
+    )
+    return Ddot, cu_dot, cv_dot
+
+
+def y9_dilation(t: float, alpha: float, f: float) -> tuple[float, float, float, float, float]:
+    """The Y9 dilation at time t: (tbar, angle, rho, cu, cv).
+
+    A point (t, r, theta) maps to (tbar, r rho, theta - angle) and a state
+    (U, V, h) to ((U - cu r) / rho, (V - cv r) / rho, h / rho^2), with
+    rho = sqrt(alpha / D) and D, cu, cv from :func:`y9_factors`.  The angle
+    is the continuous form of atan(alpha tan(f t/2)) - atan(tan(f t/2)) and
+    tbar = t + 2 angle / f, so no time is singular: tbar = t exactly where
+    the tangent form breaks down, at the half-period times.
+    """
+    c, s, D, cu, cv = y9_factors(t, alpha, f)
+    angle = math.atan2((alpha - 1.0) * s, (1.0 + alpha) - (alpha - 1.0) * c)
+    return t + 2.0 * angle / f, angle, math.sqrt(alpha / D), cu, cv
+
+
 def y9_time_map(t: float, alpha: float, f: float) -> float:
-    """Continuous dilated time: (2/f) atan(alpha tan(f t/2)) plus the branch
-    offset, equal to t exactly at the half-period times."""
-    half = f * t / 2.0
-    c2 = math.cos(half)
-    if abs(c2) < SINGULAR_GUARD:
-        return t
-    tau = math.sin(half) / c2
-    return (2.0 / f) * math.atan(alpha * tau) + chi(t, f)
+    """Dilated time tbar of :func:`y9_dilation`; alpha -> 1/alpha inverts it."""
+    return y9_dilation(t, alpha, f)[0]
+
+
+# ---------------------------------------------------------------------------
+# Solution transport
+# ---------------------------------------------------------------------------
 
 
 def transport_solution(
@@ -355,9 +384,8 @@ def transport_solution(
     """New exact solution obtained by transporting a polar solution.
 
     For a source solution (U, V, h) the transported field reads the source
-    at the dilated point (tbar, r*rho, theta + atan(tau) - atan(alpha tau))
-    with rho^2 = alpha (1 + tau^2) / (1 + alpha^2 tau^2), scales the state
-    by rho, and adds the rigid velocity shifts generated by the flow.
+    at the image (tbar, r rho, theta - angle) of :func:`y9_dilation`, scales
+    the state by rho, and adds the rigid velocity shifts (cu r, cv r).
     Transporting the rest state produces the pulsating cylinder;
     transporting the stationary rotationally symmetric class produces the
     pulsating drop family.
@@ -371,48 +399,23 @@ def transport_solution(
     src = field_
 
     def value_fn(t, r, theta):
-        half = f * t / 2.0
-        c2 = math.cos(half)
-        if abs(c2) < SINGULAR_GUARD:
-            sa = math.sqrt(alpha)
-            Ub, Vb, hb = src.values_unchecked(t, r / sa, theta)
-            return (
-                Ub / sa,
-                Vb / sa - (f * r / 2.0) * (alpha - 1.0) / alpha,
-                hb / alpha,
-            )
-        tau = math.sin(half) / c2
-        q = 1.0 + alpha * alpha * tau * tau
-        rho = math.sqrt(alpha * (1.0 + tau * tau) / q)
-        tbar = (2.0 / f) * math.atan(alpha * tau) + chi(t, f)
-        rbar = r * rho
-        thbar = theta + math.atan(tau) - math.atan(alpha * tau)
-        Ub, Vb, hb = src.values_unchecked(tbar, rbar, thbar)
-        U = rho * Ub + (f * r / 2.0) * (alpha * alpha - 1.0) * tau / q
-        V = rho * Vb - (f * r / 2.0) * (alpha - 1.0) * (alpha * tau * tau - 1.0) / q
-        return U, V, hb * rho * rho
-
-    def rho_of_t(t: float) -> float:
-        half = f * t / 2.0
-        c2 = math.cos(half)
-        if abs(c2) < SINGULAR_GUARD:
-            return 1.0 / math.sqrt(alpha)
-        tau = math.sin(half) / c2
-        return math.sqrt(alpha * (1.0 + tau * tau) / (1.0 + alpha * alpha * tau * tau))
+        tbar, angle, rho, cu, cv = y9_dilation(t, alpha, f)
+        Ub, Vb, hb = src.values_unchecked(tbar, r * rho, theta - angle)
+        return rho * Ub + cu * r, rho * Vb + cv * r, hb * rho * rho
 
     src_lo, src_hi = src.window.r_lo, src.window.r_hi
 
     # the source is read at the dilated point, so its radial bounds apply
     # to r * rho(t) at the mapped time
     def r_lo(t: float) -> float:
-        tbar = y9_time_map(t, alpha, f)
+        tbar, _, rho, _, _ = y9_dilation(t, alpha, f)
         lo = src_lo(tbar) if callable(src_lo) else src_lo
-        return lo / rho_of_t(t)
+        return lo / rho
 
     def r_hi(t: float) -> float:
-        tbar = y9_time_map(t, alpha, f)
+        tbar, _, rho, _, _ = y9_dilation(t, alpha, f)
         hi = src_hi(tbar) if callable(src_hi) else src_hi
-        return hi / rho_of_t(t) if math.isfinite(hi) else math.inf
+        return hi / rho if math.isfinite(hi) else math.inf
 
     # the transported time window is the preimage of the source window;
     # the time map is inverted by the dilation with 1/alpha

@@ -394,9 +394,12 @@ def integrate_trajectory(
     """Integrate dr/dt = U, dtheta/dt = V/r (or dx/dt = u, dy/dt = v).
 
     The start is given in polar form in every frame.  Steps land exactly on
-    the half-period times, where transported fields switch to their
-    continuity formulas.  Integration refuses to cross ``r < r_floor``.
+    the half-period times.  Integration refuses to cross ``r < r_floor``.
     """
+    if not (math.isfinite(r0) and math.isfinite(theta0)):
+        raise InvalidParams(
+            f"trajectory start must be finite, got r0={r0!r}, theta0={theta0!r}"
+        )
     if field_.frame == "polar":
         def rhs(t, y):
             r, th = y

@@ -118,6 +118,11 @@ class TestCommutatorsCommand:
             assert run(["commutators", *extra, "--out", str(out)]) == 0
             assert json.loads(out.read_text())["matches_reference_table"] is True
 
+    @pytest.mark.parametrize("points", ["0", "-3", "1"])
+    def test_too_few_points_exit_2(self, points, capsys):
+        assert run(["commutators", "--points", points]) == 2
+        assert "n_points >= 2" in capsys.readouterr().err
+
 
 class TestMapCommand:
     def test_rest_to_barochronous_columns(self, tmp_path):
@@ -150,6 +155,22 @@ class TestMapCommand:
 
     def test_zero_alpha_exits_2(self):
         assert run(["map", "--transport", "--alpha", "0", "--family", "rest"]) == 2
+
+    def test_transport_exports_origin_but_checks_r_positive(self, tmp_path):
+        out = tmp_path / "map.json"
+        code = run([
+            "map", "--transport", "--alpha", "2", "--family", "rest", "--t", "0",
+            "--r", "0:2:5", "--format", "json", "--out", str(out),
+        ])
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert [row[1] for row in payload["rows"]] == [0.0, 0.5, 1.0, 1.5, 2.0]
+        assert payload["residual"]["n_points"] == 4
+        assert payload["residual"]["max_residual"] < 1e-6
+
+    def test_transport_at_the_origin_only_exits_3(self):
+        assert run(["map", "--transport", "--alpha", "2", "--family", "rest",
+                    "--t", "0", "--r", "0:0:2"]) == 3
 
 
 class TestTrajectoryCommand:
@@ -210,16 +231,6 @@ class TestDeterminism:
         row = out.read_text().splitlines()[1].split(",")
         value = float(row[-1])
         assert format(value, ".17g") == row[-1]
-
-    def test_thread_cap_does_not_change_output(self, tmp_path, monkeypatch):
-        args = ["field", "--family", "cylinder", "--alpha", "2",
-                "--t", "0.4,1.1", "--r", "0.2:1.8:9"]
-        a, b = tmp_path / "serial.csv", tmp_path / "threaded.csv"
-        monkeypatch.setenv("RSW_THREADS", "1")
-        run([*args, "--out", str(a)])
-        monkeypatch.setenv("RSW_THREADS", "4")
-        run([*args, "--out", str(b)])
-        assert a.read_bytes() == b.read_bytes()
 
     def test_no_partial_file_on_failure(self, tmp_path):
         out = tmp_path / "never.csv"

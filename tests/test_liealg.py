@@ -68,6 +68,73 @@ class TestGeneratorEval:
                 assert np.allclose(J, Jfd, atol=5e-9), (family, k)
 
 
+class TestSympyOracle:
+    """Generators written symbolically from their closed forms and
+    differentiated by sympy, against the coefficient-matrix evaluation."""
+
+    @staticmethod
+    def closed_forms():
+        sp = pytest.importorskip("sympy")
+        t, x, y, u, v, h, f = syms = sp.symbols("t x y u v h f")
+        c, s, g = sp.cos(f * t), sp.sin(f * t), f / 2
+        X = sp.Matrix([
+            [0, 1, 0, 0, 0, 0],
+            [0, 0, 1, 0, 0, 0],
+            [0, c, -s, -f * s, -f * c, 0],
+            [0, s, c, f * c, -f * s, 0],
+            [0, -y, x, -v, u, 0],
+            [0, x, y, u, v, 2 * h],
+            [1, 0, 0, 0, 0, 0],
+            [c, -g * (x * s - y * c), -g * (x * c + y * s),
+             g * ((u - f * y) * s + (v - f * x) * c),
+             -g * ((u + f * y) * c - (v + f * x) * s), f * h * s],
+            [s, g * (x * c + y * s), -g * (x * s - y * c),
+             -g * ((u - f * y) * c - (v - f * x) * s),
+             -g * ((u + f * y) * s + (v + f * x) * c), -f * h * c],
+        ])
+        Z = sp.Matrix([
+            [0, 1, 0, 0, 0, 0],
+            [0, 0, 1, 0, 0, 0],
+            [0, t, 0, 1, 0, 0],
+            [0, 0, t, 0, 1, 0],
+            [0, -y, x, -v, u, 0],
+            [0, x, y, u, v, 2 * h],
+            [1, 0, 0, 0, 0, 0],
+            [t * t, t * x, t * y, x - t * u, y - t * v, -2 * t * h],
+            [2 * t, x, y, -u, -v, -2 * h],
+        ])
+        out = {}
+        for name, M in (("X", X), ("Z", Z)):
+            jac = [M[k, :].jacobian(syms[:6]) for k in range(9)]
+            out[name] = (sp.lambdify(syms, M, "numpy"), sp.lambdify(syms, jac, "numpy"))
+        return out
+
+    def test_values_and_jacobians_match(self):
+        import rswlab.liealg as la
+
+        forms = self.closed_forms()
+        rng = np.random.default_rng(7)
+        for f in (1.0, 0.37, 2.0):
+            params = FlowParameters(f, 1.0)
+            for _ in range(5):
+                arr = rng.uniform(-2.0, 2.0, 6)
+                arr[0] = rng.uniform(-5.0, 5.0)
+                p = JetPoint.from_array(arr)
+                exact = {}
+                for name, (vals, jacs) in forms.items():
+                    exact[name] = (np.array(vals(*arr, f), dtype=float),
+                                   np.array(jacs(*arr, f), dtype=float))
+                combo = la._y_combo(f)
+                exact["Y"] = (combo @ exact["X"][0], np.einsum("kl,lij->kij", combo, exact["X"][1]))
+                for family, (values, jacobians) in exact.items():
+                    for k in range(1, 10):
+                        gid = GeneratorId(family, k)
+                        assert np.allclose(generator_eval(gid, p, params), values[k - 1],
+                                           rtol=0.0, atol=1e-12), (family, k, f)
+                        assert np.allclose(generator_jacobian(gid, p, params), jacobians[k - 1],
+                                           rtol=0.0, atol=1e-12), (family, k, f)
+
+
 class TestBrackets:
     def test_y7_y8_gives_y9(self):
         pts = sample_jet_points(P, 5, seed=11)

@@ -201,7 +201,8 @@ class TestIntegrateOde:
             integrate_ode(self.rotation([]), np.array([1.0, 0.0]), 0.0, 1.0, tol=tol)
 
     @pytest.mark.parametrize("flag, value", [("--tol", "0"), ("--tol", "nan"),
-                                             ("--samples", "-1"), ("--t1", "inf")])
+                                             ("--samples", "-1"), ("--t1", "inf"),
+                                             ("--theta0", "nan"), ("--r0", "nan")])
     def test_cli_bad_trajectory_args_exit_2(self, flag, value):
         proc = subprocess.run(
             [sys.executable, "-m", "rswlab.cli", "trajectory", "--family", "cylinder",
@@ -210,6 +211,7 @@ class TestIntegrateOde:
         )
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
 
 class TestMaterialCurves:
