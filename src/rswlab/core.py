@@ -189,12 +189,34 @@ ValueFn = Callable[[float, float, float], tuple[float, float, float]]
 JetFn = Callable[[float, float, float], tuple[np.ndarray, np.ndarray]]
 
 
+def pointwise(kernel: ValueFn) -> ValueFn:
+    """Lift a value kernel written for float positions to array positions.
+
+    A call with scalar positions goes straight to ``kernel``; array
+    positions are evaluated one point at a time and returned as three
+    arrays of their broadcast shape.
+    """
+
+    def value_fn(t, a, b):
+        if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
+            return kernel(t, a, b)
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+        rows = [kernel(t, x, y) for x, y in zip(a.ravel().tolist(), b.ravel().tolist())]
+        return tuple(np.moveaxis(np.array(rows, dtype=float).reshape(a.shape + (3,)), -1, 0))
+
+    return value_fn
+
+
 @dataclass(frozen=True)
 class FlowField:
     """A solution as an evaluable map (t, position) -> state.
 
     ``value_fn(t, a, b)`` returns the three state components; ``(a, b)`` is
-    ``(x, y)`` or ``(r, theta)`` according to ``frame``.  ``jet_fn`` when
+    ``(x, y)`` or ``(r, theta)`` according to ``frame``.  It takes a float
+    ``t`` and float-or-array positions ``a``, ``b`` of one shape, and each
+    component it returns broadcasts to that shape (a component that does not
+    depend on position may come back as a scalar).  Kernels written for one
+    point at a time meet this through :func:`pointwise`.  ``jet_fn`` when
     present returns ``(values, grad)`` with ``grad[i, j]`` the derivative of
     component ``i`` with respect to coordinate ``j`` in the order
     ``(t, a, b)``; it backs the analytic derivative mode.  Without it, or
@@ -237,7 +259,11 @@ class FlowField:
         return out
 
     def values_unchecked(self, t, a, b):
-        """Raw closure access for vectorized callers that pre-verified the window."""
+        """``value_fn(t, a, b)`` without the window or finiteness check.
+
+        For callers that verified the window themselves; array positions are
+        evaluated in one call under the broadcast contract of the class.
+        """
         return self.value_fn(t, a, b)
 
     def jet(self, t: float, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -388,7 +414,8 @@ def as_cartesian(field_: FlowField, label: str | None = None) -> FlowField:
     """Cartesian view of a polar field, with exact chain-rule jets.
 
     Valid away from the origin; the radial window carries over through
-    r = hypot(x, y).
+    r = hypot(x, y).  Its values broadcast over array positions as the
+    source's do.
     """
     if field_.frame == "cartesian":
         return field_
@@ -396,10 +423,10 @@ def as_cartesian(field_: FlowField, label: str | None = None) -> FlowField:
     src = field_
 
     def value_fn(t, x, y):
-        r = math.hypot(x, y)
-        theta = math.atan2(y, x)
+        r = np.hypot(x, y)
+        theta = np.arctan2(y, x)
         U, V, h = src.value_fn(t, r, theta)
-        ct, st = math.cos(theta), math.sin(theta)
+        ct, st = np.cos(theta), np.sin(theta)
         return U * ct - V * st, U * st + V * ct, h
 
     jet_fn = None

@@ -38,6 +38,7 @@ metadata used by trajectory formulas and the CLI.  Families:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,7 +47,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 
-from .core import FlowField, FlowParameters, Window
+from .core import FlowField, FlowParameters, Window, pointwise
 from .errors import InvalidParams, UnsupportedFamily
 from .reduction import (
     ImplicitCollapse,
@@ -293,6 +294,11 @@ def barochronous_sw(h0: float, params: FlowParameters) -> FlowField:
     )
 
 
+#: Radii whose depth integral a stationary rotationally symmetric field keeps;
+#: beyond this the least recently used is dropped, so memory stays bounded.
+DEPTH_CACHE_SIZE = 4096
+
+
 def stationary_rotsym(
     profile: RadialProfile, h0: float, params: FlowParameters, r_max: float = 6.0
 ) -> FlowField:
@@ -314,14 +320,9 @@ def stationary_rotsym(
         V = profile(r)
         return (V * V / r + f * V) / g
 
-    cache: dict[float, float] = {}
-
+    @functools.lru_cache(maxsize=DEPTH_CACHE_SIZE)
     def depth(r):
-        val = cache.get(r)
-        if val is None:
-            val = h0 + quad(integrand, 0.0, r, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
-            cache[r] = val
-        return val
+        return h0 + quad(integrand, 0.0, r, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
 
     # reject profiles that drain the depth below zero inside the window
     for rr in np.linspace(0.0, r_max, 61)[1:]:
@@ -349,7 +350,7 @@ def stationary_rotsym(
     return FlowField(
         frame="polar",
         params=params,
-        value_fn=value_fn,
+        value_fn=pointwise(value_fn),
         jet_fn=jet_fn,
         window=Window(),
         label=f"stationary-rotsym({profile.label}, h0={h0:g})",
@@ -357,6 +358,7 @@ def stationary_rotsym(
             "family": "stationary-rotsym",
             "h0": h0,
             "profile": profile,
+            "depth_fn": depth,
             "sample_box": {"t": (0.0, params.period), "r": (0.05, r_max * 0.9)},
         },
     )
@@ -582,7 +584,7 @@ def stationary_ring(
     return FlowField(
         frame="polar",
         params=params,
-        value_fn=value_fn,
+        value_fn=pointwise(value_fn),
         jet_fn=jet_fn,
         window=Window(r_lo=bounds.r_inner, r_hi=bounds.r_outer),
         label=f"stationary-ring(C=({C1:g},{C2:g},{C3:g}), {branch})",
@@ -659,8 +661,8 @@ def collapse_contact(
     stay positive, which bounds lam from above; the window tracks that
     bound.
     """
-    if not (eta0 > 0.0 and lam0 > 0.0):
-        raise InvalidParams("lam0 and eta0 must be positive")
+    if not (0.0 < lam0 < math.inf and 0.0 < eta0 < math.inf):
+        raise InvalidParams(f"lam0 and eta0 must be positive and finite, got {lam0!r}, {eta0!r}")
     f, g = params.f, params.g
     budget = lam0 * eta0
 
@@ -735,10 +737,23 @@ def collapse_contact(
     # can no longer resolve psi(lam) oscillations
     lam_box = min(lam_cap, lam0 + 25.0 * max(1.0, lam0))
     period = params.period
+    t_box = 0.1 * period
+    # the jet divides by r^3 with r^2 = (1 - cos f t) / lam, so the radii of
+    # the sample box's lam extremes must stay in floating-point range
+    for lam in (0.2 * lam0, lam_box):
+        try:
+            grad = jet_fn(t_box, math.sqrt((1.0 - math.cos(f * t_box)) / lam), 0.0)[1]
+        except ArithmeticError:
+            grad = None
+        if grad is None or not np.all(np.isfinite(grad)):
+            raise InvalidParams(
+                f"lam0={lam0!r}, eta0={eta0!r}: the jet at lam={lam!r} leaves "
+                "floating-point range"
+            )
     return FlowField(
         frame="polar",
         params=params,
-        value_fn=value_fn,
+        value_fn=pointwise(value_fn),
         jet_fn=jet_fn,
         window=Window(t_lo=0.0, t_hi=period, t_guard=1e-9 * period, r_lo=r_lo),
         label=f"collapse-contact(psi={psi.label}, lam0={lam0:g}, eta0={eta0:g})",
@@ -749,7 +764,7 @@ def collapse_contact(
             "eta0": eta0,
             "lam_max": lam_max,
             "eta_fn": eta,
-            "sample_box": {"t": (0.1 * period, 0.9 * period), "lam": (0.2 * lam0, lam_box)},
+            "sample_box": {"t": (t_box, 0.9 * period), "lam": (0.2 * lam0, lam_box)},
         },
     )
 
@@ -858,7 +873,7 @@ def collapse_contact_cubic(
     return FlowField(
         frame="polar",
         params=params,
-        value_fn=value_fn,
+        value_fn=pointwise(value_fn),
         jet_fn=jet_fn,
         window=Window(t_lo=0.0, t_hi=period, t_guard=1e-9 * period, r_lo=r_lo),
         label=f"collapse-contact-cubic(C=({C1:g},{C2:g},{C3:g}), {branch})",

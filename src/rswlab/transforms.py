@@ -38,6 +38,7 @@ from .core import (
     PolarPoint,
     PolarState,
     Window,
+    pointwise,
 )
 from .errors import InvalidParams, SingularTime
 
@@ -177,7 +178,7 @@ def map_field_rsw_to_sw(field_: FlowField, params: FlowParameters | None = None)
     return FlowField(
         frame="cartesian",
         params=params,
-        value_fn=value_fn,
+        value_fn=pointwise(value_fn),
         jet_fn=None,
         window=window,
         system="sw",
@@ -213,7 +214,7 @@ def map_field_sw_to_rsw(field_: FlowField, params: FlowParameters | None = None)
     return FlowField(
         frame="cartesian",
         params=params,
-        value_fn=value_fn,
+        value_fn=pointwise(value_fn),
         jet_fn=None,
         window=window,
         system="rsw",
@@ -385,10 +386,10 @@ def transport_solution(
 
     For a source solution (U, V, h) the transported field reads the source
     at the image (tbar, r rho, theta - angle) of :func:`y9_dilation`, scales
-    the state by rho, and adds the rigid velocity shifts (cu r, cv r).
-    Transporting the rest state produces the pulsating cylinder;
-    transporting the stationary rotationally symmetric class produces the
-    pulsating drop family.
+    the state by rho, and adds the rigid velocity shifts (cu r, cv r), in
+    one source call for array positions.  Transporting the rest state
+    produces the pulsating cylinder; transporting the stationary
+    rotationally symmetric class produces the pulsating drop family.
     """
     params = params or field_.params
     if field_.frame != "polar":

@@ -5,12 +5,14 @@
   whether the depth is order one or spans decades;
 * particle trajectory integration with the package's one adaptive ODE
   integrator, an embedded Dormand-Prince 5(4) pair whose ``tol`` bounds the
-  local error per step relative to max(1, |y|), with event-aligned
-  stepping at the half-period times;
+  local error per step relative to max(1, |y|); steps land only on the
+  requested record times;
 * material-curve evolution (a ring of markers advected together);
 * a deliberately simple first-order finite-volume solver used as a
   cross-check oracle: against a smooth exact solution its error must
-  shrink at first order under mesh refinement.
+  shrink at first order under mesh refinement.  It reads the exact field
+  in array calls (the grid, and the ghost ring once per step) under the
+  broadcast contract of :class:`~rswlab.core.FlowField`.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import FlowField, FlowParameters, as_cartesian
+from .core import FlowField, as_cartesian
 from .errors import (
     BlowUp,
     CFLViolation,
@@ -365,22 +367,6 @@ def integrate_ode(
     return np.array(ts_out), np.array(ys_out), stats
 
 
-def _half_period_events(params: FlowParameters, t0: float, t1: float) -> list[float]:
-    f = params.f
-    out = []
-    n = math.floor(f * t0 / math.pi)
-    while True:
-        n += 1
-        if n % 2 == 0:
-            continue
-        t = n * math.pi / f
-        if t >= t1:
-            break
-        if t > t0:
-            out.append(t)
-    return out
-
-
 def integrate_trajectory(
     field_: FlowField,
     r0: float,
@@ -393,8 +379,10 @@ def integrate_trajectory(
 ) -> Trajectory:
     """Integrate dr/dt = U, dtheta/dt = V/r (or dx/dt = u, dy/dt = v).
 
-    The start is given in polar form in every frame.  Steps land exactly on
-    the half-period times.  Integration refuses to cross ``r < r_floor``.
+    The start is given in polar form in every frame.  One
+    :func:`integrate_ode` call covers [t0, t1]; it lands on the ``record``
+    times and nowhere else, since every field is smooth in t.  Integration
+    refuses to cross ``r < r_floor``.
     """
     if not (math.isfinite(r0) and math.isfinite(theta0)):
         raise InvalidParams(
@@ -430,11 +418,7 @@ def integrate_trajectory(
                           {"steps": 0, "rejected": 0, "rhs_evals": 0,
                            "fixed_point": True})
 
-    if not (math.isfinite(t0) and math.isfinite(t1)):
-        # an infinite span would have infinitely many half-period events
-        raise InvalidParams("trajectory times must be finite")
-    events = _half_period_events(field_.params, t0, t1)
-    ts, ys, stats = integrate_ode(rhs, y0, t0, t1, tol=tol, events=events, record=record)
+    ts, ys, stats = integrate_ode(rhs, y0, t0, t1, tol=tol, record=record)
     return Trajectory(ts, ys, field_.frame, (r0, theta0), stats)
 
 
@@ -528,56 +512,24 @@ class FVRun:
     masked_fraction: float
 
 
-def _fv_fluxes(h, hu, hv, g, axis):
-    """Rusanov numerical flux along one axis for the conservative system."""
-    hl, hr = h, np.roll(h, -1, axis=axis)
-    hul, hur = hu, np.roll(hu, -1, axis=axis)
-    hvl, hvr = hv, np.roll(hv, -1, axis=axis)
-
-    def speed(hh, mom):
-        vel = np.where(hh > 1e-12, mom / np.maximum(hh, 1e-12), 0.0)
-        return np.abs(vel) + np.sqrt(g * np.maximum(hh, 0.0)), vel
-
-    if axis == 0:
-        norm_l, norm_r = hul, hur
-    else:
-        norm_l, norm_r = hvl, hvr
-    a_l, vel_l = speed(hl, norm_l)
-    a_r, vel_r = speed(hr, norm_r)
-    a = np.maximum(a_l, a_r)
-
-    def phys(hh, mom_n, mom_t, vel_n):
-        f0 = mom_n
-        f_n = mom_n * vel_n + 0.5 * g * hh * hh
-        f_t = mom_t * vel_n
-        return f0, f_n, f_t
-
-    if axis == 0:
-        f0l, fnl, ftl = phys(hl, hul, hvl, vel_l)
-        f0r, fnr, ftr = phys(hr, hur, hvr, vel_r)
-        flux_h = 0.5 * (f0l + f0r) - 0.5 * a * (hr - hl)
-        flux_hu = 0.5 * (fnl + fnr) - 0.5 * a * (hur - hul)
-        flux_hv = 0.5 * (ftl + ftr) - 0.5 * a * (hvr - hvl)
-    else:
-        f0l, fnl, ftl = phys(hl, hvl, hul, vel_l)
-        f0r, fnr, ftr = phys(hr, hvr, hur, vel_r)
-        flux_h = 0.5 * (f0l + f0r) - 0.5 * a * (hr - hl)
-        flux_hv = 0.5 * (fnl + fnr) - 0.5 * a * (hvr - hvl)
-        flux_hu = 0.5 * (ftl + ftr) - 0.5 * a * (hur - hul)
-    return flux_h, flux_hu, flux_hv
+def _conserved(shape, u, v, h):
+    """Conservative variables (h, hu, hv) from exact values, depth clamped at 0."""
+    h = np.maximum(np.broadcast_to(h, shape), 0.0)
+    return h, h * u, h * v
 
 
 def _sample_conserved(field_: FlowField, t: float, X: np.ndarray, Y: np.ndarray):
-    """Exact conservative variables on cell centers (vectorized per row)."""
-    h = np.empty_like(X)
-    u = np.empty_like(X)
-    v = np.empty_like(X)
-    for i in range(X.shape[0]):
-        for j in range(X.shape[1]):
-            uu, vv, hh = field_.values_unchecked(t, float(X[i, j]), float(Y[i, j]))
-            u[i, j], v[i, j], h[i, j] = uu, vv, hh
-    h = np.maximum(h, 0.0)
-    return h, h * u, h * v
+    """Exact conservative variables on cell centers, in one array call."""
+    u, v, h = field_.values_unchecked(t, X, Y)
+    return _conserved(X.shape, u, v, h)
+
+
+def _rusanov(q, flux, half_a, left, right):
+    """Rusanov flux at the interfaces between the ``left`` and ``right`` cells.
+
+    ``half_a`` is half the larger of the two cells' wave speeds.
+    """
+    return 0.5 * (flux[left] + flux[right]) - half_a * (q[right] - q[left])
 
 
 def fv_oracle(
@@ -600,6 +552,12 @@ def fv_oracle(
     explicitly.  Returns the L1 depth error against the exact field at
     ``t1``, optionally restricted by ``mask_fn(t1, X, Y) -> bool array``.
 
+    The state lives on one padded (n + 2)^2 array per conservative
+    variable.  The exact data come from array calls of the field: the grid
+    once at each end, the ring of ghost cells once per step.  Velocity,
+    wave speed and physical flux are formed once per cell, and each
+    interface flux from its two neighbours.
+
     Raises :class:`CFLViolation` when an explicit ``dt`` exceeds the stable
     step, and :class:`NegativeDepth` when the update makes depth
     significantly negative (set ``dry_floor`` to clamp instead, for fields
@@ -614,51 +572,47 @@ def fv_oracle(
     dx = (hi - lo) / n
     centers = lo + dx * (np.arange(n) + 0.5)
     X, Y = np.meshgrid(centers, centers, indexing="ij")
-    h, hu, hv = _sample_conserved(cart, t0, X, Y)
 
-    ghosts = 1
+    # one ghost cell on each side; the corners enter no flux
+    inner = np.s_[1:-1, 1:-1]
+    hp, hup, hvp = padded = [np.zeros((n + 2, n + 2)) for _ in range(3)]
+    hp[inner], hup[inner], hvp[inner] = _sample_conserved(cart, t0, X, Y)
+    if bc == "exact":
+        ring = np.ones((n + 2, n + 2), dtype=bool)
+        ring[inner] = False
+        gx = np.concatenate([[lo - dx / 2.0], centers, [hi + dx / 2.0]])
+        ring_x, ring_y = (c[ring] for c in np.meshgrid(gx, gx, indexing="ij"))
+    else:
+        # the interior row or column each ghost copies: wrapped or repeated
+        first, last = (-2, 1) if bc == "periodic" else (1, -2)
+
+    # interfaces between neighbouring cells along x (rows) and y (columns)
+    x_left, x_right = np.s_[:-1, 1:-1], np.s_[1:, 1:-1]
+    y_left, y_right = np.s_[1:-1, :-1], np.s_[1:-1, 1:]
+
+    def div(fx, fy):
+        return (fx[1:] - fx[:-1]) / dx + (fy[:, 1:] - fy[:, :-1]) / dx
+
     t = t0
     steps = 0
     dt_min = math.inf
-    gx = np.concatenate([[lo - dx / 2.0], centers, [hi + dx / 2.0]])
-
-    def _exact_strip(t_now, xs, ys):
-        hh = np.empty(len(xs))
-        uu = np.empty(len(xs))
-        vv = np.empty(len(xs))
-        for i, (x, y) in enumerate(zip(xs, ys)):
-            u_, v_, h_ = cart.values_unchecked(t_now, float(x), float(y))
-            uu[i], vv[i], hh[i] = u_, v_, h_
-        hh = np.maximum(hh, 0.0)
-        return hh, hh * uu, hh * vv
-
-    def padded_all(h_, hu_, hv_, t_now):
-        if bc == "periodic":
-            return (
-                np.pad(h_, ghosts, mode="wrap"),
-                np.pad(hu_, ghosts, mode="wrap"),
-                np.pad(hv_, ghosts, mode="wrap"),
-            )
-        hp = np.pad(h_, ghosts, mode="edge")
-        hup = np.pad(hu_, ghosts, mode="edge")
-        hvp = np.pad(hv_, ghosts, mode="edge")
-        if bc == "exact":
-            # only the four ghost strips need exact values
-            for sel_x, sel_y, view in (
-                (np.full(len(gx), gx[0]), gx, np.s_[0, :]),
-                (np.full(len(gx), gx[-1]), gx, np.s_[-1, :]),
-                (gx, np.full(len(gx), gx[0]), np.s_[:, 0]),
-                (gx, np.full(len(gx), gx[-1]), np.s_[:, -1]),
-            ):
-                hh, huu, hvv = _exact_strip(t_now, sel_x, sel_y)
-                hp[view], hup[view], hvp[view] = hh, huu, hvv
-        return hp, hup, hvp
-
     while t < t1 - 1e-14:
-        vel_u = np.where(h > 1e-12, hu / np.maximum(h, 1e-12), 0.0)
-        vel_v = np.where(h > 1e-12, hv / np.maximum(h, 1e-12), 0.0)
-        c = np.sqrt(g * np.maximum(h, 0.0))
-        rate = (np.abs(vel_u) + c).max() / dx + (np.abs(vel_v) + c).max() / dx
+        if bc == "exact":
+            u_g, v_g, h_g = cart.values_unchecked(t, ring_x, ring_y)
+            hp[ring], hup[ring], hvp[ring] = _conserved(ring_x.shape, u_g, v_g, h_g)
+        else:
+            for q in padded:
+                q[0, 1:-1], q[-1, 1:-1] = q[first, 1:-1], q[last, 1:-1]
+                q[1:-1, 0], q[1:-1, -1] = q[1:-1, first], q[1:-1, last]
+
+        wet = hp > 1e-12
+        h_safe = np.maximum(hp, 1e-12)
+        vel_u = np.where(wet, hup / h_safe, 0.0)
+        vel_v = np.where(wet, hvp / h_safe, 0.0)
+        c = np.sqrt(g * np.maximum(hp, 0.0))
+        speed_x = np.abs(vel_u) + c
+        speed_y = np.abs(vel_v) + c
+        rate = speed_x[inner].max() / dx + speed_y[inner].max() / dx
         dt_stable = cfl / rate if rate > 0.0 else (t1 - t)
         step_dt = min(dt if dt is not None else dt_stable, t1 - t)
         if dt is not None and dt > dt_stable * (1.0 + 1e-12):
@@ -667,30 +621,30 @@ def fv_oracle(
             )
         dt_min = min(dt_min, step_dt)
 
-        hp, hup, hvp = padded_all(h, hu, hv, t)
-        fx_h, fx_hu, fx_hv = _fv_fluxes(hp, hup, hvp, g, axis=0)
-        fy_h, fy_hu, fy_hv = _fv_fluxes(hp, hup, hvp, g, axis=1)
+        pressure = 0.5 * g * hp * hp
+        half_a = 0.5 * np.maximum(speed_x[x_left], speed_x[x_right])
+        fx_h = _rusanov(hp, hup, half_a, x_left, x_right)
+        fx_hu = _rusanov(hup, hup * vel_u + pressure, half_a, x_left, x_right)
+        fx_hv = _rusanov(hvp, hvp * vel_u, half_a, x_left, x_right)
+        half_a = 0.5 * np.maximum(speed_y[y_left], speed_y[y_right])
+        fy_h = _rusanov(hp, hvp, half_a, y_left, y_right)
+        fy_hv = _rusanov(hvp, hvp * vel_v + pressure, half_a, y_left, y_right)
+        fy_hu = _rusanov(hup, hup * vel_v, half_a, y_left, y_right)
 
-        def div(fx, fy):
-            dfx = fx[ghosts:-ghosts, ghosts:-ghosts] - fx[ghosts - 1:-ghosts - 1, ghosts:-ghosts]
-            dfy = fy[ghosts:-ghosts, ghosts:-ghosts] - fy[ghosts:-ghosts, ghosts - 1:-ghosts - 1]
-            return dfx / dx + dfy / dx
-
+        h, hu, hv = hp[inner], hup[inner], hvp[inner]
         h_new = h - step_dt * div(fx_h, fy_h)
         hu_new = hu - step_dt * div(fx_hu, fy_hu) + step_dt * f_eff * hv
         hv_new = hv - step_dt * div(fx_hv, fy_hv) - step_dt * f_eff * hu
 
-        if h_new.min() < -1e-10:
-            if not dry_floor:
-                raise NegativeDepth(
-                    f"depth reached {h_new.min()!r} at t={t + step_dt!r}"
-                )
+        if h_new.min() < -1e-10 and not dry_floor:
+            raise NegativeDepth(f"depth reached {h_new.min()!r} at t={t + step_dt!r}")
         if dry_floor:
             h_new = np.maximum(h_new, 0.0)
-        h, hu, hv = h_new, hu_new, hv_new
+        hp[inner], hup[inner], hvp[inner] = h_new, hu_new, hv_new
         t += step_dt
         steps += 1
 
+    h, hu, hv = hp[inner], hup[inner], hvp[inner]
     h_ex, hu_ex, hv_ex = _sample_conserved(cart, t1, X, Y)
     mask = np.ones_like(h, dtype=bool)
     if mask_fn is not None:

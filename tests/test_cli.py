@@ -103,6 +103,23 @@ class TestResidualCommand:
         assert rep["derivative_mode"] == "fd"
         assert rep["fd_step"] == 1e-5
 
+    @pytest.mark.parametrize("flag", ["--lam0", "--eta0"])
+    @pytest.mark.parametrize("value", ["1e300", "inf", "nan"])
+    def test_collapse_contact_extreme_parameters(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "res.json"
+        code = run(["residual", "--family", "collapse-contact", flag, value, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if (flag, value) == ("--eta0", "1e300"):
+            # the field builds, but the jet's h_r cancels two terms of order
+            # 1e300, so the verification fails (exit 1) rather than the build
+            assert code == 1
+            assert json.loads(out.read_text())["passed"] is False
+        else:
+            assert code == 2
+            assert err.splitlines()[-1].startswith("error: ")
+            assert not out.exists()
+
 
 class TestCommutatorsCommand:
     def test_default_matches_reference(self, tmp_path):

@@ -16,13 +16,17 @@ from rswlab.core import (
     diagnostics,
     polar_to_cartesian,
     potential_vorticity,
+    scale_depth,
 )
 from rswlab.errors import InvalidParams, OriginSingular, WindowViolation, ZeroDepth
 from rswlab.solutions import (
+    default_catalog,
     pulsating_cylinder,
     rest_state,
     stationary_ring,
 )
+from rswlab.transforms import map_field_rsw_to_sw, map_field_sw_to_rsw, transport_solution
+from rswlab.verify import sample_grid
 
 
 class TestFlowParameters:
@@ -214,3 +218,67 @@ class TestCartesianView:
         _, g_analytic = cart.jet(t, x, y)
         _, g_fd = cart.with_derivative_mode("fd").jet(t, x, y)
         assert np.allclose(g_analytic, g_fd, atol=1e-8)
+
+
+def _array_views():
+    """Every catalog family plus the views built on top of them.
+
+    Each entry is (field, polar source): a Cartesian view of a polar family
+    is sampled through its source, so its points stay in the source window.
+    """
+    catalog = default_catalog()
+    views = {name: (field, None) for name, field in catalog.items()}
+    for name, field in catalog.items():
+        if field.frame == "polar":
+            views[f"cartesian({name})"] = (as_cartesian(field), field)
+    for name in ("rest", "stationary-rotsym", "pulsating-drop"):
+        views[f"transport({name})"] = (transport_solution(catalog[name], 1.7), None)
+    cylinder = as_cartesian(catalog["pulsating-cylinder"])
+    views["rsw2sw(pulsating-cylinder)"] = (map_field_rsw_to_sw(cylinder), None)
+    views["rsw2sw(constant-sw-image)"] = (map_field_rsw_to_sw(catalog["constant-sw-image"]), None)
+    views["sw2rsw(barochronous-sw)"] = (map_field_sw_to_rsw(catalog["barochronous-sw"]), None)
+    for name in ("stationary-rotsym", "pulsating-drop", "constant-sw-image"):
+        views[f"scale_depth({name})"] = (scale_depth(catalog[name], 1.01), None)
+    return views
+
+
+ARRAY_VIEWS = _array_views()
+
+
+class TestArrayContract:
+    """``value_fn`` broadcasts: one array call equals the stacked scalar calls."""
+
+    @pytest.mark.parametrize("name", sorted(ARRAY_VIEWS))
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_array_call_equals_scalar_calls(self, name, data):
+        field, source = ARRAY_VIEWS[name]
+        base = source if source is not None else field
+        grid = sample_grid(base, (4, 5, 3))
+        t = data.draw(st.sampled_from(sorted(set(grid[:, 0].tolist()))), label="t")
+        rows = grid[grid[:, 0] == t]
+        k = data.draw(st.integers(1, 6), label="points")
+        shape = data.draw(st.sampled_from([(k,), (1, k), (k, 1)]), label="shape")
+        unit = st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k)
+        fa = np.reshape(data.draw(unit, label="a"), shape)
+        fb = np.reshape(data.draw(unit, label="b"), shape)
+        a = rows[:, 1].min() + fa * (rows[:, 1].max() - rows[:, 1].min())
+        if base.frame == "polar":
+            b = 2.0 * math.pi * fb - math.pi
+        else:
+            b = rows[:, 2].min() + fb * (rows[:, 2].max() - rows[:, 2].min())
+        if source is not None:
+            a, b = a * np.cos(b), a * np.sin(b)
+
+        values = field.values_unchecked(t, a, b)
+        assert all(np.broadcast_shapes(np.shape(c), shape) == shape for c in values)
+        stacked = np.stack([np.broadcast_to(c, shape) for c in values])
+        scalar = np.array(
+            [field.values_unchecked(t, x, y) for x, y in zip(a.ravel().tolist(), b.ravel().tolist())],
+            dtype=float,
+        ).T.reshape((3,) + shape)
+        assert np.all(np.isfinite(scalar))
+        # numpy's array pow/arctan2 may differ from the scalar ones in the
+        # last bit, so ulps are counted at each point's largest |component|
+        ulp = np.spacing(np.abs(scalar).max(axis=0))
+        assert np.all(np.abs(stacked - scalar) <= 4 * ulp)

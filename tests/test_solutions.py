@@ -365,6 +365,22 @@ class TestProfiles:
         with pytest.raises(InvalidParams):
             stationary_rotsym(bad, 1.0, P)
 
+    def test_depth_cache_is_bounded(self):
+        # solid rotation V = w r: g h' = (w^2 + f w) r, so h = h0 + (w^2 + f w) r^2 / (2 g)
+        from rswlab.solutions import DEPTH_CACHE_SIZE, stationary_rotsym
+
+        w, h0 = 0.4, 1.0
+        field = stationary_rotsym(profile_solid(w), h0, P)
+        first = field.values_unchecked(0.0, np.linspace(0.01, 0.5, 50), 0.0)[2]
+        radii = np.linspace(0.011, 5.9, 20_000)
+        depth = field.values_unchecked(0.0, radii, 0.0)[2]
+        assert field.meta["depth_fn"].cache_info().currsize <= DEPTH_CACHE_SIZE
+        exact = h0 + (w * w + P.f * w) * radii ** 2 / (2.0 * P.g)
+        assert np.allclose(depth, exact, rtol=1e-12, atol=0.0)
+        # radii evicted from the cache come back with the same depth
+        again = field.values_unchecked(0.0, np.linspace(0.01, 0.5, 50), 0.0)[2]
+        assert np.array_equal(again, first)
+
     def test_draining_profile_rejected(self):
         # weak anticyclonic rotation: f V dominates V^2 / r, the balance
         # integral is negative and the depth runs out at finite radius

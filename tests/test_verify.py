@@ -273,6 +273,38 @@ class TestFiniteVolumeOracle:
         )
         assert res.rate_h >= 0.8
 
+    # steps and L1 errors of the strip-by-strip, np.roll implementation of
+    # the oracle, which sampled the exact field one point at a time
+    @pytest.mark.parametrize("case, steps, l1_h, l1_all", [
+        ("exact-cylinder", 29, 0.04059905266683883, 0.16809299104904854),
+        ("exact-rotsym", 7, 0.2191162805852493, 0.6996326809006179),
+        ("periodic-cylinder", 10, 0.06439949781215897, 0.8410259287610605),
+        ("outflow-cylinder", 11, 0.01094636856727682, 0.06741437233620916),
+        ("drop-masked", 66, 0.06938543274540411, 0.1926061577156969),
+    ])
+    def test_reference_results(self, case, steps, l1_h, l1_all):
+        cylinder = pulsating_cylinder(2.0, 1.0, P)
+        drop = pulsating_drop(2.0, P)
+        R = drop.meta["boundary_radius"]
+        r_safe = 0.7 * min(R(t) for t in np.linspace(0.1, 0.3, 7))
+
+        def mask(t1, X, Y):
+            return np.hypot(X, Y) < r_safe
+
+        field, t0, t1, n, kw = {
+            "exact-cylinder": (cylinder, 0.0, 0.25, 40, dict(box=(-2.0, 2.0))),
+            "exact-rotsym": (stationary_rotsym(profile_gauss(0.5), 1.0, P), 0.0, 0.2, 16,
+                             dict(box=(-2.0, 2.0))),
+            "periodic-cylinder": (cylinder, 0.0, 0.1, 24, dict(box=(-1.0, 1.0), bc="periodic")),
+            "outflow-cylinder": (cylinder, 0.0, 0.1, 24, dict(box=(-1.0, 1.0), bc="outflow")),
+            "drop-masked": (drop, 0.1, 0.3, 40,
+                            dict(box=(-2.0, 2.0), mask_fn=mask, dry_floor=True)),
+        }[case]
+        run = fv_oracle(field, t0, t1, n, **kw)
+        assert run.steps == steps
+        assert run.l1_error_h == pytest.approx(l1_h, rel=1e-12, abs=0.0)
+        assert run.l1_error_all == pytest.approx(l1_all, rel=1e-12, abs=0.0)
+
     def test_cfl_violation(self):
         field = rest_state(1.0, P, frame="cartesian")
         with pytest.raises(CFLViolation):
