@@ -36,20 +36,23 @@ def main() -> int:
 
     r_max = max(boundary(t) for t in np.linspace(0, 2 * math.pi, 33))
     times = ",".join(f"{k * math.pi / 2:.17g}" for k in range(3))
-    cli_main([
+    codes = [cli_main([
         "field", "--family", "drop", "--alpha", f"{args.alpha:g}",
         "--t", times, "--r", f"0:{r_max:.4f}:121",
         "--out", str(args.outdir / "drop_depth_profiles.csv"),
-    ])
+    ])]
 
     for tag, r0 in (("sixth", math.sqrt(3) / 6), ("third", 1 / math.sqrt(3)),
                     ("quasi", math.sqrt(3) / math.pi)):
-        cli_main([
+        codes.append(cli_main([
             "trajectory", "--family", "drop", "--alpha", f"{args.alpha:g}",
             "--r0", f"{r0:.17g}", "--t1", f"{12 * math.pi:.17g}",
             "--samples", "601",
             "--out", str(args.outdir / f"drop_path_{tag}.csv"),
-        ])
+        ]))
+    if any(codes):
+        print(f"rsw exit codes {codes}", file=sys.stderr)
+        return 1
 
     curve = evolve_material_curve(
         drop, (0.4, 0.5), 0.3, 96, [k * math.pi / 2 for k in range(9)]

@@ -50,6 +50,7 @@ from .verify import integrate_trajectory, residual_report
 
 SCHEMA_VERSION = 1
 
+_HEADERS = {"polar": ["t", "r", "theta", "U", "V", "h"], "cartesian": ["t", "x", "y", "u", "v", "h"]}
 _BAD_ARGS = (InvalidParams, UnsupportedFamily, NoRingExists)
 _DOMAIN = (WindowViolation, SingularTime, OriginSingular, LeftDomain)
 
@@ -74,7 +75,10 @@ def _write_atomic(path: str | None, text: str) -> None:
         raise
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _csv_text(header: list[str], rows) -> str:
+    if isinstance(rows, np.ndarray):  # all-float rows: one format operation per row
+        line = ",".join(["%.17g"] * len(header)) + "\n"
+        return ",".join(header) + "\n" + "".join(line % row for row in map(tuple, rows.tolist()))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -129,24 +133,23 @@ def _build_field(args) -> FlowField:
     return field_
 
 
-def _field_points(field_: FlowField, args) -> list[tuple[float, float, float]]:
-    times = _parse_list(args.t)
-    points = []
+def _field_points(field_: FlowField, args) -> np.ndarray:
+    """The grid as one block of (t, a, b) rows per time: shape (nt, m, 3)."""
+    times = np.array(_parse_list(args.t), dtype=float)
     if field_.frame == "polar":
-        rs = _parse_grid(args.r) if args.r else np.linspace(0.1, 2.0, 11)
-        thetas = _parse_grid(args.theta) if args.theta else np.array([0.0])
-        for t in times:
-            for r in rs:
-                for th in thetas:
-                    points.append((t, float(r), float(th)))
+        axes = (_parse_grid(args.r) if args.r else np.linspace(0.1, 2.0, 11),
+                _parse_grid(args.theta) if args.theta else np.array([0.0]))
     else:
-        xs = _parse_grid(args.x) if args.x else np.linspace(-2.0, 2.0, 11)
-        ys = _parse_grid(args.y) if args.y else np.linspace(-2.0, 2.0, 11)
-        for t in times:
-            for x in xs:
-                for y in ys:
-                    points.append((t, float(x), float(y)))
-    return points
+        axes = (_parse_grid(args.x) if args.x else np.linspace(-2.0, 2.0, 11),
+                _parse_grid(args.y) if args.y else np.linspace(-2.0, 2.0, 11))
+    grid = np.stack(np.meshgrid(times, *axes, indexing="ij"), axis=-1)
+    return grid.reshape(len(times), axes[0].size * axes[1].size, 3)
+
+
+def _eval_rows(field_: FlowField, blocks: np.ndarray) -> np.ndarray:
+    """Rows (t, a, b, state) of the grid, one checked ``eval`` call per time."""
+    values = [field_.eval(float(block[0, 0]), block[:, 1], block[:, 2]).T for block in blocks]
+    return np.concatenate([blocks, np.reshape(values, blocks.shape)], axis=2).reshape(-1, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -156,16 +159,8 @@ def _field_points(field_: FlowField, args) -> list[tuple[float, float, float]]:
 
 def cmd_field(args) -> int:
     field_ = _build_field(args)
-    points = _field_points(field_, args)
-    values = [field_.eval(*pt) for pt in points]
-    if field_.frame == "polar":
-        header = ["t", "r", "theta", "U", "V", "h"]
-    else:
-        header = ["t", "x", "y", "u", "v", "h"]
-    rows = [
-        [pt[0], pt[1], pt[2], float(val[0]), float(val[1]), float(val[2])]
-        for pt, val in zip(points, values)
-    ]
+    rows = _eval_rows(field_, _field_points(field_, args))
+    header = _HEADERS[field_.frame]
     if args.format == "json":
         text = _json_text(
             {
@@ -173,7 +168,7 @@ def cmd_field(args) -> int:
                 "family": canonical_family_name(args.family),
                 "label": field_.label,
                 "columns": header,
-                "rows": rows,
+                "rows": rows.tolist(),
             }
         )
     else:
@@ -319,17 +314,9 @@ def cmd_map(args) -> int:
         mapped = map_field_sw_to_rsw(as_cartesian(source), params)
     else:
         raise InvalidParams("map needs either --transport or --direction")
-    points = _field_points(mapped, args)
-    values = [mapped.eval(*pt) for pt in points]
-    if mapped.frame == "polar":
-        header = ["t", "r", "theta", "U", "V", "h"]
-    else:
-        header = ["t", "x", "y", "u", "v", "h"]
-    rows = [
-        [pt[0], pt[1], pt[2], float(v[0]), float(v[1]), float(v[2])]
-        for pt, v in zip(points, values)
-    ]
-    checked = np.array(points)
+    rows = _eval_rows(mapped, _field_points(mapped, args))
+    header = _HEADERS[mapped.frame]
+    checked = rows[:, :3]
     if mapped.frame == "polar":
         # every row is exported, but the polar equations divide by r
         checked = checked[checked[:, 1] > 0.0]
@@ -342,7 +329,7 @@ def cmd_map(args) -> int:
         "result": mapped.label,
         "system": mapped.system,
         "columns": header,
-        "rows": rows,
+        "rows": rows.tolist(),
         "residual": report.as_dict(),
     }
     if args.format == "csv":

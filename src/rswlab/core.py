@@ -172,13 +172,19 @@ class Window:
         hi = self.r_hi(t) if callable(self.r_hi) else self.r_hi
         return lo, hi
 
-    def check(self, t: float, radius: float) -> None:
+    def check(self, t: float, radius) -> None:
+        """Raise WindowViolation outside; an array of radii names its first offender."""
         if not (self.t_lo + self.t_guard < t < self.t_hi - self.t_guard):
             raise WindowViolation(
                 f"t={t!r} outside validity window "
                 f"({self.t_lo!r}, {self.t_hi!r}) with guard {self.t_guard!r}"
             )
         lo, hi = self.radial_bounds(t)
+        if isinstance(radius, np.ndarray):
+            outside = ~((lo <= radius) & (radius <= hi))
+            if not outside.any():
+                return
+            radius = float(radius[outside][0])
         if not (lo <= radius <= hi):
             raise WindowViolation(
                 f"radius {radius!r} outside [{lo!r}, {hi!r}] at t={t!r}"
@@ -216,10 +222,12 @@ class FlowField:
     ``t`` and float-or-array positions ``a``, ``b`` of one shape, and each
     component it returns broadcasts to that shape (a component that does not
     depend on position may come back as a scalar).  Kernels written for one
-    point at a time meet this through :func:`pointwise`.  ``jet_fn`` when
-    present returns ``(values, grad)`` with ``grad[i, j]`` the derivative of
-    component ``i`` with respect to coordinate ``j`` in the order
-    ``(t, a, b)``; it backs the analytic derivative mode.  Without it, or
+    point at a time meet this through :func:`pointwise`.  :meth:`eval` and
+    the FD mode of :meth:`jet` take such a block of positions at one time
+    too, checked as a whole; scalar calls stay the fast path for one point.
+    ``jet_fn`` when present returns ``(values, grad)`` with ``grad[i, j]``
+    the derivative of component ``i`` with respect to coordinate ``j`` in
+    the order ``(t, a, b)``; it backs the analytic derivative mode.  Without it, or
     when ``derivative_mode="fd"``, jets fall back to central differences
     with relative step ``fd_step``.
 
@@ -247,16 +255,35 @@ class FlowField:
     def _radius(self, a: float, b: float) -> float:
         return math.hypot(a, b) if self.frame == "cartesian" else a
 
-    def eval(self, t: float, a: float, b: float) -> np.ndarray:
-        """State components at (t, a, b); raises WindowViolation outside."""
-        self.window.check(t, self._radius(a, b))
-        out = np.asarray(self.value_fn(t, a, b), dtype=float)
-        if not np.all(np.isfinite(out)):
-            raise WindowViolation(
-                f"field {self.label!r} produced non-finite values at "
-                f"(t={t!r}, {a!r}, {b!r})"
-            )
-        return out
+    def eval(self, t: float, a, b) -> np.ndarray:
+        """State components at (t, a, b); raises WindowViolation outside.
+
+        Array positions ``a``, ``b`` of one shape are one block at the float
+        time ``t``: one ``value_fn`` call, with the window and finiteness
+        checked on the whole block.  The errors are the scalar call's and
+        name an offending point; the result has shape ``(3,) + shape``.
+        """
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            a, b = self._check_block(t, a, b)
+            out = np.array(np.broadcast_arrays(*self.value_fn(t, a, b), a)[:3], dtype=float)
+            bad = ~np.isfinite(out).all(axis=0)
+            if not bad.any():
+                return out
+            a, b = float(a[bad][0]), float(b[bad][0])
+        else:
+            self.window.check(t, self._radius(a, b))
+            out = np.asarray(self.value_fn(t, a, b), dtype=float)
+            if np.all(np.isfinite(out)):
+                return out
+        raise WindowViolation(
+            f"field {self.label!r} produced non-finite values at "
+            f"(t={t!r}, {a!r}, {b!r})"
+        )
+
+    def _check_block(self, t: float, a, b) -> tuple[np.ndarray, np.ndarray]:
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+        self.window.check(t, np.hypot(a, b) if self.frame == "cartesian" else a)
+        return a, b
 
     def values_unchecked(self, t, a, b):
         """``value_fn(t, a, b)`` without the window or finiteness check.
@@ -266,8 +293,25 @@ class FlowField:
         """
         return self.value_fn(t, a, b)
 
-    def jet(self, t: float, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-        """Values plus first derivatives with respect to (t, a, b)."""
+    def jet(self, t: float, a, b) -> tuple[np.ndarray, np.ndarray]:
+        """Values plus first derivatives with respect to (t, a, b).
+
+        In the FD mode, array positions are one block as in :meth:`eval`:
+        the seven evaluations are block calls of :meth:`eval`, giving values
+        of shape ``(3,) + shape`` and ``grad`` of shape ``(3, 3) + shape``.
+        ``jet_fn`` takes one point at a time.
+        """
+        if self.derivative_mode == "fd" and (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
+            a, b = self._check_block(t, a, b)
+            values = self.eval(t, a, b)
+            grad = np.empty((3, 3) + a.shape)
+            dt = self.fd_step * max(1.0, abs(t))
+            grad[:, 0] = (self.eval(t + dt, a, b) - self.eval(t - dt, a, b)) / (2.0 * dt)
+            da = self.fd_step * np.maximum(1.0, np.abs(a))
+            grad[:, 1] = (self.eval(t, a + da, b) - self.eval(t, a - da, b)) / (2.0 * da)
+            db = self.fd_step * np.maximum(1.0, np.abs(b))
+            grad[:, 2] = (self.eval(t, a, b + db) - self.eval(t, a, b - db)) / (2.0 * db)
+            return values, grad
         self.window.check(t, self._radius(a, b))
         if self.derivative_mode == "analytic":
             values, grad = self.jet_fn(t, a, b)

@@ -468,7 +468,9 @@ def pulsating_drop(alpha: float, params: FlowParameters) -> FlowField:
         P = alpha / D  # rho^2
         U = cu * r
         V = l * r * r * P ** 1.5 + B * r
-        h = a4 * r ** 4 * P ** 3 + a3 * r ** 3 * P ** 2.5 + a0 * P
+        # powers of r as products: numpy's array ``**`` is not the scalar one
+        r2 = r * r
+        h = a4 * (r2 * r2) * P ** 3 + a3 * (r2 * r) * P ** 2.5 + a0 * P
         return U, V, h
 
     def jet_fn(t, r, theta):
@@ -715,15 +717,16 @@ def collapse_contact(
         cot_dot = -(f / 2.0) * (1.0 + cot * cot)
         e = eta(lam)
         ed = eta_deriv(lam)
-        pd = psi.deriv(lam)
+        ps, pd = psi(lam), psi.deriv(lam)
         U = (f * r / 2.0) * cot
-        V = psi(lam) / r - f * r / 2.0
+        V = ps / r - f * r / 2.0
         vals = np.array([U, V, e / (r * r)])
         grad = np.array(
             [
                 [(f * r / 2.0) * cot_dot, (f / 2.0) * cot, 0.0],
-                [pd * lam_t / r, pd * lam_r / r - psi(lam) / (r * r) - f / 2.0, 0.0],
-                [ed * lam_t / (r * r), ed * lam_r / (r * r) - 2.0 * e / r ** 3, 0.0],
+                [pd * lam_t / r, pd * lam_r / r - ps / (r * r) - f / 2.0, 0.0],
+                # h = (budget - integral / 2g) / w, so h_r needs no cancellation
+                [ed * lam_t / (r * r), -ps ** 2 * lam_r / (2.0 * g * w), 0.0],
             ]
         )
         return vals, grad

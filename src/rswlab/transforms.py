@@ -38,7 +38,6 @@ from .core import (
     PolarPoint,
     PolarState,
     Window,
-    pointwise,
 )
 from .errors import InvalidParams, SingularTime
 
@@ -84,8 +83,8 @@ class EquivalenceMap:
         return EquivalenceMap(self.params, other)
 
 
-def _forward_arrays(arr: np.ndarray, f: float) -> np.ndarray:
-    """Rotating -> non-rotating map on the six jet coordinates."""
+def _forward_arrays(arr, f: float) -> tuple:
+    """Rotating -> non-rotating map of (t, x, y, u, v, h); float t, the rest may be arrays."""
     t, x, y, u, v, h = arr
     half = f * t / 2.0
     s2 = math.sin(half)
@@ -96,20 +95,18 @@ def _forward_arrays(arr: np.ndarray, f: float) -> np.ndarray:
     c = math.cos(half) / s2
     s = math.sin(f * t)
     w = 1.0 - math.cos(f * t)
-    return np.array(
-        [
-            -c / f,
-            -(x * c - y) / 2.0,
-            -(x + y * c) / 2.0,
-            -(u * s - v * w - f * x) / 2.0,
-            -(u * w + v * s - f * y) / 2.0,
-            h * w / 2.0,
-        ]
+    return (
+        -c / f,
+        -(x * c - y) / 2.0,
+        -(x + y * c) / 2.0,
+        -(u * s - v * w - f * x) / 2.0,
+        -(u * w + v * s - f * y) / 2.0,
+        h * w / 2.0,
     )
 
 
-def _inverse_arrays(arr: np.ndarray, f: float) -> np.ndarray:
-    """Non-rotating -> rotating map; lands in the principal period."""
+def _inverse_arrays(arr, f: float) -> tuple:
+    """Non-rotating -> rotating map, landing in the principal period; float t'."""
     tp, xp, yp, up, vp, hp = arr
     t = (2.0 / f) * (math.pi / 2.0 + math.atan(f * tp))
     c = -f * tp
@@ -119,14 +116,13 @@ def _inverse_arrays(arr: np.ndarray, f: float) -> np.ndarray:
     u = (f * x / 2.0 - up) * c + f * y / 2.0 - vp
     v = -f * x / 2.0 + up + (f * y / 2.0 - vp) * c
     h = hp * one_c2
-    return np.array([t, x, y, u, v, h])
+    return t, x, y, u, v, h
 
 
 def equiv_jet_array(arr: np.ndarray, params: FlowParameters, direction: Direction = "rsw2sw") -> np.ndarray:
     """The equivalence map as a map of raw 6-vectors (t, x, y, u, v, h)."""
-    if direction == "rsw2sw":
-        return _forward_arrays(np.asarray(arr, dtype=float), params.f)
-    return _inverse_arrays(np.asarray(arr, dtype=float), params.f)
+    to = _forward_arrays if direction == "rsw2sw" else _inverse_arrays
+    return np.array(to(np.asarray(arr, dtype=float), params.f))
 
 
 def equiv_point(
@@ -147,7 +143,8 @@ def map_field_rsw_to_sw(field_: FlowField, params: FlowParameters | None = None)
     The image field at (t', x', y') pulls the point back through the
     inverse map, evaluates the source, and pushes the state forward.  The
     source is restricted to its principal period; the image time window is
-    the monotone image of that interval.
+    the monotone image of that interval.  The source time depends on t'
+    alone, so array positions read the source in one checked block call.
     """
     params = params or field_.params
     if field_.frame != "cartesian":
@@ -167,10 +164,9 @@ def map_field_rsw_to_sw(field_: FlowField, params: FlowParameters | None = None)
     src = field_
 
     def value_fn(tp, xp, yp):
-        t, x, y, _, _, _ = _inverse_arrays(np.array([tp, xp, yp, 0.0, 0.0, 0.0]), f)
+        t, x, y, _, _, _ = _inverse_arrays((tp, xp, yp, 0.0, 0.0, 0.0), f)
         u, v, h = src.eval(t, x, y)
-        out = _forward_arrays(np.array([t, x, y, u, v, h]), f)
-        return out[3], out[4], out[5]
+        return _forward_arrays((t, x, y, u, v, h), f)[3:]
 
     window = Window(t_lo=t_image(t_lo), t_hi=t_image(t_hi))
     meta = dict(src.meta)
@@ -178,7 +174,7 @@ def map_field_rsw_to_sw(field_: FlowField, params: FlowParameters | None = None)
     return FlowField(
         frame="cartesian",
         params=params,
-        value_fn=pointwise(value_fn),
+        value_fn=value_fn,
         jet_fn=None,
         window=window,
         system="sw",
@@ -191,7 +187,9 @@ def map_field_rsw_to_sw(field_: FlowField, params: FlowParameters | None = None)
 def map_field_sw_to_rsw(field_: FlowField, params: FlowParameters | None = None) -> FlowField:
     """Rotating image of a non-rotating Cartesian-frame solution.
 
-    Defined on the principal period (0, 2*pi/f) minus a guard band.
+    Defined on the principal period (0, 2*pi/f) minus a guard band.  The
+    source time depends on t alone, so array positions read the source in
+    one checked block call.
     """
     params = params or field_.params
     if field_.frame != "cartesian":
@@ -202,11 +200,9 @@ def map_field_sw_to_rsw(field_: FlowField, params: FlowParameters | None = None)
     src = field_
 
     def value_fn(t, x, y):
-        out = _forward_arrays(np.array([t, x, y, 0.0, 0.0, 0.0]), f)
-        tp, xp, yp = out[0], out[1], out[2]
+        tp, xp, yp, _, _, _ = _forward_arrays((t, x, y, 0.0, 0.0, 0.0), f)
         up, vp, hp = src.eval(tp, xp, yp)
-        back = _inverse_arrays(np.array([tp, xp, yp, up, vp, hp]), f)
-        return back[3], back[4], back[5]
+        return _inverse_arrays((tp, xp, yp, up, vp, hp), f)[3:]
 
     window = Window(t_lo=0.0, t_hi=params.period, t_guard=1e-9 * params.period)
     meta = dict(src.meta)
@@ -214,7 +210,7 @@ def map_field_sw_to_rsw(field_: FlowField, params: FlowParameters | None = None)
     return FlowField(
         frame="cartesian",
         params=params,
-        value_fn=pointwise(value_fn),
+        value_fn=value_fn,
         jet_fn=None,
         window=window,
         system="rsw",

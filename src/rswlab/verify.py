@@ -46,7 +46,8 @@ def sample_grid(
 ) -> np.ndarray:
     """Deterministic (N, 3) sample of the field's preferred window.
 
-    Uses the family's ``sample_box`` metadata when present; spatial axes
+    Rows are time-major (t, then a, then b), built as whole arrays.  Uses
+    the family's ``sample_box`` metadata when present; spatial axes
     shrink by ``margin`` so that finite-difference probes stay inside the
     validity window.  For families whose natural domain is a moving level
     set the box carries a ``lam`` range and the radius is derived from it
@@ -62,42 +63,27 @@ def sample_grid(
     span_t = t_hi - t_lo
     ts = np.linspace(t_lo + margin * span_t, t_hi - margin * span_t, nt)
 
-    points = []
     if field_.frame == "cartesian":
         x_lo, x_hi = box.get("x", (-2.0, 2.0))
         y_lo, y_hi = box.get("y", box.get("x", (-2.0, 2.0)))
-        xs = np.linspace(x_lo, x_hi, na)
-        ys = np.linspace(y_lo, y_hi, nb)
-        for t in ts:
-            for x in xs:
-                for y in ys:
-                    points.append((t, x, y))
-        return np.array(points)
+        grid = np.meshgrid(ts, np.linspace(x_lo, x_hi, na), np.linspace(y_lo, y_hi, nb), indexing="ij")
+        return np.stack(grid, axis=-1).reshape(-1, 3)
 
     thetas = np.linspace(0.0, 2.0 * math.pi, nb, endpoint=False)
     if "lam" in box:
         lam_lo, lam_hi = box["lam"]
         lams = np.linspace(lam_lo + margin * (lam_hi - lam_lo), lam_hi - margin * (lam_hi - lam_lo), na)
-        f = field_.params.f
-        for t in ts:
-            w = 1.0 - math.cos(f * t)
-            for lam in lams:
-                r = math.sqrt(w / lam)
-                for th in thetas:
-                    points.append((t, r, th))
-        return np.array(points)
-
-    r_lo, r_hi = box.get("r", (0.05, 2.0))
-    for t in ts:
-        wlo, whi = field_.window.radial_bounds(t)
-        lo = max(r_lo, wlo)
-        hi = min(r_hi, whi)
+        w = np.array([1.0 - math.cos(field_.params.f * t) for t in ts.tolist()])
+        rs = np.sqrt(w[:, None] / lams)
+    else:
+        r_lo, r_hi = box.get("r", (0.05, 2.0))
+        bounds = np.array([field_.window.radial_bounds(t) for t in ts.tolist()])
+        lo = np.maximum(r_lo, bounds[:, 0])
+        hi = np.minimum(r_hi, bounds[:, 1])
         span = hi - lo
-        rs = np.linspace(lo + margin * span, hi - margin * span, na)
-        for r in rs:
-            for th in thetas:
-                points.append((t, r, th))
-    return np.array(points)
+        rs = np.linspace(lo + margin * span, hi - margin * span, na, axis=1)
+    grid = np.broadcast_arrays(ts[:, None, None], rs[:, :, None], thetas)
+    return np.stack(grid, axis=-1).reshape(-1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +113,7 @@ class ResidualReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.max_abs)
+        return float(np.max(self.max_abs))  # NaN if any equation is NaN
 
     def as_dict(self) -> dict:
         return {
@@ -144,9 +130,11 @@ class ResidualReport:
         }
 
 
-def _normalized(terms: Sequence[float]) -> float:
-    scale = max(1.0, max(abs(term) for term in terms))
-    return abs(sum(terms)) / scale
+def _normalized(terms: Sequence[np.ndarray]) -> np.ndarray:
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return np.abs(total) / np.maximum(1.0, np.max(np.abs(terms), axis=0))
 
 
 def _residual_report(
@@ -156,24 +144,33 @@ def _residual_report(
     names: tuple[str, str, str],
     coriolis: float,
 ) -> ResidualReport:
-    worst = np.zeros(3)
-    sq = np.zeros(3)
-    worst_pt = (math.nan,) * 3
-    worst_eq = names[0]
-    for pt in points:
-        res = eq_fn(field_, float(pt[0]), float(pt[1]), float(pt[2]), coriolis)
-        sq += np.square(res)
-        for i in range(3):
-            if res[i] > worst[i]:
-                worst[i] = res[i]
-                if res[i] >= worst.max():
-                    worst_pt = (float(pt[0]), float(pt[1]), float(pt[2]))
-                    worst_eq = names[i]
     n = len(points)
+    if field_.derivative_mode == "analytic":  # jet_fn takes one point at a time
+        jets = [field_.jet(t, a, b) for t, a, b in points.tolist()]
+        values = np.array([v for v, _ in jets]).reshape(n, 3).T
+        grad = np.moveaxis(np.array([g for _, g in jets]).reshape(n, 3, 3), 0, -1)
+    else:  # one FD block per time
+        values, grad = np.empty((3, n)), np.empty((3, 3, n))
+        times, block_of, counts = np.unique(points[:, 0], return_inverse=True, return_counts=True)
+        blocks = np.split(np.argsort(block_of, kind="stable"), np.cumsum(counts)[:-1])
+        for t, rows in zip(times.tolist(), blocks):
+            values[:, rows], grad[..., rows] = field_.jet(t, points[rows, 1], points[rows, 2])
+    res = eq_fn(values, grad, points[:, 1], field_.params.g, coriolis).T
+    # worst point: the first NaN, else where the largest residual first
+    # appears in the last equation to reach it (the order of a running max)
+    flat = res.ravel()
+    worst_pt, worst_eq = (math.nan,) * 3, names[0]
+    hits = np.flatnonzero(np.isnan(flat))[:1]
+    if not len(hits) and flat.size and flat.max() > 0.0:
+        hits = np.flatnonzero(flat == flat.max())
+        hits = hits[np.unique(hits % 3, return_index=True)[1]].max(keepdims=True)
+    if len(hits):
+        worst_pt = tuple(points[hits[0] // 3].tolist())
+        worst_eq = names[hits[0] % 3]
     return ResidualReport(
         equation_names=names,
-        max_abs=tuple(float(w) for w in worst),
-        rms=tuple(float(math.sqrt(s / n)) for s in sq),
+        max_abs=tuple(np.max(res, axis=0, initial=0.0).tolist()),
+        rms=tuple(np.sqrt(np.sum(np.square(res), axis=0) / n).tolist()),
         worst_point=worst_pt,
         worst_equation=worst_eq,
         derivative_mode=field_.derivative_mode,
@@ -183,9 +180,8 @@ def _residual_report(
     )
 
 
-def _cartesian_equations(field_: FlowField, t, x, y, f_eff) -> np.ndarray:
-    (u, v, h), g_ = field_.jet(t, x, y)
-    grav = field_.params.g
+def _cartesian_equations(values, g_, x, grav, f_eff) -> np.ndarray:
+    u, v, h = values
     u_t, u_x, u_y = g_[0]
     v_t, v_x, v_y = g_[1]
     h_t, h_x, h_y = g_[2]
@@ -195,11 +191,8 @@ def _cartesian_equations(field_: FlowField, t, x, y, f_eff) -> np.ndarray:
     return np.array([e1, e2, e3])
 
 
-def _polar_equations(field_: FlowField, t, r, theta, f_eff) -> np.ndarray:
-    if r <= 0.0:
-        raise OriginSingular("polar residuals need r > 0")
-    (U, V, h), g_ = field_.jet(t, r, theta)
-    grav = field_.params.g
+def _polar_equations(values, g_, r, grav, f_eff) -> np.ndarray:
+    U, V, h = values
     U_t, U_r, U_th = g_[0]
     V_t, V_r, V_th = g_[1]
     h_t, h_r, h_th = g_[2]
@@ -254,7 +247,13 @@ def residual_polar(
 
 
 def residual_report(field_: FlowField, **kw) -> ResidualReport:
-    """Frame-dispatching convenience wrapper."""
+    """Frame-dispatching convenience wrapper.
+
+    Analytic jets are taken one point at a time; FD jets are grouped by
+    time, one block call of :meth:`FlowField.jet` each.  The equations are
+    evaluated on arrays.  A NaN pointwise residual fails the report: its
+    ``max_residual`` is NaN and ``worst_point`` names the first such point.
+    """
     if field_.frame == "polar":
         return residual_polar(field_, **kw)
     return residual_cartesian(field_, **kw)

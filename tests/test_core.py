@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -245,6 +246,27 @@ def _array_views():
 ARRAY_VIEWS = _array_views()
 
 
+def _draw_block(data, field, source):
+    """A time of the field's sample grid and in-window positions at it."""
+    base = source if source is not None else field
+    grid = sample_grid(base, (4, 5, 3))
+    t = data.draw(st.sampled_from(sorted(set(grid[:, 0].tolist()))), label="t")
+    rows = grid[grid[:, 0] == t]
+    k = data.draw(st.integers(1, 6), label="points")
+    shape = data.draw(st.sampled_from([(k,), (1, k), (k, 1)]), label="shape")
+    unit = st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k)
+    fa = np.reshape(data.draw(unit, label="a"), shape)
+    fb = np.reshape(data.draw(unit, label="b"), shape)
+    a = rows[:, 1].min() + fa * (rows[:, 1].max() - rows[:, 1].min())
+    if base.frame == "polar":
+        b = 2.0 * math.pi * fb - math.pi
+    else:
+        b = rows[:, 2].min() + fb * (rows[:, 2].max() - rows[:, 2].min())
+    if source is not None:
+        a, b = a * np.cos(b), a * np.sin(b)
+    return t, a, b
+
+
 class TestArrayContract:
     """``value_fn`` broadcasts: one array call equals the stacked scalar calls."""
 
@@ -253,22 +275,8 @@ class TestArrayContract:
     @given(data=st.data())
     def test_array_call_equals_scalar_calls(self, name, data):
         field, source = ARRAY_VIEWS[name]
-        base = source if source is not None else field
-        grid = sample_grid(base, (4, 5, 3))
-        t = data.draw(st.sampled_from(sorted(set(grid[:, 0].tolist()))), label="t")
-        rows = grid[grid[:, 0] == t]
-        k = data.draw(st.integers(1, 6), label="points")
-        shape = data.draw(st.sampled_from([(k,), (1, k), (k, 1)]), label="shape")
-        unit = st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k)
-        fa = np.reshape(data.draw(unit, label="a"), shape)
-        fb = np.reshape(data.draw(unit, label="b"), shape)
-        a = rows[:, 1].min() + fa * (rows[:, 1].max() - rows[:, 1].min())
-        if base.frame == "polar":
-            b = 2.0 * math.pi * fb - math.pi
-        else:
-            b = rows[:, 2].min() + fb * (rows[:, 2].max() - rows[:, 2].min())
-        if source is not None:
-            a, b = a * np.cos(b), a * np.sin(b)
+        t, a, b = _draw_block(data, field, source)
+        shape = a.shape
 
         values = field.values_unchecked(t, a, b)
         assert all(np.broadcast_shapes(np.shape(c), shape) == shape for c in values)
@@ -282,3 +290,60 @@ class TestArrayContract:
         # last bit, so ulps are counted at each point's largest |component|
         ulp = np.spacing(np.abs(scalar).max(axis=0))
         assert np.all(np.abs(stacked - scalar) <= 4 * ulp)
+
+    @pytest.mark.parametrize("name", sorted(ARRAY_VIEWS))
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_checked_block_equals_scalar_calls(self, name, data):
+        field, source = ARRAY_VIEWS[name]
+        t, a, b = _draw_block(data, field, source)
+        values = field.eval(t, a, b)
+        assert values.shape == (3,) + a.shape
+        points = list(zip(a.ravel().tolist(), b.ravel().tolist()))
+        scalar = np.array([field.eval(t, x, y) for x, y in points]).T.reshape(values.shape)
+        assert np.array_equal(values, scalar)
+
+        fd = field if field.derivative_mode == "fd" else field.with_derivative_mode("fd")
+        fd_values, grad = fd.jet(t, a, b)
+        assert grad.shape == (3, 3) + a.shape
+        assert np.array_equal(fd_values, values)
+        scalar_grad = np.stack([fd.jet(t, x, y)[1] for x, y in points], axis=-1).reshape(grad.shape)
+        assert np.all(np.abs(grad - scalar_grad) <= 1e-11 * np.abs(scalar_grad).max())
+
+    @pytest.mark.parametrize("name", ["stationary-ring", "collapse-contact", "collapse-contact-cubic",
+                                      "cartesian(stationary-ring)", "cartesian(collapse-contact)"])
+    def test_block_with_one_point_outside_raises_like_scalar(self, name):
+        field, source = ARRAY_VIEWS[name]
+        base = source if source is not None else field
+        t, r, _ = sample_grid(base, (3, 4, 2))[5]
+        lo, hi = base.window.radial_bounds(t)
+        outside = 1.5 * hi if math.isfinite(hi) else 0.5 * lo
+        radii = np.array([r, outside, r, 2.0 * outside])
+        a, b = (radii, np.full(4, 0.3)) if source is None else (radii * math.cos(0.3), radii * math.sin(0.3))
+        with pytest.raises(WindowViolation) as scalar:
+            field.eval(t, float(a[1]), float(b[1]))
+        with pytest.raises(WindowViolation) as block:
+            field.eval(t, a, b)
+        assert str(block.value) == str(scalar.value)
+        with pytest.raises(WindowViolation):
+            field.with_derivative_mode("fd").jet(t, a, b)
+        if math.isfinite(base.window.t_hi):  # blocks check the time window too
+            with pytest.raises(WindowViolation):
+                field.eval(base.window.t_hi, a[:1], b[:1])
+
+    @pytest.mark.parametrize("frame", ["polar", "cartesian"])
+    def test_block_with_one_nonfinite_value_raises_like_scalar(self, frame, params11):
+        base = rest_state(1.0, params11, frame=frame)
+
+        def value_fn(t, a, b):
+            return a * 0.0, b * 0.0, np.where(a == 0.75, math.nan, 1.0)
+
+        field = replace(base, value_fn=value_fn)
+        a, b = np.array([0.5, 0.75, 1.0, 0.75]), np.array([0.1, 0.2, 0.3, 0.4])
+        with pytest.raises(WindowViolation) as scalar:
+            field.eval(0.5, 0.75, 0.2)
+        with pytest.raises(WindowViolation) as block:
+            field.eval(0.5, a, b)
+        assert str(block.value) == str(scalar.value)
+        with pytest.raises(WindowViolation):
+            field.with_derivative_mode("fd").jet(0.5, a, b)

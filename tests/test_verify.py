@@ -1,10 +1,13 @@
+import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from rswlab import cli
 from rswlab.core import FlowParameters, as_cartesian, scale_depth
 from rswlab.errors import (
     BlowUp,
@@ -14,6 +17,7 @@ from rswlab.errors import (
     OriginSingular,
 )
 from rswlab.solutions import (
+    barochronous_sw,
     profile_gauss,
     pulsating_cylinder,
     pulsating_drop,
@@ -30,10 +34,43 @@ from rswlab.verify import (
     pv_along_trajectory,
     residual_cartesian,
     residual_polar,
+    residual_report,
     sample_grid,
 )
 
 P = FlowParameters(1.0, 1.0)
+
+
+def _pointwise_report(field, points, polar):
+    """The residual report computed one point at a time, as a reference."""
+
+    def normalized(terms):
+        return abs(sum(terms)) / max(1.0, max(abs(term) for term in terms))
+
+    grav, f_eff = field.params.g, field.coriolis
+    worst, sq, worst_pt, worst_eq = [0.0] * 3, [0.0] * 3, (math.nan,) * 3, 0
+    for t, a, b in points.tolist():
+        (u, v, h), ((u_t, u_a, u_b), (v_t, v_a, v_b), (h_t, h_a, h_b)) = field.jet(t, a, b)
+        if polar:
+            r = a
+            res = [
+                normalized([u_t, u * u_a, v * u_b / r, -v * v / r, -f_eff * v, grav * h_a]),
+                normalized([v_t, u * v_a, v * v_b / r, u * v / r, f_eff * u, grav * h_b / r]),
+                normalized([h_t, u * h_a, h * u_a, u * h / r, v * h_b / r, h * v_b / r]),
+            ]
+        else:
+            res = [
+                normalized([u_t, u * u_a, v * u_b, -f_eff * v, grav * h_a]),
+                normalized([v_t, u * v_a, v * v_b, f_eff * u, grav * h_b]),
+                normalized([h_t, u * h_a, h * u_a, v * h_b, h * v_b]),
+            ]
+        for i in range(3):
+            sq[i] += res[i] ** 2
+            if res[i] > worst[i]:
+                worst[i] = res[i]
+                if res[i] >= max(worst):
+                    worst_pt, worst_eq = (t, a, b), i
+    return worst, [math.sqrt(s / len(points)) for s in sq], worst_pt, worst_eq
 
 
 class TestResidualReports:
@@ -66,6 +103,57 @@ class TestResidualReports:
         d = rep.as_dict()
         assert d["n_points"] == 24
         assert set(d) >= {"max_abs", "rms", "worst_point", "max_residual"}
+
+    @pytest.mark.parametrize("case", ["cylinder", "cylinder-fd", "drop-cartesian-fd", "barochronous", "tie"])
+    def test_matches_pointwise_reference(self, case):
+        def tie_jet(t, x, y):
+            # x-momentum fails by 0.5 where x < 0, y-momentum by as much elsewhere
+            grad = np.zeros((3, 3))
+            grad[0 if x < 0.0 else 1, 0] = 0.5
+            return np.array([0.0, 0.0, 1.0]), grad
+
+        field = {
+            "cylinder": pulsating_cylinder(2.0, 1.0, P),
+            "cylinder-fd": pulsating_cylinder(2.0, 1.0, P).with_derivative_mode("fd"),
+            "drop-cartesian-fd": as_cartesian(pulsating_drop(2.0, P)).with_derivative_mode("fd"),
+            "barochronous": barochronous_sw(1.0, P),
+            "tie": replace(rest_state(1.0, P, frame="cartesian"), jet_fn=tie_jet),
+        }[case]
+        grid = sample_grid(pulsating_drop(2.0, P) if case.startswith("drop") else field, (4, 5, 3))
+        if field.frame == "cartesian" and case.startswith("drop"):
+            grid = np.column_stack([grid[:, 0], grid[:, 1] * np.cos(grid[:, 2]), grid[:, 1] * np.sin(grid[:, 2])])
+        # shuffled times and repeated points: blocks are gathered and ties kept
+        points = np.random.default_rng(3).permutation(np.concatenate([grid, grid[::7]]))
+        rep = residual_report(field, points=points)
+        worst, rms, worst_pt, worst_eq = _pointwise_report(field, points, field.frame == "polar")
+        assert list(rep.max_abs) == worst
+        assert rep.worst_point == worst_pt
+        assert rep.worst_equation == rep.equation_names[worst_eq]
+        assert np.allclose(rep.rms, rms, rtol=1e-13, atol=0.0)
+
+    def test_nan_residual_fails_the_report(self, monkeypatch, tmp_path):
+        base = pulsating_cylinder(2.0, 1.0, P)
+
+        def jet_fn(t, r, theta):
+            values, grad = base.jet_fn(t, r, theta)
+            values = np.array(values, dtype=float)
+            if r > 1.0:
+                values[2] = math.nan
+            return values, grad
+
+        field = replace(base, jet_fn=jet_fn)
+        pts = sample_grid(base, (2, 4, 2))
+        rep = residual_polar(field, points=pts)
+        assert math.isnan(rep.max_residual)
+        assert rep.worst_point == next(tuple(p) for p in pts.tolist() if p[1] > 1.0)
+        assert rep.worst_equation == "mass"
+        # the CLI reports the failure: exit 1 and "passed": false
+        monkeypatch.setattr(cli, "make_family", lambda *args, **kw: field)
+        out = tmp_path / "res.json"
+        assert cli.main(["residual", "--family", "cylinder", "--out", str(out)]) == 1
+        payload = json.loads(out.read_text())
+        assert payload["passed"] is False
+        assert not payload["report"]["max_residual"] < math.inf
 
     def test_polar_grid_must_avoid_origin(self):
         field = pulsating_cylinder(2.0, 1.0, P)
