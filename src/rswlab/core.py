@@ -195,24 +195,6 @@ ValueFn = Callable[[float, float, float], tuple[float, float, float]]
 JetFn = Callable[[float, float, float], tuple[np.ndarray, np.ndarray]]
 
 
-def pointwise(kernel: ValueFn) -> ValueFn:
-    """Lift a value kernel written for float positions to array positions.
-
-    A call with scalar positions goes straight to ``kernel``; array
-    positions are evaluated one point at a time and returned as three
-    arrays of their broadcast shape.
-    """
-
-    def value_fn(t, a, b):
-        if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
-            return kernel(t, a, b)
-        a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-        rows = [kernel(t, x, y) for x, y in zip(a.ravel().tolist(), b.ravel().tolist())]
-        return tuple(np.moveaxis(np.array(rows, dtype=float).reshape(a.shape + (3,)), -1, 0))
-
-    return value_fn
-
-
 @dataclass(frozen=True)
 class FlowField:
     """A solution as an evaluable map (t, position) -> state.
@@ -221,10 +203,11 @@ class FlowField:
     ``(x, y)`` or ``(r, theta)`` according to ``frame``.  It takes a float
     ``t`` and float-or-array positions ``a``, ``b`` of one shape, and each
     component it returns broadcasts to that shape (a component that does not
-    depend on position may come back as a scalar).  Kernels written for one
-    point at a time meet this through :func:`pointwise`.  :meth:`eval` and
-    the FD mode of :meth:`jet` take such a block of positions at one time
-    too, checked as a whole; scalar calls stay the fast path for one point.
+    depend on position may come back as a scalar).  Every family's kernel
+    is written on arrays, and a float position gives the same bits as that
+    position in an array.  :meth:`eval` and the FD mode of :meth:`jet` take
+    such a block of positions at one time too, checked as a whole; scalar
+    calls stay the fast path for one point.
     ``jet_fn`` when present returns ``(values, grad)`` with ``grad[i, j]``
     the derivative of component ``i`` with respect to coordinate ``j`` in
     the order ``(t, a, b)``; it backs the analytic derivative mode.  Without it, or

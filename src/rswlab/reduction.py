@@ -3,8 +3,13 @@
 Contents:
 
 * a real-root cubic solver (trigonometric method for the three-root case,
-  Cardano otherwise, one Newton polish per root) used by the stationary
-  ring and by the contact-characteristic family with constant swirl;
+  Cardano otherwise, one Newton polish per root, a compensated evaluation
+  deciding near-double roots), for floats and, bit for bit the same, for
+  arrays; the stationary ring and the contact-characteristic family with
+  constant swirl use it;
+* cumulative integral tables: Gauss-Legendre panels read by quintic
+  Hermite interpolation, for the stationary rotationally symmetric depth
+  and the contact family's psi^2 integral;
 * the ring-bound finder: the radii where the depth cubic acquires a double
   root, bracketing the interval on which the two branches of the stationary
   ring exist;
@@ -18,6 +23,7 @@ Contents:
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -33,8 +39,53 @@ from .verify import integrate_ode
 # ---------------------------------------------------------------------------
 
 
-def _cubic_value(b: float, c: float, d: float, x: float) -> float:
+#: Half-width of the band around a double root in which the number of real
+#: roots is decided by a compensated evaluation, relative to the size of the
+#: terms; the plain evaluation's rounding stays below a twentieth of it.
+DOUBLE_ROOT_BAND = 1e-14
+
+#: A complex pair counts as a double root when |F| at the critical point is
+#: at most this fraction of the size of the terms: four units of rounding.
+DOUBLE_ROOT_MERGE = 4.0 * 2.0 ** -52
+
+#: Blocks with fewer cubics than this are solved one cubic at a time: the
+#: array version's fixed cost is about that of this many scalar solves.
+SMALL_BLOCK = 24
+
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
+_SIN_2PI_3 = math.sqrt(3.0) / 2.0
+
+
+def _cubic_value(b, c, d, x):
     return ((x + b) * x + c) * x + d
+
+
+def _two_sum(a, b):
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _two_prod(a, b):
+    p = a * b
+    ca, cb = _SPLIT * a, _SPLIT * b
+    ah, bh = ca - (ca - a), cb - (cb - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _cubic_value_compensated(b, c, d, x):
+    """x^3 + b x^2 + c x + d by compensated Horner, as if in twice the precision.
+
+    Error-free sums and products (Graillat, Langlois and Louvet, 2005);
+    plain arithmetic only, so floats and arrays give the same bits.
+    """
+    s, err = _two_sum(x, b)
+    for coef in (c, d):
+        prod, e_prod = _two_prod(s, x)
+        s, e_sum = _two_sum(prod, coef)
+        err = err * x + (e_prod + e_sum)
+    return s + err
 
 
 def _newton_polish_cubic(b: float, c: float, d: float, x: float) -> float:
@@ -52,43 +103,163 @@ def _newton_polish_cubic(b: float, c: float, d: float, x: float) -> float:
     return x
 
 
-def solve_cubic_real(b: float, c: float, d: float) -> list[float]:
-    """All real roots of x^3 + b x^2 + c x + d, ascending.
+def _newton_polish_cubic_array(b, c, d, x):
+    fx = _cubic_value(b, c, d, x)
+    dfx = (3.0 * x + 2.0 * b) * x + c
+    step = fx / np.where(dfx == 0.0, 1.0, dfx)
+    candidate = x - step
+    keep = (dfx != 0.0) & np.isfinite(step) & (np.abs(step) <= 1.0 + np.abs(x))
+    return np.where(keep & (np.abs(_cubic_value(b, c, d, candidate)) <= np.abs(fx)), candidate, x)
 
-    Three-real-root configurations go through the trigonometric form, which
-    stays stable near double roots; the single-root configuration uses
-    Cardano.  Each root gets one Newton polish.
-    """
+
+def _check_cubic_coefficients(b, c, d, isfinite=math.isfinite) -> None:
     for name, value in (("b", b), ("c", c), ("d", d)):
-        if not math.isfinite(value):
+        if not isfinite(value):
             raise InvalidParams(f"cubic coefficient {name} must be finite")
-    # depressed form: x = y - b/3, y^3 + p y + q = 0
-    p = c - b * b / 3.0
-    q = d - b * c / 3.0 + 2.0 * b ** 3 / 27.0
+
+
+def solve_cubic_real(b: float, c: float, d: float) -> list[float]:
+    """All distinct real roots of x^3 + b x^2 + c x + d, ascending.
+
+    The cubic is depressed about its inflection point s = -b/3, with
+    q = F(s) and p = F'(s) evaluated directly (Kahan, "To solve a real
+    cubic equation", 1986).  Three real roots exist when |q| < 2 m^3 with
+    m = sqrt(-p/3), the extremum's depth.  Outside a band of relative
+    width :data:`DOUBLE_ROOT_BAND` around |q| = 2 m^3 the trigonometric
+    form gives the three roots and Cardano's form the single one, and each
+    root gets one Newton polish.  Inside the band the far root comes from
+    the trigonometric form, and the pair near the critical point
+    x_c = s + sign(q) m is decided by the sign of F(x_c) in compensated
+    arithmetic.  Real roots on both sides of x_c are returned as
+    x_c -/+ sqrt(-2 F(x_c) / F''(x_c)), so both roots of a pair 2.6e-8
+    apart come back.  A complex pair is dropped, unless |F(x_c)| is within
+    :data:`DOUBLE_ROOT_MERGE` of the size of the terms: rounding the
+    coefficients could then make it real, and it is reported as one double
+    root x_c.  :func:`cubic_real_roots` is the same computation on arrays,
+    bit for bit.
+    """
+    _check_cubic_coefficients(b, c, d)
     shift = -b / 3.0
-    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
-    disc_scale = (q / 2.0) ** 2 + (abs(p) / 3.0) ** 3
-    if abs(disc) <= 1e-14 * disc_scale:
-        disc = 0.0
-    if p == 0.0 and q == 0.0:
-        roots = [shift]
-    elif disc > 0.0:
-        s = math.sqrt(disc)
-        u = math.copysign(abs(-q / 2.0 + s) ** (1.0 / 3.0), -q / 2.0 + s)
-        w = math.copysign(abs(-q / 2.0 - s) ** (1.0 / 3.0), -q / 2.0 - s)
-        roots = [u + w + shift]
-    elif disc == 0.0:
-        r = math.copysign(abs(q / 2.0) ** (1.0 / 3.0), q / 2.0)
-        roots = sorted({-2.0 * r + shift, r + shift})
+    q = _cubic_value(b, c, d, shift)
+    p = (3.0 * shift + 2.0 * b) * shift + c
+    m0 = math.sqrt(-p / 3.0) if p < 0.0 else 0.0
+    crit = abs(q) - 2.0 * (m0 * m0 * m0)
+    ashift = abs(shift)
+    size = (((ashift + abs(b)) * ashift + abs(c)) * ashift + abs(d)
+            + m0 * ((3.0 * ashift + 2.0 * abs(b)) * ashift + abs(c)))
+    band = m0 > 0.0 and abs(crit) <= DOUBLE_ROOT_BAND * size
+    if m0 > 0.0 and not band and crit < 0.0:
+        return [_newton_polish_cubic(b, c, d, x) for x in _trig_roots(p, q, m0, shift)]
+    if not band:
+        hq, p3 = 0.5 * q, p / 3.0
+        disc = hq * hq + p3 * p3 * p3
+        u = float(np.cbrt(-(hq + math.copysign(math.sqrt(max(disc, 0.0)), q))))
+        w = -p / (3.0 * u) if u != 0.0 else 0.0
+        return [_newton_polish_cubic(b, c, d, u + w + shift)]
+    sq = 1.0 if q >= 0.0 else -1.0
+    far = [_newton_polish_cubic(b, c, d, _trig_roots(p, q, m0, shift)[0 if sq > 0.0 else 2])]
+    xc = shift + sq * m0
+    fc = _cubic_value_compensated(b, c, d, xc)
+    pair = -sq * fc / (3.0 * m0)
+    if pair > 0.0:
+        near = [xc - math.sqrt(pair), xc + math.sqrt(pair)]
     else:
-        m = 2.0 * math.sqrt(-p / 3.0)
-        arg = 3.0 * q / (p * m)
-        arg = min(1.0, max(-1.0, arg))
-        angle = math.acos(arg) / 3.0
-        roots = sorted(
-            m * math.cos(angle - 2.0 * math.pi * k / 3.0) + shift for k in range(3)
-        )
-    return sorted(_newton_polish_cubic(b, c, d, x) for x in roots)
+        near = [xc] if abs(fc) <= DOUBLE_ROOT_MERGE * size else []
+    return far + near if sq > 0.0 else near + far
+
+
+def _trig_roots(p, q, m0, shift):
+    """The trigonometric form's three roots, ascending (floats or arrays).
+
+    With cos(a - 2 pi/3) = -cos(a)/2 + (sqrt(3)/2) sin(a), one arccos and
+    one cos give all three.
+    """
+    m = 2.0 * m0
+    den = p * m  # negative unless it underflows
+    if isinstance(den, np.ndarray):
+        arg = np.where(den != 0.0, np.minimum(1.0, np.maximum(-1.0, 3.0 * q / np.where(den != 0.0, den, 1.0))),
+                       np.where(q != 0.0, -np.copysign(1.0, q), 0.0))
+        cs = np.cos(np.arccos(arg) / 3.0)
+        sn = np.sqrt(np.maximum(1.0 - cs * cs, 0.0))
+    else:
+        if den != 0.0:
+            arg = min(1.0, max(-1.0, 3.0 * q / den))
+        else:
+            arg = -math.copysign(1.0, q) if q != 0.0 else 0.0
+        cs = float(np.cos(float(np.arccos(arg)) / 3.0))
+        sn = math.sqrt(max(1.0 - cs * cs, 0.0))
+    half, rot = -0.5 * cs, _SIN_2PI_3 * sn
+    return [m * (half - rot) + shift, m * (half + rot) + shift, m * cs + shift]
+
+
+def cubic_real_roots(b, c, d) -> np.ndarray:
+    """:func:`solve_cubic_real` on arrays: one call for a block of cubics.
+
+    The coefficients broadcast together; the result has shape
+    ``(3,) + shape``, each column the distinct real roots ascending and
+    padded with NaN.  The branches of :func:`solve_cubic_real` are chosen
+    per element with ``np.where``, and a branch no element takes is not
+    computed; a block smaller than :data:`SMALL_BLOCK` is solved cubic by
+    cubic with the scalar version.  Both versions take ``arccos``, ``cos`` and ``cbrt`` from
+    numpy, whose scalar and array results agree, so a column equals the
+    scalar call bit for bit.
+    """
+    b, c, d = (np.asarray(v, dtype=float) for v in (b, c, d))
+    _check_cubic_coefficients(b, c, d, lambda v: np.isfinite(v).all())
+    shape = np.broadcast_shapes(b.shape, c.shape, d.shape)
+    if math.prod(shape) < SMALL_BLOCK:  # fewer numpy calls than scalar solves
+        roots = np.full((3, math.prod(shape)), np.nan)
+        coefficients = (np.broadcast_to(v, shape).ravel().tolist() for v in (b, c, d))
+        for k, cubic in enumerate(zip(*coefficients)):
+            found = solve_cubic_real(*cubic)
+            roots[: len(found), k] = found
+        return roots.reshape((3,) + shape)
+    with np.errstate(all="ignore"):
+        shift = -b / 3.0
+        q = _cubic_value(b, c, d, shift)
+        p = (3.0 * shift + 2.0 * b) * shift + c
+        m0 = np.sqrt(np.where(p < 0.0, -p / 3.0, 0.0))
+        neg = m0 > 0.0
+        crit = np.abs(q) - 2.0 * (m0 * m0 * m0)
+        ashift = np.abs(shift)
+        size = (((ashift + np.abs(b)) * ashift + np.abs(c)) * ashift + np.abs(d)
+                + m0 * ((3.0 * ashift + 2.0 * np.abs(b)) * ashift + np.abs(c)))
+        band = np.broadcast_to(neg & (np.abs(crit) <= DOUBLE_ROOT_BAND * size), shape)
+        three = np.broadcast_to(neg & ~band & (crit < 0.0), shape)
+        sq = np.where(q >= 0.0, 1.0, -1.0)
+
+        trig = _trig_roots(p, q, m0, shift) if (three | band).any() else [np.nan] * 3
+        card = np.nan
+        if not (three | band).all():
+            hq, p3 = 0.5 * q, p / 3.0
+            disc = hq * hq + p3 * p3 * p3
+            u = np.cbrt(-(hq + np.copysign(np.sqrt(np.maximum(disc, 0.0)), q)))
+            w = np.where(u != 0.0, -p / (3.0 * np.where(u != 0.0, u, 1.0)), 0.0)
+            card = u + w + shift
+        first = np.where(three, trig[0], np.where(band, np.where(sq > 0.0, trig[0], trig[2]), card))
+        if three.any():
+            roots = _newton_polish_cubic_array(
+                b, c, d, np.stack([first] + [np.where(three, trig[k], np.nan) for k in (1, 2)]))
+        else:
+            roots = np.full((3,) + shape, np.nan)
+            roots[0] = _newton_polish_cubic_array(b, c, d, first)
+
+        if band.any():  # the pair of a near-double root, as in the scalar version
+            bb, cc, dd, s, m, xs, sz = (np.broadcast_to(v, shape)[band] for v in (b, c, d, sq, m0, shift, size))
+            far = roots[0, band]
+            xc = xs + s * m
+            fc = _cubic_value_compensated(bb, cc, dd, xc)
+            pair = -s * fc / (3.0 * m)
+            two = pair > 0.0
+            merged = ~two & (np.abs(fc) <= DOUBLE_ROOT_MERGE * sz)
+            delta = np.sqrt(np.where(two, pair, 0.0))
+            lo = np.where(two, xc - delta, np.where(merged, xc, np.nan))
+            hi = np.where(two, xc + delta, np.nan)
+            up = s > 0.0
+            roots[0, band] = np.where(up | ~(two | merged), far, lo)
+            roots[1, band] = np.where(up, lo, np.where(two, hi, np.where(merged, far, np.nan)))
+            roots[2, band] = np.where(up, hi, np.where(two, far, np.nan))
+    return roots
 
 
 def depth_cubic_coeffs(
@@ -239,11 +410,160 @@ def submodel_residual_contact(
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
+def _gl_partial_weights() -> np.ndarray:
+    """Weights for the first quarter and the first half of a panel.
+
+    They integrate the degree-23 interpolant of the 24 Gauss-Legendre
+    values over [-1, -1/2] and [-1, 0]; by the rule's discrete
+    orthogonality its Legendre coefficients are
+    (2j + 1)/2 * sum_k w_k P_j(x_k) f_k.
+    """
+    leg = np.polynomial.legendre
+    j = np.arange(24)
+    to_coef = ((2 * j + 1) / 2.0)[:, None] * leg.legvander(_GL_NODES, 23).T * _GL_WEIGHTS
+    antiderivatives = leg.legint(np.eye(24), lbnd=-1.0)
+    return to_coef.T @ leg.legval(np.array([-0.5, 0.0]), antiderivatives)
+
+
+#: Gauss-Legendre weights for a whole panel, its first quarter and its first half.
+_GL_PANEL_WEIGHTS = np.column_stack([_GL_WEIGHTS, _gl_partial_weights()])
+
+
 def _gl_integrate(fn, a: float, b: float) -> float:
     """24-point Gauss-Legendre quadrature of a smooth integrand on [a, b]."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     return float(half * np.dot(_GL_WEIGHTS, fn(mid + half * _GL_NODES)))
+
+
+def _quintic_coefficients(F0, delta, f, df, h):
+    """Per panel, the quintic in s = (x - a) / h with value F0 + delta at
+    s = 1 and slopes ``f`` and curvatures ``df`` (rows: both ends) in x."""
+    d0, d1 = h * f[0], h * f[1]
+    e0, e1 = h * h * df[0], h * h * df[1]
+    A = delta - d0 - 0.5 * e0
+    B = d1 - d0 - e0
+    C = e1 - e0
+    return np.stack([F0, d0, 0.5 * e0, 10.0 * A - 4.0 * B + 0.5 * C,
+                     -15.0 * A + 7.0 * B - C, 6.0 * A - 3.0 * B + 0.5 * C], axis=-1)
+
+
+def _horner5(c, s):
+    v = c[..., 5]
+    for k in (4, 3, 2, 1, 0):
+        v = c[..., k] + s * v
+    return v
+
+
+class IntegralTable:
+    """F(x) = F(origin) + integral of ``fn`` from ``origin`` to x, tabulated once.
+
+    Panel integrals come from the 24-point Gauss-Legendre rule and are
+    summed outwards from ``origin``.  A point is read by quintic Hermite
+    interpolation on its panel, from F, F' = ``fn`` and F'' = ``dfn`` at
+    the panel's ends.  A panel is split until the interpolant agrees with
+    Gauss-Legendre at a quarter and at the middle of the panel within
+    :attr:`RTOL` of ``scale`` + |F|; ``scale`` is the size of what F is
+    added to, so the tolerance follows the accuracy the caller can use.  The
+    interpolation error falls as the sixth power of the width, which
+    predicts how many pieces a panel needs.  No table has more than
+    :attr:`MAX_PANELS` panels: a range that would need more raises
+    :class:`InvalidParams`.  ``fn`` and ``dfn`` take arrays.
+
+    A call with a float takes a ``bisect`` lookup and plain arithmetic; an
+    array takes ``np.searchsorted`` and the same arithmetic, so both give
+    the same bits.  Outside the tabulated range the reading is NaN.
+    """
+
+    MAX_PANELS = 1 << 15
+    RTOL = 1e-14
+
+    def __init__(self, fn, dfn, breaks, origin: float, value: float = 0.0,
+                 scale: float = 0.0) -> None:
+        self.fn, self.dfn = fn, dfn
+        self.scale = abs(scale)
+        self.nodes = np.zeros(1)
+        self.coef = np.zeros((0, 6))
+        self._width = math.inf  # of the panels that splitting produced last
+        self._rows = None
+        self._append(np.asarray(breaks, dtype=float), origin, value)
+
+    def extend(self, end: float) -> None:
+        """Tabulate on out to ``end``, continuing from the last node.
+
+        The new range starts at the width that splitting needed last, so a
+        continuation as smooth as the tabulated range is not split again.
+        """
+        last = float(self.nodes[-1])
+        if end > last:
+            n = int(min(max(math.ceil((end - last) / self._width), 8), 4096))
+            self._append(np.linspace(last, end, n + 1), last, float(_horner5(self.coef[-1], 1.0)))
+
+    @property
+    def panels(self) -> int:
+        return len(self.coef)
+
+    def _panels(self, a: np.ndarray, h: np.ndarray):
+        """Each panel's integral, end slopes and curvatures, and interpolation error.
+
+        The error is checked against the integrals over the panel's first
+        quarter and first half, from the same 24 integrand values.
+        """
+        half = 0.5 * h
+        nodes = (a + half)[:, None] + half[:, None] * _GL_NODES
+        q = half * (np.broadcast_to(self.fn(nodes), nodes.shape) @ _GL_PANEL_WEIGHTS).T
+        ends = np.stack([a, a + h])
+        f = np.broadcast_to(self.fn(ends), ends.shape)
+        df = np.broadcast_to(self.dfn(ends), ends.shape)
+        shape = _quintic_coefficients(np.zeros_like(h), q[0], f, df, h)
+        err = np.maximum(np.abs(_horner5(shape, 0.25) - q[1]), np.abs(_horner5(shape, 0.5) - q[2]))
+        return q[0], f, df, err
+
+    def _append(self, x: np.ndarray, origin: float, value: float) -> None:
+        with np.errstate(all="ignore"):
+            while True:
+                h = np.diff(x)
+                inc, f, df, err = self._panels(x[:-1], h)
+                k = int(np.searchsorted(x, origin))
+                F = np.concatenate([value - np.cumsum(inc[:k][::-1])[::-1], [value],
+                                    value + np.cumsum(inc[k:])])
+                tol = self.RTOL * (self.scale + np.maximum(np.abs(F[:-1]), np.abs(F[1:])))
+                bad = err > tol
+                if not bad.any():
+                    break
+                pieces = np.clip(np.ceil(1.5 * (err[bad] / tol[bad]) ** (1.0 / 6.0)), 2, 64)
+                self._width = float((h[bad] / pieces).min())
+                cuts = (pieces - 1).astype(int)
+                if self.panels + len(h) + int(cuts.sum()) > self.MAX_PANELS:
+                    raise InvalidParams(
+                        f"integral table on [{float(x[0])!r}, {float(x[-1])!r}] needs more than "
+                        f"{self.MAX_PANELS} panels"
+                    )
+                j = np.arange(1, int(cuts.sum()) + 1) - np.repeat(np.cumsum(cuts) - cuts, cuts)
+                x = np.sort(np.concatenate([x, np.repeat(x[:-1][bad], cuts)
+                                            + np.repeat(h[bad], cuts) * (j / np.repeat(pieces, cuts))]))
+            coef = _quintic_coefficients(F[:-1], inc, f, df, h)
+        first = not self.coef.size
+        self.nodes = x if first else np.concatenate([self.nodes, x[1:]])
+        self.widths = np.diff(self.nodes)
+        self.coef = coef if first else np.concatenate([self.coef, coef])
+        self.lo, self.hi = float(self.nodes[0]), float(self.nodes[-1])
+        self._rows = None
+
+    def __call__(self, x):
+        if isinstance(x, np.ndarray):
+            i = np.clip(np.searchsorted(self.nodes, x, side="right") - 1, 0, len(self.coef) - 1)
+            v = _horner5(self.coef[i], (x - self.nodes[i]) / self.widths[i])
+            return np.where((x >= self.lo) & (x <= self.hi), v, np.nan)
+        if not self.lo <= x <= self.hi:
+            return math.nan
+        if self._rows is None:  # the last row twice, for x at the last node
+            self._nodes = self.nodes.tolist()
+            self._rows = list(zip(self._nodes, self.widths.tolist(), *self.coef.T.tolist()))
+            self._rows.append(self._rows[-1])
+        x0, h, c0, c1, c2, c3, c4, c5 = self._rows[bisect.bisect_right(self._nodes, x) - 1]
+        s = (x - x0) / h
+        return c0 + s * (c1 + s * (c2 + s * (c3 + s * (c4 + s * c5))))
 
 
 @dataclass

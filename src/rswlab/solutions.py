@@ -38,20 +38,20 @@ metadata used by trajectory formulas and the CLI.  Families:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
-from .core import FlowField, FlowParameters, Window, pointwise
+from .core import FlowField, FlowParameters, Window
 from .errors import InvalidParams, UnsupportedFamily
 from .reduction import (
     ImplicitCollapse,
+    IntegralTable,
     collapse2_build,
+    cubic_real_roots,
     cubic_roots,
     depth_cubic_coeffs,
     ring_bounds,
@@ -100,7 +100,9 @@ class RadialProfile:
     """A swirl profile V(r) with analytic derivative.
 
     Profiles must vanish at the origin (V ~ O(r)) so that the balance
-    integral converges.
+    integral converges.  ``fn`` and ``deriv`` take floats or arrays, and
+    give the same bits for a float as for that float in an array: the
+    built-in profiles take their transcendental functions from numpy.
     """
 
     fn: Callable[[float], float]
@@ -129,10 +131,10 @@ def profile_gauss(coef: float, width: float = 2.0) -> RadialProfile:
     w2 = width * width
 
     def fn(r):
-        return coef * r * math.exp(-r * r / w2)
+        return coef * r * np.exp(-r * r / w2)
 
     def deriv(r):
-        return coef * math.exp(-r * r / w2) * (1.0 - 2.0 * r * r / w2)
+        return coef * np.exp(-r * r / w2) * (1.0 - 2.0 * r * r / w2)
 
     return RadialProfile(fn, deriv, f"gauss:{coef:g},{width:g}")
 
@@ -294,19 +296,19 @@ def barochronous_sw(h0: float, params: FlowParameters) -> FlowField:
     )
 
 
-#: Radii whose depth integral a stationary rotationally symmetric field keeps;
-#: beyond this the least recently used is dropped, so memory stays bounded.
-DEPTH_CACHE_SIZE = 4096
-
-
 def stationary_rotsym(
     profile: RadialProfile, h0: float, params: FlowParameters, r_max: float = 6.0
 ) -> FlowField:
     """Stationary rotationally symmetric flow with a free swirl profile.
 
     Zero radial velocity, V = profile(r), and the depth from integrating
-    the cyclogeostrophic balance g h'(r) = V^2 / r + f V from the origin,
-    evaluated by adaptive quadrature.  The profile must vanish at r = 0.
+    the cyclogeostrophic balance g h'(r) = V^2 / r + f V from the origin.
+    The depth is an :class:`~rswlab.reduction.IntegralTable` built once:
+    Gauss-Legendre panels over [0, r_max], continued by doubling panels
+    out to 2^64 r_max, read by quintic Hermite interpolation (the integrand
+    and its slope from ``profile.deriv`` at each node).  Beyond the table
+    the depth is NaN, which :meth:`FlowField.eval` reports as non-finite.
+    The profile must vanish at r = 0.
     """
     if not h0 > 0.0:
         raise InvalidParams(f"h0 must be positive, got {h0}")
@@ -315,42 +317,57 @@ def stationary_rotsym(
     f, g = params.f, params.g
 
     def integrand(r):
-        if r <= 0.0:
-            return 0.0  # profile ~ O(r), so the integrand vanishes at the origin
-        V = profile(r)
-        return (V * V / r + f * V) / g
+        V = profile(r)  # ~ O(r), so the integrand vanishes at the origin
+        return np.where(r > 0.0, (V * V / r + f * V) / g, 0.0)
 
-    @functools.lru_cache(maxsize=DEPTH_CACHE_SIZE)
-    def depth(r):
-        return h0 + quad(integrand, 0.0, r, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+    def integrand_slope(r):
+        V, dV = profile(r), profile.deriv(r)
+        return np.where(r > 0.0, (2.0 * V * dV / r - V * V / (r * r) + f * dV) / g,
+                        (dV * dV + f * dV) / g)
+
+    breaks = np.concatenate([np.linspace(0.0, r_max, 17), r_max * 2.0 ** np.arange(1.0, 65.0)])
+    depth = IntegralTable(integrand, integrand_slope, breaks, origin=0.0, value=h0, scale=h0)
 
     # reject profiles that drain the depth below zero inside the window
-    for rr in np.linspace(0.0, r_max, 61)[1:]:
-        if depth(float(rr)) <= 0.0:
-            raise InvalidParams(
-                f"depth becomes non-positive at r={rr:g}; choose a tamer profile"
-            )
+    radii = np.linspace(0.0, r_max, 61)[1:]
+    drained = np.flatnonzero(depth(radii) <= 0.0)
+    if drained.size:
+        raise InvalidParams(
+            f"depth becomes non-positive at r={radii[drained[0]]:g}; choose a tamer profile"
+        )
+
+    # a particle keeps its radius (U = 0), so a path asks for one radius
+    # over and over: float calls remember the last one
+    last = [(math.nan, 0.0, 0.0, 0.0)]
+
+    def at(r: float) -> tuple:
+        remembered = last[0]
+        if remembered[0] != r:
+            remembered = last[0] = (r, profile(r), profile.deriv(r), depth(r))
+        return remembered
 
     def value_fn(t, r, theta):
-        return 0.0, profile(r), depth(r)
+        if isinstance(r, np.ndarray):
+            return 0.0, profile(r), depth(r)
+        _, V, _, h = at(r)
+        return 0.0, V, h
 
     def jet_fn(t, r, theta):
-        V = profile(r)
-        vals = np.array([0.0, V, depth(r)])
+        _, V, dV, h = at(r)
         h_r = (V * V / r + f * V) / g if r > 0.0 else 0.0
         grad = np.array(
             [
                 [0.0, 0.0, 0.0],
-                [0.0, profile.deriv(r), 0.0],
+                [0.0, dV, 0.0],
                 [0.0, h_r, 0.0],
             ]
         )
-        return vals, grad
+        return np.array([0.0, V, h]), grad
 
     return FlowField(
         frame="polar",
         params=params,
-        value_fn=pointwise(value_fn),
+        value_fn=value_fn,
         jet_fn=jet_fn,
         window=Window(),
         label=f"stationary-rotsym({profile.label}, h0={h0:g})",
@@ -543,20 +560,27 @@ def stationary_ring(
     h^3 + phi1(r) h^2 + phi2(r) = 0.  Two positive branches exist on
     [r_inner, r_outer]; the lower one (smaller depth) is supercritical,
     the upper subcritical.  At the interval ends the depth derivative is
-    unbounded and the flow is exactly sonic there.
+    unbounded and the flow is exactly sonic there.  Array radii solve their
+    cubics in one :func:`~rswlab.reduction.cubic_real_roots` call; a float
+    radius takes :func:`~rswlab.reduction.cubic_roots`, with the same bits.
     """
     if branch not in ("lower", "upper"):
         raise InvalidParams(f"branch must be 'lower' or 'upper', got {branch!r}")
     bounds = ring_bounds(C1, C2, C3, params)  # raises NoRingExists if empty
     f = params.f
 
+    # phi2 > 0: one negative root, then the positive pair (or its double
+    # root at the interval ends, which rounding may also leave complex)
     def depth(r):
         phi1, phi2 = depth_cubic_coeffs(r, C1, C2, C3, params)
-        roots = [x for x in cubic_roots(phi1, phi2) if x > 0.0]
-        if len(roots) < 2:
-            # double root at the interval ends
-            return roots[0] if roots else -2.0 / 3.0 * phi1
-        return roots[0] if branch == "lower" else roots[-1]
+        if isinstance(r, np.ndarray):
+            _, mid, top = cubic_real_roots(phi1, 0.0, phi2)
+            lower = np.where(np.isnan(mid), -2.0 / 3.0 * phi1, mid)
+            return lower if branch == "lower" else np.where(np.isnan(top), lower, top)
+        roots = cubic_roots(phi1, phi2)
+        if len(roots) == 1:
+            return -2.0 / 3.0 * phi1
+        return roots[1] if branch == "lower" or len(roots) == 2 else roots[2]
 
     def value_fn(t, r, theta):
         h = depth(r)
@@ -586,7 +610,7 @@ def stationary_ring(
     return FlowField(
         frame="polar",
         params=params,
-        value_fn=pointwise(value_fn),
+        value_fn=value_fn,
         jet_fn=jet_fn,
         window=Window(r_lo=bounds.r_inner, r_hi=bounds.r_outer),
         label=f"stationary-ring(C=({C1:g},{C2:g},{C3:g}), {branch})",
@@ -610,7 +634,10 @@ def stationary_ring(
 
 @dataclass(frozen=True)
 class SwirlInvariant:
-    """psi(lam) with analytic derivative, for the contact family."""
+    """psi(lam) with analytic derivative, for the contact family.
+
+    ``fn`` and ``deriv`` take floats or arrays, as :class:`RadialProfile`'s.
+    """
 
     fn: Callable[[float], float]
     deriv: Callable[[float], float]
@@ -626,8 +653,8 @@ def swirl_constant(c: float) -> SwirlInvariant:
 
 def swirl_sine(amplitude: float = 1.0) -> SwirlInvariant:
     return SwirlInvariant(
-        lambda lam: amplitude * math.sin(lam),
-        lambda lam: amplitude * math.cos(lam),
+        lambda lam: amplitude * np.sin(lam),
+        lambda lam: amplitude * np.cos(lam),
         f"sine:{amplitude:g}",
     )
 
@@ -661,29 +688,46 @@ def collapse_contact(
     Surfaces lam = const move with the fluid, so the flow can be read as a
     liquid ring compressed by pistons r ~ sin(f t / 2).  The depth must
     stay positive, which bounds lam from above; the window tracks that
-    bound.
+    bound.  The integral of psi^2 is an
+    :class:`~rswlab.reduction.IntegralTable` from lam = 0, built out
+    ahead of the probes of the search for that bound, ``lam_max``; the
+    search and every evaluation read it.  Its panels are resolved to 1e-14
+    of 2 g lam0 eta0 + |integral|, the size of the terms it enters.
     """
     if not (0.0 < lam0 < math.inf and 0.0 < eta0 < math.inf):
         raise InvalidParams(f"lam0 and eta0 must be positive and finite, got {lam0!r}, {eta0!r}")
     f, g = params.f, params.g
     budget = lam0 * eta0
 
-    def psi_sq_integral(lam: float) -> float:
-        return quad(lambda v: psi(v) ** 2, lam0, lam, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+    def psi_sq(lam):
+        v = psi(lam)
+        return v * v
 
-    def eta(lam: float) -> float:
-        return (budget - psi_sq_integral(lam) / (2.0 * g)) / lam
+    def psi_sq_slope(lam):
+        return 2.0 * psi(lam) * psi.deriv(lam)
 
     # find where the depth budget runs out (eta crosses zero above lam0);
     # a vanishing swirl never exhausts it, so cap the search geometrically
     lam_ceiling = lam0 + 1e4 * max(lam0, 1.0)
     step = max(lam0, 1.0)
     lam_max = lam0
-    while lam_max + step < lam_ceiling and eta(lam_max + step) > 0.0:
+    breaks = np.linspace(0.0, lam0, 9)  # and on to the first probe
+    breaks = np.append(breaks, np.linspace(lam0, min(lam0 + step, lam_ceiling), 9)[1:])
+    psi_sq_integral = IntegralTable(psi_sq, psi_sq_slope, breaks, origin=lam0, scale=2.0 * g * budget)
+
+    def eta(lam):
+        return (budget - psi_sq_integral(lam) / (2.0 * g)) / lam
+
+    while lam_max + step < lam_ceiling:
+        if lam_max + step > psi_sq_integral.hi:  # tabulate on to the probe after
+            psi_sq_integral.extend(min(lam_max + 2.5 * step, lam_ceiling))
+        if not eta(lam_max + step) > 0.0:
+            break
         lam_max += step
         step *= 1.5
     if lam_max + step >= lam_ceiling:
         lam_max = lam_ceiling
+        psi_sq_integral.extend(lam_ceiling)
     else:
         lo, hi = lam_max, lam_max + step
         for _ in range(200):
@@ -745,7 +789,8 @@ def collapse_contact(
     # the sample box's lam extremes must stay in floating-point range
     for lam in (0.2 * lam0, lam_box):
         try:
-            grad = jet_fn(t_box, math.sqrt((1.0 - math.cos(f * t_box)) / lam), 0.0)[1]
+            with np.errstate(all="ignore"):  # psi may give numpy floats
+                grad = jet_fn(t_box, math.sqrt((1.0 - math.cos(f * t_box)) / lam), 0.0)[1]
         except ArithmeticError:
             grad = None
         if grad is None or not np.all(np.isfinite(grad)):
@@ -756,7 +801,7 @@ def collapse_contact(
     return FlowField(
         frame="polar",
         params=params,
-        value_fn=pointwise(value_fn),
+        value_fn=value_fn,
         jet_fn=jet_fn,
         window=Window(t_lo=0.0, t_hi=period, t_guard=1e-9 * period, r_lo=r_lo),
         label=f"collapse-contact(psi={psi.label}, lam0={lam0:g}, eta0={eta0:g})",
@@ -767,6 +812,7 @@ def collapse_contact(
             "eta0": eta0,
             "lam_max": lam_max,
             "eta_fn": eta,
+            "psi_sq_integral": psi_sq_integral,
             "sample_box": {"t": (t_box, 0.9 * period), "lam": (0.2 * lam0, lam_box)},
         },
     )
@@ -785,20 +831,15 @@ def collapse_contact_cubic(
     phi^3 + (C2^2 - C1/lam) phi + 2 g C3 / lam = 0 and eta = C3 / (lam phi).
     Two branches with sign(phi) = sign(C3) exist below the double-root
     level lam_c; root selection is by magnitude with continuity guaranteed
-    away from lam_c.
+    away from lam_c.  Array positions solve their cubics in one
+    :func:`~rswlab.reduction.cubic_real_roots` call; a float takes
+    :func:`~rswlab.reduction.solve_cubic_real`, with the same bits.
     """
     if branch not in ("lower", "upper"):
         raise InvalidParams(f"branch must be 'lower' or 'upper', got {branch!r}")
     if C3 == 0.0:
         raise InvalidParams("C3 must be nonzero (depth would vanish)")
     f, g = params.f, params.g
-    sign = 1.0 if C3 > 0.0 else -1.0
-
-    def admissible_roots(lam: float) -> list[float]:
-        p = C2 * C2 - C1 / lam
-        q = 2.0 * g * C3 / lam
-        roots = [x for x in solve_cubic_real(0.0, p, q) if x * sign > 0.0]
-        return sorted(roots, key=abs)
 
     def discriminant(lam: float) -> float:
         p = C2 * C2 - C1 / lam
@@ -823,11 +864,24 @@ def collapse_contact_cubic(
     lam_c = lo
     lam_cap = 0.95 * lam_c
 
-    def phi(lam: float) -> float:
-        roots = admissible_roots(lam)
-        if len(roots) < 2:
-            raise InvalidParams(f"no admissible branches at lam={lam!r}")
-        return roots[0] if branch == "lower" else roots[-1]
+    # q = 2 g C3 / lam: three real roots put one root on the side opposite
+    # C3 and the two admissible ones on its side, the lower branch in the
+    # middle; with fewer there is no pair of branches
+    far = 2 if C3 > 0.0 else 0
+
+    def phi(lam):
+        p = C2 * C2 - C1 / lam
+        q = 2.0 * g * C3 / lam
+        if isinstance(lam, np.ndarray):
+            roots = cubic_real_roots(0.0, p, q)
+            missing = np.isnan(roots[2])
+            if missing.any():
+                raise InvalidParams(f"no admissible branches at lam={float(lam[missing][0])!r}")
+        else:
+            roots = solve_cubic_real(0.0, p, q)
+            if len(roots) < 3:
+                raise InvalidParams(f"no admissible branches at lam={lam!r}")
+        return roots[1] if branch == "lower" else roots[far]
 
     def phi_deriv(lam: float, ph: float) -> float:
         p = C2 * C2 - C1 / lam
@@ -876,7 +930,7 @@ def collapse_contact_cubic(
     return FlowField(
         frame="polar",
         params=params,
-        value_fn=pointwise(value_fn),
+        value_fn=value_fn,
         jet_fn=jet_fn,
         window=Window(t_lo=0.0, t_hi=period, t_guard=1e-9 * period, r_lo=r_lo),
         label=f"collapse-contact-cubic(C=({C1:g},{C2:g},{C3:g}), {branch})",

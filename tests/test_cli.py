@@ -330,3 +330,33 @@ class TestConsoleEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(out.read_text())["passed"] is True
+
+    @pytest.mark.parametrize("flag, code", [("--eta0", 0), ("--lam0", 2)])
+    def test_collapse_contact_extreme_parameters_warn_nothing(self, flag, code, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "rswlab.cli", "residual", "--family", "collapse-contact",
+             flag, "1e300", "--out", str(tmp_path / "res.json")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == code
+        assert "Warning" not in proc.stderr
+
+    def test_field_commands_import_no_scipy(self, tmp_path):
+        # the four families that solve per point run on numpy alone
+        commands = [
+            ["--family", "stationary-rotsym", "--r", "0.1:2:5"],
+            ["--family", "stationary-ring", "--f", "0.1", "--r", "5:20:5"],
+            ["--family", "collapse-contact", "--r", "0.5:2:5"],
+            ["--family", "collapse-contact-cubic", "--r", "8:12:5"],
+        ]
+        script = (
+            "import sys\n"
+            "from rswlab.cli import main\n"
+            f"for k, argv in enumerate({commands!r}):\n"
+            f"    assert main(['field', *argv, '--out', {str(tmp_path)!r} + f'/{{k}}.csv']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+        assert len(list(tmp_path.glob("*.csv"))) == 4

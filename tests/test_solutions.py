@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rswlab.core import FlowParameters, PolarPoint, potential_vorticity
 from rswlab.errors import InvalidParams, UnsupportedFamily, WindowViolation
 from rswlab.solutions import (
+    FAMILY_NAMES,
     canonical_family_name,
     closure_condition,
     collapse_contact,
@@ -19,7 +22,9 @@ from rswlab.solutions import (
     pulsating_cylinder,
     pulsating_drop,
     stationary_ring,
+    stationary_rotsym,
     swirl_constant,
+    swirl_sine,
     trajectory_formula,
 )
 from rswlab.verify import residual_report, sample_grid
@@ -365,19 +370,23 @@ class TestProfiles:
         with pytest.raises(InvalidParams):
             stationary_rotsym(bad, 1.0, P)
 
-    def test_depth_cache_is_bounded(self):
+    def test_depth_table_is_bounded(self):
         # solid rotation V = w r: g h' = (w^2 + f w) r, so h = h0 + (w^2 + f w) r^2 / (2 g)
-        from rswlab.solutions import DEPTH_CACHE_SIZE, stationary_rotsym
-
         w, h0 = 0.4, 1.0
         field = stationary_rotsym(profile_solid(w), h0, P)
+        table = field.meta["depth_fn"]
+        nodes, coef = table.nodes, table.coef
+        assert nodes.shape == (coef.shape[0] + 1,) and coef.shape[0] <= table.MAX_PANELS
         first = field.values_unchecked(0.0, np.linspace(0.01, 0.5, 50), 0.0)[2]
         radii = np.linspace(0.011, 5.9, 20_000)
         depth = field.values_unchecked(0.0, radii, 0.0)[2]
-        assert field.meta["depth_fn"].cache_info().currsize <= DEPTH_CACHE_SIZE
+        scalar = [field.values_unchecked(0.0, r, 0.0)[2] for r in radii.tolist()]
+        # 40,000 distinct radius queries leave the table as built
+        assert table.nodes is nodes and table.coef is coef
+        assert nodes.shape == (coef.shape[0] + 1,) and coef.shape == (table.panels, 6)
+        assert np.array_equal(scalar, depth)
         exact = h0 + (w * w + P.f * w) * radii ** 2 / (2.0 * P.g)
         assert np.allclose(depth, exact, rtol=1e-12, atol=0.0)
-        # radii evicted from the cache come back with the same depth
         again = field.values_unchecked(0.0, np.linspace(0.01, 0.5, 50), 0.0)[2]
         assert np.array_equal(again, first)
 
@@ -388,3 +397,96 @@ class TestProfiles:
 
         with pytest.raises(InvalidParams):
             stationary_rotsym(profile_solid(-0.9), 0.01, P)
+
+
+def _quad_from(integrand, origin, points):
+    """Integrals of ``integrand`` from ``origin`` to each point by ``quad``.
+
+    The points are visited outwards from ``origin`` on each side, one short
+    ``quad`` per neighbour gap, and the pieces are added with Neumaier's
+    compensated sum.
+    """
+    quad = pytest.importorskip("scipy.integrate").quad
+    out = np.empty(len(points))
+    for side in (points >= origin, points < origin):
+        idx = np.flatnonzero(side)
+        prev, total, comp = origin, 0.0, 0.0
+        for k in idx[np.argsort(np.abs(points[idx] - origin))]:
+            piece = quad(integrand, prev, points[k], epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            new = total + piece
+            comp += (total - new) + piece if abs(total) >= abs(piece) else (piece - new) + total
+            total, prev = new, points[k]
+            out[k] = total + comp
+    return out
+
+
+class TestIntegralTables:
+    """The depth and psi^2 tables against ``scipy.integrate.quad`` (test oracle)."""
+
+    @pytest.mark.parametrize("spec, h0, n", [("gauss:0.5", 1.0, 10_000), ("solid:0.4", 1.0, 2_000),
+                                             ("quadratic:0.1", 1.0, 2_000), ("gauss:0.8,1.5", 2.0, 2_000)])
+    def test_depth_matches_quad(self, spec, h0, n):
+        profile = parse_profile(spec)
+        field = stationary_rotsym(profile, h0, P)
+        lo, hi = field.meta["sample_box"]["r"]
+        radii = np.random.default_rng(11).uniform(lo, hi, n)
+
+        def integrand(r):
+            V = profile(r)
+            return (V * V / r + P.f * V) / P.g
+
+        want = h0 + _quad_from(integrand, 0.0, radii)
+        got = field.meta["depth_fn"](radii)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+        assert field.meta["depth_fn"].panels <= field.meta["depth_fn"].MAX_PANELS  # 342 for gauss:0.5
+
+    @pytest.mark.parametrize("psi, lam0, eta0, n", [("sine:1", 1.0, 1.0, 10_000), ("sine:0.5", 2.0, 0.5, 2_000),
+                                                    ("const:0.8", 1.0, 1.0, 2_000), ("sine:1", 0.3, 3.0, 2_000),
+                                                    ("sine:1", 1.0, 1e300, 2_000)])
+    def test_eta_matches_quad(self, psi, lam0, eta0, n):
+        field = make_family("collapse-contact", P, psi=psi, lam0=lam0, eta0=eta0)
+        swirl = field.meta["psi"]
+        lo, hi = field.meta["sample_box"]["lam"]
+        lams = np.random.default_rng(12).uniform(lo, hi, n)
+        integral = _quad_from(lambda v: swirl(v) ** 2, lam0, lams)
+        want = (lam0 * eta0 - integral / (2.0 * P.g)) / lams
+        got = field.meta["eta_fn"](lams)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+        table = field.meta["psi_sq_integral"]
+        assert table.panels <= table.MAX_PANELS  # 356 for the catalog's field, 104 at eta0 = 1e300
+
+    def test_lam_max_unchanged(self, catalog):
+        # the bound of the quadrature-based search, to 1e-12 relative
+        assert catalog["collapse-contact"].meta["lam_max"] == pytest.approx(4.628674849633171, rel=1e-12)
+
+    def test_profiles_and_swirl_take_arrays(self):
+        r = np.linspace(0.0, 3.0, 7)
+        for profile in (parse_profile("gauss:0.5"), swirl_sine(0.7)):
+            for fn in (profile.fn, profile.deriv):
+                block = fn(r)
+                assert np.array_equal(block, [fn(x) for x in r.tolist()])
+
+
+class TestValueJetAgreement:
+    """Every catalog family at random in-window points: jets against eval and FD."""
+
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_jet_values_and_gradients(self, name, data, catalog):
+        field = catalog[name]
+        grid = sample_grid(field, (4, 5, 3))
+        t = data.draw(st.sampled_from(sorted(set(grid[:, 0].tolist()))), label="t")
+        rows = grid[grid[:, 0] == t]
+        u, v = data.draw(st.floats(0.02, 0.98), label="u"), data.draw(st.floats(0.0, 1.0), label="v")
+        a = rows[:, 1].min() + u * (rows[:, 1].max() - rows[:, 1].min())
+        if field.frame == "polar":
+            b = 2.0 * math.pi * v - math.pi
+        else:
+            b = rows[:, 2].min() + v * (rows[:, 2].max() - rows[:, 2].min())
+        values = field.eval(t, a, b)
+        jet_values, grad = field.jet(t, a, b)
+        # measured 1.4e-16 and 2.2e-7 on the sample grids
+        assert np.all(np.abs(jet_values - values) <= 1e-15 * np.abs(values).max())
+        _, fd = field.with_derivative_mode("fd").jet(t, a, b)
+        assert np.all(np.abs(grad - fd) <= 1e-6 * np.abs(grad).max())
