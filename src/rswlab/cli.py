@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -382,7 +383,9 @@ def _add_output_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``rsw`` parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="rsw",
         description="Exact-solution laboratory for rotating shallow water flows",

@@ -1,4 +1,5 @@
-"""Fundamental types: flow parameters, states, evaluable fields, diagnostics.
+"""Fundamental types: flow parameters, states, forward-mode jets, evaluable
+fields, diagnostics.
 
 Everything in this module is an immutable value; all operations are pure
 functions of their inputs, so unrestricted parallel evaluation is safe.
@@ -191,8 +192,184 @@ class Window:
             )
 
 
+# ---------------------------------------------------------------------------
+# Forward-mode jets
+# ---------------------------------------------------------------------------
+
+
+class Jet:
+    """A value ``v`` with its first derivatives ``t``, ``a``, ``b`` along the seeds.
+
+    Forward-mode automatic differentiation (Griewank and Walther,
+    *Evaluating Derivatives*, 2nd ed., SIAM 2008).  The slots are floats
+    or numpy arrays that broadcast together.  The value slot of every
+    operation is the plain operation on the values, so it keeps the bits
+    of the plain evaluation.  numpy's ufuncs (``np.cos(jet)``) take the
+    value through numpy; :func:`cos` and this module's other functions take
+    a float through ``math`` and an array through numpy, as plain calls do.
+    """
+
+    __slots__ = ("v", "t", "a", "b")
+
+    def __init__(self, v, t=0.0, a=0.0, b=0.0) -> None:
+        self.v, self.t, self.a, self.b = v, t, a, b
+
+    def chain(self, value, slope) -> "Jet":
+        """The jet of g(self), given g(self.v) = value and g'(self.v) = slope."""
+        return Jet(value, slope * self.t, slope * self.a, slope * self.b)
+
+    def __add__(self, o):
+        if isinstance(o, Jet):
+            return Jet(self.v + o.v, self.t + o.t, self.a + o.a, self.b + o.b)
+        return Jet(self.v + o, self.t, self.a, self.b)
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        if isinstance(o, Jet):
+            return Jet(self.v - o.v, self.t - o.t, self.a - o.a, self.b - o.b)
+        return Jet(self.v - o, self.t, self.a, self.b)
+
+    def __rsub__(self, o):
+        return Jet(o - self.v, -self.t, -self.a, -self.b)
+
+    def __neg__(self):
+        return Jet(-self.v, -self.t, -self.a, -self.b)
+
+    def __mul__(self, o):
+        if isinstance(o, Jet):
+            v, w = self.v, o.v
+            return Jet(v * w, self.t * w + v * o.t, self.a * w + v * o.a, self.b * w + v * o.b)
+        return Jet(self.v * o, self.t * o, self.a * o, self.b * o)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        if isinstance(o, Jet):
+            q, w = self.v / o.v, o.v
+            return Jet(q, (self.t - q * o.t) / w, (self.a - q * o.a) / w, (self.b - q * o.b) / w)
+        return Jet(self.v / o, self.t / o, self.a / o, self.b / o)
+
+    def __rtruediv__(self, o):
+        q = o / self.v
+        return self.chain(q, -q / self.v)
+
+    def __pow__(self, p):  # a constant exponent
+        return self.chain(self.v ** p, p * self.v ** (p - 1))
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        rule = _UFUNC_RULES.get(ufunc) if method == "__call__" and not kwargs else None
+        return NotImplemented if rule is None else rule(*inputs)
+
+
+def value_of(x):
+    """The value slot of a jet; anything else as it is."""
+    return x.v if isinstance(x, Jet) else x
+
+
+def _slots(x) -> tuple:
+    return (x.t, x.a, x.b) if isinstance(x, Jet) else (0.0, 0.0, 0.0)
+
+
+def _reflected(name: str, rname: str):
+    return lambda x, y: getattr(x, name)(y) if isinstance(x, Jet) else getattr(y, rname)(x)
+
+
+_UFUNC_RULES: dict = {
+    np.add: _reflected("__add__", "__radd__"),
+    np.subtract: _reflected("__sub__", "__rsub__"),
+    np.multiply: _reflected("__mul__", "__rmul__"),
+    np.true_divide: _reflected("__truediv__", "__rtruediv__"),
+    np.negative: Jet.__neg__,
+}
+
+
+def _elementary(math_fn, np_fn, slope):
+    """f as ``math_fn`` on floats and ``np_fn`` on arrays; ``slope(x, f(x))`` is f'(x)."""
+
+    def on_jet(x, fn):
+        fx = fn(x.v)
+        return x.chain(fx, slope(x.v, fx))
+
+    def elementary(x):
+        if isinstance(x, Jet):
+            return on_jet(x, elementary)
+        return np_fn(x) if isinstance(x, np.ndarray) else math_fn(x)
+
+    _UFUNC_RULES[np_fn] = lambda x: on_jet(x, np_fn)
+    elementary.__name__ = elementary.__qualname__ = math_fn.__name__
+    return elementary
+
+
+cos = _elementary(math.cos, np.cos, lambda x, c: -sin(x))
+sin = _elementary(math.sin, np.sin, lambda x, s: cos(x))
+tan = _elementary(math.tan, np.tan, lambda x, tn: 1.0 + tn * tn)
+atan = _elementary(math.atan, np.arctan, lambda x, at: 1.0 / (1.0 + x * x))
+sqrt = _elementary(math.sqrt, np.sqrt, lambda x, s: 0.5 / s)
+exp = _elementary(math.exp, np.exp, lambda x, e: e)
+
+
+def _elementary2(math_fn, np_fn, slopes):
+    """:func:`_elementary` of two arguments; ``slopes`` gives both partial derivatives."""
+
+    def on_jets(x, y, fn):
+        xv, yv = value_of(x), value_of(y)
+        fxy = fn(xv, yv)
+        sx, sy = slopes(xv, yv, fxy)
+        return Jet(fxy, *(sx * dx + sy * dy for dx, dy in zip(_slots(x), _slots(y))))
+
+    def elementary2(x, y):
+        if isinstance(x, Jet) or isinstance(y, Jet):
+            return on_jets(x, y, elementary2)
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            return np_fn(x, y)
+        return math_fn(x, y)
+
+    _UFUNC_RULES[np_fn] = lambda x, y: on_jets(x, y, np_fn)
+    elementary2.__name__ = elementary2.__qualname__ = np_fn.__name__
+    return elementary2
+
+
+hypot = _elementary2(math.hypot, np.hypot, lambda x, y, h: (x / h, y / h))
+arctan2 = _elementary2(  # arctan2(y, x)
+    math.atan2, np.arctan2, lambda y, x, th: (x / (x * x + y * y), -y / (x * x + y * y))
+)
+
+
+def implicit(root, residual: Jet, slope) -> Jet:
+    """Jet of a root x of F(x, p) = 0: x' = -F_p / F_x (implicit-function theorem).
+
+    ``residual`` is the jet of F with x held at ``root``, ``slope`` is F_x there.
+    """
+    return Jet(root, -residual.t / slope, -residual.a / slope, -residual.b / slope)
+
+
 ValueFn = Callable[[float, float, float], tuple[float, float, float]]
 JetFn = Callable[[float, float, float], tuple[np.ndarray, np.ndarray]]
+
+
+def derived_jet(value_fn: ValueFn) -> JetFn:
+    """The ``jet_fn`` of a ``value_fn``: one call with jets seeded at (t, a, b).
+
+    Positions may be a block at one time, as for ``value_fn``; the result
+    is ``(values, grad)`` of shapes ``(3,) + shape`` and ``(3, 3) + shape``.
+    """
+
+    def jet(t, a, b):
+        state = value_fn(Jet(t, 1.0, 0.0, 0.0), Jet(a, 0.0, 1.0, 0.0), Jet(b, 0.0, 0.0, 1.0))
+        rows = [(c.v, c.t, c.a, c.b) if isinstance(c, Jet) else (c, 0.0, 0.0, 0.0) for c in state]
+        if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
+            point = np.array(rows, dtype=float)
+            return point[:, 0], point[:, 1:]
+        shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+        values, grad = np.empty((3,) + shape), np.empty((3, 3) + shape)
+        for i, (v, *slopes) in enumerate(rows):
+            values[i] = v
+            for j, slope in enumerate(slopes):
+                grad[i, j] = slope
+        return values, grad
+
+    return jet
 
 
 @dataclass(frozen=True)
@@ -208,11 +385,18 @@ class FlowField:
     position in an array.  :meth:`eval` and the FD mode of :meth:`jet` take
     such a block of positions at one time too, checked as a whole; scalar
     calls stay the fast path for one point.
-    ``jet_fn`` when present returns ``(values, grad)`` with ``grad[i, j]``
-    the derivative of component ``i`` with respect to coordinate ``j`` in
-    the order ``(t, a, b)``; it backs the analytic derivative mode.  Without it, or
-    when ``derivative_mode="fd"``, jets fall back to central differences
-    with relative step ``fd_step``.
+
+    ``jet_fn(t, a, b)`` returns ``(values, grad)`` with ``grad[i, j]`` the
+    derivative of component ``i`` with respect to coordinate ``j`` in the
+    order ``(t, a, b)``; it backs the analytic derivative mode and takes a
+    block of positions at one time, as ``value_fn`` does.  Left out, it is
+    derived from ``value_fn`` by :func:`derived_jet`, so each formula is
+    written once: ``value_fn`` must then accept :class:`Jet` arguments,
+    which the arithmetic operators, numpy's ufuncs and this module's
+    elementary functions do; a copy made by ``dataclasses.replace`` with a
+    new ``value_fn`` derives its own only when given ``jet_fn=None``.  With
+    ``derivative_mode="fd"`` jets are central differences with relative
+    step ``fd_step`` instead.
 
     Fields capture their defining closures immutably and are safe to share
     across threads.
@@ -230,8 +414,8 @@ class FlowField:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.derivative_mode == "analytic" and self.jet_fn is None:
-            object.__setattr__(self, "derivative_mode", "fd")
+        if self.jet_fn is None:
+            object.__setattr__(self, "jet_fn", derived_jet(self.value_fn))
 
     # -- evaluation ------------------------------------------------------
 
@@ -245,7 +429,12 @@ class FlowField:
         time ``t``: one ``value_fn`` call, with the window and finiteness
         checked on the whole block.  The errors are the scalar call's and
         name an offending point; the result has shape ``(3,) + shape``.
+        A :class:`Jet` time makes a jet evaluation: the checks apply to the
+        values, and the three state jets come back.
         """
+        if isinstance(t, Jet):
+            self.eval(t.v, value_of(a), value_of(b))
+            return self.value_fn(t, a, b)
         if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
             a, b = self._check_block(t, a, b)
             out = np.array(np.broadcast_arrays(*self.value_fn(t, a, b), a)[:3], dtype=float)
@@ -279,43 +468,27 @@ class FlowField:
     def jet(self, t: float, a, b) -> tuple[np.ndarray, np.ndarray]:
         """Values plus first derivatives with respect to (t, a, b).
 
-        In the FD mode, array positions are one block as in :meth:`eval`:
-        the seven evaluations are block calls of :meth:`eval`, giving values
-        of shape ``(3,) + shape`` and ``grad`` of shape ``(3, 3) + shape``.
-        ``jet_fn`` takes one point at a time.
+        Array positions are one block as in :meth:`eval`, checked as a
+        whole, giving values of shape ``(3,) + shape`` and ``grad`` of shape
+        ``(3, 3) + shape``: one ``jet_fn`` call, or in the FD mode seven
+        :meth:`eval` calls.
         """
-        if self.derivative_mode == "fd" and (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
             a, b = self._check_block(t, a, b)
-            values = self.eval(t, a, b)
-            grad = np.empty((3, 3) + a.shape)
-            dt = self.fd_step * max(1.0, abs(t))
-            grad[:, 0] = (self.eval(t + dt, a, b) - self.eval(t - dt, a, b)) / (2.0 * dt)
-            da = self.fd_step * np.maximum(1.0, np.abs(a))
-            grad[:, 1] = (self.eval(t, a + da, b) - self.eval(t, a - da, b)) / (2.0 * da)
-            db = self.fd_step * np.maximum(1.0, np.abs(b))
-            grad[:, 2] = (self.eval(t, a, b + db) - self.eval(t, a, b - db)) / (2.0 * db)
-            return values, grad
-        self.window.check(t, self._radius(a, b))
+        else:
+            self.window.check(t, self._radius(a, b))
         if self.derivative_mode == "analytic":
             values, grad = self.jet_fn(t, a, b)
             return np.asarray(values, dtype=float), np.asarray(grad, dtype=float)
-        coords = (t, a, b)
         values = self.eval(t, a, b)
-        grad = np.empty((3, 3))
-        for j, c in enumerate(coords):
-            delta = self.fd_step * max(1.0, abs(c))
-            lo = list(coords)
-            hi = list(coords)
-            lo[j] = c - delta
-            hi[j] = c + delta
-            grad[:, j] = (self.eval(*hi) - self.eval(*lo)) / (2.0 * delta)
+        grad = np.empty((3, 3) + np.shape(a))
+        dt = self.fd_step * max(1.0, abs(t))
+        grad[:, 0] = (self.eval(t + dt, a, b) - self.eval(t - dt, a, b)) / (2.0 * dt)
+        da = self.fd_step * np.maximum(1.0, np.abs(a))
+        grad[:, 1] = (self.eval(t, a + da, b) - self.eval(t, a - da, b)) / (2.0 * da)
+        db = self.fd_step * np.maximum(1.0, np.abs(b))
+        grad[:, 2] = (self.eval(t, a, b + db) - self.eval(t, a, b - db)) / (2.0 * db)
         return values, grad
-
-    def state_at(self, t: float, a: float, b: float):
-        vals = self.eval(t, a, b)
-        if self.frame == "polar":
-            return PolarState(float(vals[0]), float(vals[1]), float(vals[2]))
-        return CartesianState(float(vals[0]), float(vals[1]), float(vals[2]))
 
     # -- derived fields --------------------------------------------------
 
@@ -323,8 +496,6 @@ class FlowField:
         self, mode: Literal["analytic", "fd"], fd_step: float | None = None
     ) -> "FlowField":
         """Copy of this field evaluating derivatives in the given mode."""
-        if mode == "analytic" and self.jet_fn is None:
-            raise InvalidParams(f"field {self.label!r} has no analytic jet")
         kwargs = {"derivative_mode": mode}
         if fd_step is not None:
             kwargs["fd_step"] = fd_step
@@ -348,21 +519,10 @@ def scale_depth(field_: FlowField, factor: float, label: str | None = None) -> F
         c1, c2, h = base_value(t, a, b)
         return c1, c2, factor * h
 
-    base_jet = field_.jet_fn
-    jet_fn = None
-    if base_jet is not None:
-        def jet_fn(t, a, b):
-            values, grad = base_jet(t, a, b)
-            values = np.array(values, dtype=float)
-            grad = np.array(grad, dtype=float)
-            values[2] *= factor
-            grad[2, :] *= factor
-            return values, grad
-
     return replace(
         field_,
         value_fn=value_fn,
-        jet_fn=jet_fn,
+        jet_fn=None,
         label=label or f"{field_.label}*corrupt({factor})",
     )
 
@@ -438,53 +598,47 @@ def diagnostics(field_: FlowField, point) -> Diagnostics:
 
 
 def as_cartesian(field_: FlowField, label: str | None = None) -> FlowField:
-    """Cartesian view of a polar field, with exact chain-rule jets.
+    """Cartesian view of a polar field.
 
     Valid away from the origin; the radial window carries over through
     r = hypot(x, y).  Its values broadcast over array positions as the
-    source's do.
+    source's do.  Its jets compose through the polar chart, which is
+    singular at x = y = 0: there they come from the source's jets along the
+    rays theta = 0 and theta = pi/2, exact for a source that is smooth in
+    Cartesian coordinates.
     """
     if field_.frame == "cartesian":
         return field_
 
     src = field_
 
-    def value_fn(t, x, y):
+    def view(t, x, y):
         r = np.hypot(x, y)
         theta = np.arctan2(y, x)
         U, V, h = src.value_fn(t, r, theta)
         ct, st = np.cos(theta), np.sin(theta)
         return U * ct - V * st, U * st + V * ct, h
 
-    jet_fn = None
-    if src.jet_fn is not None:
-        def jet_fn(t, x, y):
-            r = math.hypot(x, y)
-            if r <= 0.0:
-                raise OriginSingular("cartesian view of a polar field needs r > 0")
-            theta = math.atan2(y, x)
-            (U, V, h), g = src.jet_fn(t, r, theta)
-            ct, st = math.cos(theta), math.sin(theta)
-            U_t, U_r, U_th = g[0]
-            V_t, V_r, V_th = g[1]
-            h_t, h_r, h_th = g[2]
-            u = U * ct - V * st
-            v = U * st + V * ct
-            # Derivatives of the polar chart: r_x = ct, r_y = st,
-            # theta_x = -st / r, theta_y = ct / r.
-            du_dr = U_r * ct - V_r * st
-            dv_dr = U_r * st + V_r * ct
-            du_dth = U_th * ct - V_th * st - U * st - V * ct
-            dv_dth = V_th * ct + U_th * st + U * ct - V * st
-            out = np.array([u, v, h])
-            grad = np.array(
-                [
-                    [U_t * ct - V_t * st, du_dr * ct - du_dth * st / r, du_dr * st + du_dth * ct / r],
-                    [U_t * st + V_t * ct, dv_dr * ct - dv_dth * st / r, dv_dr * st + dv_dth * ct / r],
-                    [h_t, h_r * ct - h_th * st / r, h_r * st + h_th * ct / r],
-                ]
-            )
-            return out, grad
+    def value_fn(t, x, y):
+        if not isinstance(t, Jet):
+            return view(t, x, y)
+        xv, yv = value_of(x), value_of(y)
+        origin = (xv == 0.0) & (yv == 0.0)
+        if not np.any(origin):
+            return view(t, x, y)
+        # d/dx from the ray theta = 0 (u = U, v = V), d/dy from theta = pi/2
+        # (u = -V, v = U); then the chain rule through (t, x, y)
+        along_x = src.value_fn(Jet(t.v, 1.0), Jet(0.0, 0.0, 1.0), 0.0)
+        along_y = src.value_fn(Jet(t.v, 1.0), Jet(0.0, 0.0, 1.0), math.pi / 2.0)
+        (U, V, h), (Uy, Vy, hy) = (map(_slots, s) for s in (along_x, along_y))
+        partials = ((U[0], U[1], -Vy[1]), (V[0], V[1], Uy[1]), (h[0], h[1], hy[1]))
+        seeds = list(zip(_slots(t), _slots(x), _slots(y)))
+        at_origin = [[pt * st + px * sx + py * sy for st, sx, sy in seeds] for pt, px, py in partials]
+        away = view(t, Jet(np.where(origin, 1.0, xv), *_slots(x)), y)
+        return [
+            Jet(c, *(np.where(origin, d0, d) for d0, d in zip(d_origin, _slots(j))))
+            for c, d_origin, j in zip(view(t.v, xv, yv), at_origin, away)
+        ]
 
     meta = dict(src.meta)
     meta["polar_source"] = src.label
@@ -492,7 +646,7 @@ def as_cartesian(field_: FlowField, label: str | None = None) -> FlowField:
         src,
         frame="cartesian",
         value_fn=value_fn,
-        jet_fn=jet_fn,
+        jet_fn=None,
         label=label or f"{src.label}(cartesian)",
         meta=meta,
     )

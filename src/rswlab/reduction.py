@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import FlowParameters
+from .core import FlowParameters, Jet
 from .errors import InvalidParams, NoRingExists, QuadratureFail
 from .verify import integrate_ode
 
@@ -436,6 +436,13 @@ def _gl_integrate(fn, a: float, b: float) -> float:
     return float(half * np.dot(_GL_WEIGHTS, fn(mid + half * _GL_NODES)))
 
 
+def _gl_panels(fn, grid: np.ndarray) -> np.ndarray:
+    """:func:`_gl_integrate` over each panel of ``grid``, in one array call of ``fn``."""
+    half = 0.5 * np.diff(grid)
+    mid = 0.5 * (grid[:-1] + grid[1:])
+    return half * (fn(mid[:, None] + half[:, None] * _GL_NODES) @ _GL_WEIGHTS)
+
+
 def _quintic_coefficients(F0, delta, f, df, h):
     """Per panel, the quintic in s = (x - a) / h with value F0 + delta at
     s = 1 and slopes ``f`` and curvatures ``df`` (rows: both ends) in x."""
@@ -472,7 +479,8 @@ class IntegralTable:
 
     A call with a float takes a ``bisect`` lookup and plain arithmetic; an
     array takes ``np.searchsorted`` and the same arithmetic, so both give
-    the same bits.  Outside the tabulated range the reading is NaN.
+    the same bits.  Outside the tabulated range the reading is NaN.  A
+    :class:`~rswlab.core.Jet` reads its value so, with ``fn`` as the slope.
     """
 
     MAX_PANELS = 1 << 15
@@ -551,6 +559,8 @@ class IntegralTable:
         self._rows = None
 
     def __call__(self, x):
+        if isinstance(x, Jet):
+            return x.chain(self(x.v), self.fn(x.v))
         if isinstance(x, np.ndarray):
             i = np.clip(np.searchsorted(self.nodes, x, side="right") - 1, 0, len(self.coef) - 1)
             v = _horner5(self.coef[i], (x - self.nodes[i]) / self.widths[i])
@@ -659,10 +669,7 @@ class ImplicitCollapse:
         s_min, s_max = min(s_from, s_to), max(s_from, s_to)
         ascending = s_min + (s_max - s_min) * u * u
         grid = ascending if s_from <= s_to else ascending[::-1].copy()
-        fn = lambda s: self._dt_ds(s, sign)
-        increments = [
-            _gl_integrate(fn, grid[i], grid[i + 1]) for i in range(len(grid) - 1)
-        ]
+        increments = _gl_panels(lambda s: self._dt_ds(s, sign), grid)
         t_nodes = t_start + np.concatenate([[0.0], np.cumsum(increments)])
         if np.any(np.diff(t_nodes) <= 0.0):
             raise QuadratureFail("tabulated time map is not strictly increasing")
@@ -701,15 +708,11 @@ class ImplicitCollapse:
         grid = sig_cap * np.linspace(0.0, 1.0, n_seg + 1) ** 2
 
         def safe(sig):
-            sig = np.asarray(sig, dtype=float)
-            out = np.where(
+            return np.where(
                 sig > 0.0, integrand(np.where(sig > 0.0, sig, 1.0)), 1.0 / (2.0 * math.sqrt(2.0 * g))
             )
-            return out
 
-        return float(
-            sum(_gl_integrate(safe, grid[i], grid[i + 1]) for i in range(len(grid) - 1))
-        )
+        return float(sum(_gl_panels(safe, grid).tolist()))
 
     # -- evaluation ------------------------------------------------------
 
@@ -765,7 +768,12 @@ class ImplicitCollapse:
         return float(self.phi_hat(self.eta_of_t(t), br.sign))
 
     def state_of_t(self, t: float) -> tuple[float, float]:
-        """(phi, eta) at time t."""
+        """(phi, eta) at time t; a jet t gives jets, with the reduced ODEs'
+        right-hand sides phi' = -f^2/4 - phi^2 - 2 g eta, eta' = -4 phi eta as slopes."""
+        if isinstance(t, Jet):
+            phi, eta = self.state_of_t(t.v)
+            f, g = self.params.f, self.params.g
+            return t.chain(phi, -f * f / 4.0 - phi * phi - 2.0 * g * eta), t.chain(eta, -4.0 * phi * eta)
         br = self._branch_for_time(float(t))
         eta = self.eta_of_t(t)
         return float(self.phi_hat(eta, br.sign)), eta

@@ -1,8 +1,14 @@
 """Catalog of exact solution families.
 
 Each constructor returns a :class:`~rswlab.core.FlowField` with a validity
-window, analytic first derivatives where the closed forms allow it, and
-metadata used by trajectory formulas and the CLI.  Families:
+window and metadata used by trajectory formulas and the CLI.  Each family
+writes its formula once, as its ``value_fn``; the analytic first
+derivatives come from running it on :class:`~rswlab.core.Jet` arguments.
+A quantity the formula solves for or reads from a table enters through
+one derivative rule: a cubic root through the implicit-function
+derivative (:func:`~rswlab.core.implicit`), a table through its
+integrand, the collapse tabulation through the reduced ODEs, and a swirl
+profile through its ``deriv``.  Families:
 
 ``rest``
     State of rest with constant depth (polar frame, also available in
@@ -45,7 +51,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import FlowField, FlowParameters, Window
+from .core import FlowField, FlowParameters, Jet, Window, cos, implicit, sin
 from .errors import InvalidParams, UnsupportedFamily
 from .reduction import (
     ImplicitCollapse,
@@ -57,7 +63,7 @@ from .reduction import (
     ring_bounds,
     solve_cubic_real,
 )
-from .transforms import y9_dilation, y9_factor_rates, y9_factors
+from .transforms import y9_dilation, y9_factors
 
 FAMILY_NAMES = (
     "rest",
@@ -103,6 +109,8 @@ class RadialProfile:
     integral converges.  ``fn`` and ``deriv`` take floats or arrays, and
     give the same bits for a float as for that float in an array: the
     built-in profiles take their transcendental functions from numpy.
+    Called with a :class:`~rswlab.core.Jet`, a profile takes its slope
+    from ``deriv``.
     """
 
     fn: Callable[[float], float]
@@ -110,6 +118,8 @@ class RadialProfile:
     label: str
 
     def __call__(self, r: float) -> float:
+        if isinstance(r, Jet):
+            return r.chain(self.fn(r.v), self.deriv(r.v))
         return self.fn(r)
 
 
@@ -168,14 +178,10 @@ def rest_state(h0: float, params: FlowParameters, frame: str = "polar") -> FlowF
     def value_fn(t, a, b):
         return 0.0, 0.0, h0
 
-    def jet_fn(t, a, b):
-        return np.array([0.0, 0.0, h0]), np.zeros((3, 3))
-
     return FlowField(
         frame=frame,
         params=params,
         value_fn=value_fn,
-        jet_fn=jet_fn,
         window=Window(),
         label=f"rest(h0={h0:g})",
         meta={
@@ -207,35 +213,17 @@ def constant_sw_image(
     period = params.period
 
     def value_fn(t, x, y):
-        w = 1.0 - math.cos(f * t)
-        c = math.sin(f * t) / w  # cot(f t / 2)
+        ft = f * t
+        w = 1.0 - cos(ft)
+        c = sin(ft) / w  # cot(f t / 2)
         u = (f * x / 2.0 - u0) * c + f * y / 2.0 - v0
         v = -f * x / 2.0 + u0 + (f * y / 2.0 - v0) * c
         return u, v, 2.0 * h0 / w
-
-    def jet_fn(t, x, y):
-        w = 1.0 - math.cos(f * t)
-        s = math.sin(f * t)
-        c = s / w
-        cdot = -(f / 2.0) * (1.0 + c * c)
-        u = (f * x / 2.0 - u0) * c + f * y / 2.0 - v0
-        v = -f * x / 2.0 + u0 + (f * y / 2.0 - v0) * c
-        h = 2.0 * h0 / w
-        vals = np.array([u, v, h])
-        grad = np.array(
-            [
-                [(f * x / 2.0 - u0) * cdot, (f / 2.0) * c, f / 2.0],
-                [(f * y / 2.0 - v0) * cdot, -f / 2.0, (f / 2.0) * c],
-                [-2.0 * h0 * f * s / (w * w), 0.0, 0.0],
-            ]
-        )
-        return vals, grad
 
     return FlowField(
         frame="cartesian",
         params=params,
         value_fn=value_fn,
-        jet_fn=jet_fn,
         window=Window(t_lo=0.0, t_hi=period, t_guard=1e-9 * period),
         label=f"constant-sw-image(u0={u0:g}, v0={v0:g}, h0={h0:g})",
         meta={
@@ -264,27 +252,10 @@ def barochronous_sw(h0: float, params: FlowParameters) -> FlowField:
         W = 1.0 + f * f * t * t
         return (f * f * t * x - f * y) / W, (f * x + f * f * t * y) / W, h0 / W
 
-    def jet_fn(t, x, y):
-        W = 1.0 + f * f * t * t
-        Wd = 2.0 * f * f * t
-        u = (f * f * t * x - f * y) / W
-        v = (f * x + f * f * t * y) / W
-        h = h0 / W
-        vals = np.array([u, v, h])
-        grad = np.array(
-            [
-                [f * f * x / W - u * Wd / W, f * f * t / W, -f / W],
-                [f * f * y / W - v * Wd / W, f / W, f * f * t / W],
-                [-h0 * Wd / (W * W), 0.0, 0.0],
-            ]
-        )
-        return vals, grad
-
     return FlowField(
         frame="cartesian",
         params=params,
         value_fn=value_fn,
-        jet_fn=jet_fn,
         window=Window(),
         system="sw",
         label=f"barochronous-sw(h0={h0:g})",
@@ -306,7 +277,8 @@ def stationary_rotsym(
     The depth is an :class:`~rswlab.reduction.IntegralTable` built once:
     Gauss-Legendre panels over [0, r_max], continued by doubling panels
     out to 2^64 r_max, read by quintic Hermite interpolation (the integrand
-    and its slope from ``profile.deriv`` at each node).  Beyond the table
+    and its slope from ``profile.deriv`` at each node); its jet takes the
+    integrand as the slope.  Beyond the table
     the depth is NaN, which :meth:`FlowField.eval` reports as non-finite.
     The profile must vanish at r = 0.
     """
@@ -318,7 +290,7 @@ def stationary_rotsym(
 
     def integrand(r):
         V = profile(r)  # ~ O(r), so the integrand vanishes at the origin
-        return np.where(r > 0.0, (V * V / r + f * V) / g, 0.0)
+        return np.where(r > 0.0, (V * V / np.where(r > 0.0, r, 1.0) + f * V) / g, 0.0)
 
     def integrand_slope(r):
         V, dV = profile(r), profile.deriv(r)
@@ -338,37 +310,19 @@ def stationary_rotsym(
 
     # a particle keeps its radius (U = 0), so a path asks for one radius
     # over and over: float calls remember the last one
-    last = [(math.nan, 0.0, 0.0, 0.0)]
-
-    def at(r: float) -> tuple:
-        remembered = last[0]
-        if remembered[0] != r:
-            remembered = last[0] = (r, profile(r), profile.deriv(r), depth(r))
-        return remembered
+    last = [(math.nan, 0.0, 0.0)]
 
     def value_fn(t, r, theta):
-        if isinstance(r, np.ndarray):
+        if isinstance(r, (np.ndarray, Jet)):
             return 0.0, profile(r), depth(r)
-        _, V, _, h = at(r)
-        return 0.0, V, h
-
-    def jet_fn(t, r, theta):
-        _, V, dV, h = at(r)
-        h_r = (V * V / r + f * V) / g if r > 0.0 else 0.0
-        grad = np.array(
-            [
-                [0.0, 0.0, 0.0],
-                [0.0, dV, 0.0],
-                [0.0, h_r, 0.0],
-            ]
-        )
-        return np.array([0.0, V, h]), grad
+        if last[0][0] != r:
+            last[0] = (r, profile(r), depth(r))
+        return 0.0, last[0][1], last[0][2]
 
     return FlowField(
         frame="polar",
         params=params,
         value_fn=value_fn,
-        jet_fn=jet_fn,
         window=Window(),
         label=f"stationary-rotsym({profile.label}, h0={h0:g})",
         meta={
@@ -404,24 +358,10 @@ def pulsating_cylinder(alpha: float, h0: float, params: FlowParameters) -> FlowF
         _, _, D, cu, cv = y9_factors(t, alpha, f)
         return cu * r, cv * r, alpha * h0 / D
 
-    def jet_fn(t, r, theta):
-        c, s, D, cu, cv = y9_factors(t, alpha, f)
-        Ddot, cu_dot, cv_dot = y9_factor_rates(c, s, D, alpha, f)
-        vals = np.array([cu * r, cv * r, alpha * h0 / D])
-        grad = np.array(
-            [
-                [cu_dot * r, cu, 0.0],
-                [cv_dot * r, cv, 0.0],
-                [-alpha * h0 * Ddot / (D * D), 0.0, 0.0],
-            ]
-        )
-        return vals, grad
-
     return FlowField(
         frame="polar",
         params=params,
         value_fn=value_fn,
-        jet_fn=jet_fn,
         window=Window(),
         label=f"pulsating-cylinder(alpha={alpha:g}, h0={h0:g})",
         meta={
@@ -490,34 +430,6 @@ def pulsating_drop(alpha: float, params: FlowParameters) -> FlowField:
         h = a4 * (r2 * r2) * P ** 3 + a3 * (r2 * r) * P ** 2.5 + a0 * P
         return U, V, h
 
-    def jet_fn(t, r, theta):
-        c, s, D, cu, B = y9_factors(t, alpha, f)
-        Ddot, cu_dot, B_dot = y9_factor_rates(c, s, D, alpha, f)
-        P = alpha / D
-        Pdot = -P * Ddot / D
-        U = cu * r
-        V = l * r * r * P ** 1.5 + B * r
-        h = a4 * r ** 4 * P ** 3 + a3 * r ** 3 * P ** 2.5 + a0 * P
-        vals = np.array([U, V, h])
-        grad = np.array(
-            [
-                [cu_dot * r, cu, 0.0],
-                [
-                    l * r * r * 1.5 * P ** 0.5 * Pdot + B_dot * r,
-                    2.0 * l * r * P ** 1.5 + B,
-                    0.0,
-                ],
-                [
-                    3.0 * a4 * r ** 4 * P * P * Pdot
-                    + 2.5 * a3 * r ** 3 * P ** 1.5 * Pdot
-                    + a0 * Pdot,
-                    4.0 * a4 * r ** 3 * P ** 3 + 3.0 * a3 * r * r * P ** 2.5,
-                    0.0,
-                ],
-            ]
-        )
-        return vals, grad
-
     def boundary_radius(t: float) -> float:
         D = y9_factors(t, alpha, f)[2]
         return (-f / l) * math.sqrt(D / alpha)
@@ -527,7 +439,6 @@ def pulsating_drop(alpha: float, params: FlowParameters) -> FlowField:
         frame="polar",
         params=params,
         value_fn=value_fn,
-        jet_fn=jet_fn,
         window=Window(),
         label=f"pulsating-drop(alpha={alpha:g})",
         meta={
@@ -563,6 +474,7 @@ def stationary_ring(
     unbounded and the flow is exactly sonic there.  Array radii solve their
     cubics in one :func:`~rswlab.reduction.cubic_real_roots` call; a float
     radius takes :func:`~rswlab.reduction.cubic_roots`, with the same bits.
+    The depth's jet is the implicit-function derivative of the cubic.
     """
     if branch not in ("lower", "upper"):
         raise InvalidParams(f"branch must be 'lower' or 'upper', got {branch!r}")
@@ -573,6 +485,9 @@ def stationary_ring(
     # root at the interval ends, which rounding may also leave complex)
     def depth(r):
         phi1, phi2 = depth_cubic_coeffs(r, C1, C2, C3, params)
+        if isinstance(r, Jet):
+            h = depth(r.v)
+            return implicit(h, (h + phi1) * h * h + phi2, (3.0 * h + 2.0 * phi1.v) * h)
         if isinstance(r, np.ndarray):
             _, mid, top = cubic_real_roots(phi1, 0.0, phi2)
             lower = np.where(np.isnan(mid), -2.0 / 3.0 * phi1, mid)
@@ -586,32 +501,11 @@ def stationary_ring(
         h = depth(r)
         return C3 / (r * h), C2 / r - f * r / 2.0, h
 
-    def jet_fn(t, r, theta):
-        g = params.g
-        h = depth(r)
-        phi1, _ = depth_cubic_coeffs(r, C1, C2, C3, params)
-        phi1_r = (f * f * r / 4.0 - C2 * C2 / r ** 3) / g
-        phi2_r = -C3 * C3 / (g * r ** 3)
-        F_r = phi1_r * h * h + phi2_r
-        F_h = (3.0 * h + 2.0 * phi1) * h
-        h_r = -F_r / F_h
-        U = C3 / (r * h)
-        vals = np.array([U, C2 / r - f * r / 2.0, h])
-        grad = np.array(
-            [
-                [0.0, -U * (1.0 / r + h_r / h), 0.0],
-                [0.0, -C2 / (r * r) - f / 2.0, 0.0],
-                [0.0, h_r, 0.0],
-            ]
-        )
-        return vals, grad
-
     span = bounds.r_outer - bounds.r_inner
     return FlowField(
         frame="polar",
         params=params,
         value_fn=value_fn,
-        jet_fn=jet_fn,
         window=Window(r_lo=bounds.r_inner, r_hi=bounds.r_outer),
         label=f"stationary-ring(C=({C1:g},{C2:g},{C3:g}), {branch})",
         meta={
@@ -636,7 +530,8 @@ def stationary_ring(
 class SwirlInvariant:
     """psi(lam) with analytic derivative, for the contact family.
 
-    ``fn`` and ``deriv`` take floats or arrays, as :class:`RadialProfile`'s.
+    ``fn`` and ``deriv`` take floats or arrays, and a jet takes its slope
+    from ``deriv``, as for :class:`RadialProfile`.
     """
 
     fn: Callable[[float], float]
@@ -644,6 +539,8 @@ class SwirlInvariant:
     label: str
 
     def __call__(self, lam: float) -> float:
+        if isinstance(lam, Jet):
+            return lam.chain(self.fn(lam.v), self.deriv(lam.v))
         return self.fn(lam)
 
 
@@ -692,7 +589,10 @@ def collapse_contact(
     :class:`~rswlab.reduction.IntegralTable` from lam = 0, built out
     ahead of the probes of the search for that bound, ``lam_max``; the
     search and every evaluation read it.  Its panels are resolved to 1e-14
-    of 2 g lam0 eta0 + |integral|, the size of the terms it enters.
+    of 2 g lam0 eta0 + |integral|, the size of the terms it enters.  Its
+    jet takes psi^2 as the slope, and the depth's jet is that of
+    (lam0 eta0 - integral / 2g) / (1 - cos f t), the same depth with no
+    cancellation in its r-derivative.
     """
     if not (0.0 < lam0 < math.inf and 0.0 < eta0 < math.inf):
         raise InvalidParams(f"lam0 and eta0 must be positive and finite, got {lam0!r}, {eta0!r}")
@@ -741,39 +641,19 @@ def collapse_contact(
         lam_max = lo
     lam_cap = lam0 + 0.95 * (lam_max - lam0)
 
-    def eta_deriv(lam: float) -> float:
-        return -psi(lam) ** 2 / (2.0 * g * lam) - eta(lam) / lam
+    def depth(w, lam, r):
+        if not isinstance(lam, Jet):
+            return eta(lam) / (r * r)
+        slopes = (budget - psi_sq_integral(lam) / (2.0 * g)) / w
+        return Jet(eta(lam.v) / (r.v * r.v), slopes.t, slopes.a, slopes.b)
 
     def value_fn(t, r, theta):
-        w = 1.0 - math.cos(f * t)
+        ft = f * t
+        w = 1.0 - cos(ft)
         lam = w / (r * r)
-        U = (f * r / 2.0) * math.sin(f * t) / w
+        U = (f * r / 2.0) * sin(ft) / w
         V = psi(lam) / r - f * r / 2.0
-        return U, V, eta(lam) / (r * r)
-
-    def jet_fn(t, r, theta):
-        w = 1.0 - math.cos(f * t)
-        s = math.sin(f * t)
-        lam = w / (r * r)
-        lam_t = f * s / (r * r)
-        lam_r = -2.0 * lam / r
-        cot = s / w
-        cot_dot = -(f / 2.0) * (1.0 + cot * cot)
-        e = eta(lam)
-        ed = eta_deriv(lam)
-        ps, pd = psi(lam), psi.deriv(lam)
-        U = (f * r / 2.0) * cot
-        V = ps / r - f * r / 2.0
-        vals = np.array([U, V, e / (r * r)])
-        grad = np.array(
-            [
-                [(f * r / 2.0) * cot_dot, (f / 2.0) * cot, 0.0],
-                [pd * lam_t / r, pd * lam_r / r - ps / (r * r) - f / 2.0, 0.0],
-                # h = (budget - integral / 2g) / w, so h_r needs no cancellation
-                [ed * lam_t / (r * r), -ps ** 2 * lam_r / (2.0 * g * w), 0.0],
-            ]
-        )
-        return vals, grad
+        return U, V, depth(w, lam, r)
 
     def r_lo(t: float) -> float:
         w = 1.0 - math.cos(f * t)
@@ -785,24 +665,10 @@ def collapse_contact(
     lam_box = min(lam_cap, lam0 + 25.0 * max(1.0, lam0))
     period = params.period
     t_box = 0.1 * period
-    # the jet divides by r^3 with r^2 = (1 - cos f t) / lam, so the radii of
-    # the sample box's lam extremes must stay in floating-point range
-    for lam in (0.2 * lam0, lam_box):
-        try:
-            with np.errstate(all="ignore"):  # psi may give numpy floats
-                grad = jet_fn(t_box, math.sqrt((1.0 - math.cos(f * t_box)) / lam), 0.0)[1]
-        except ArithmeticError:
-            grad = None
-        if grad is None or not np.all(np.isfinite(grad)):
-            raise InvalidParams(
-                f"lam0={lam0!r}, eta0={eta0!r}: the jet at lam={lam!r} leaves "
-                "floating-point range"
-            )
-    return FlowField(
+    field_ = FlowField(
         frame="polar",
         params=params,
         value_fn=value_fn,
-        jet_fn=jet_fn,
         window=Window(t_lo=0.0, t_hi=period, t_guard=1e-9 * period, r_lo=r_lo),
         label=f"collapse-contact(psi={psi.label}, lam0={lam0:g}, eta0={eta0:g})",
         meta={
@@ -816,6 +682,20 @@ def collapse_contact(
             "sample_box": {"t": (t_box, 0.9 * period), "lam": (0.2 * lam0, lam_box)},
         },
     )
+    # the jet divides by r^3 with r^2 = (1 - cos f t) / lam, so the radii of
+    # the sample box's lam extremes must stay in floating-point range
+    for lam in (0.2 * lam0, lam_box):
+        try:
+            with np.errstate(all="ignore"):  # psi may give numpy floats
+                grad = field_.jet_fn(t_box, math.sqrt((1.0 - math.cos(f * t_box)) / lam), 0.0)[1]
+        except ArithmeticError:
+            grad = None
+        if grad is None or not np.all(np.isfinite(grad)):
+            raise InvalidParams(
+                f"lam0={lam0!r}, eta0={eta0!r}: the jet at lam={lam!r} leaves "
+                "floating-point range"
+            )
+    return field_
 
 
 def collapse_contact_cubic(
@@ -833,7 +713,8 @@ def collapse_contact_cubic(
     level lam_c; root selection is by magnitude with continuity guaranteed
     away from lam_c.  Array positions solve their cubics in one
     :func:`~rswlab.reduction.cubic_real_roots` call; a float takes
-    :func:`~rswlab.reduction.solve_cubic_real`, with the same bits.
+    :func:`~rswlab.reduction.solve_cubic_real`, with the same bits.  The
+    jet of phi is the implicit-function derivative of the cubic.
     """
     if branch not in ("lower", "upper"):
         raise InvalidParams(f"branch must be 'lower' or 'upper', got {branch!r}")
@@ -872,6 +753,9 @@ def collapse_contact_cubic(
     def phi(lam):
         p = C2 * C2 - C1 / lam
         q = 2.0 * g * C3 / lam
+        if isinstance(lam, Jet):
+            ph = phi(lam.v)
+            return implicit(ph, (ph * ph + p) * ph + q, 3.0 * ph * ph + p.v)
         if isinstance(lam, np.ndarray):
             roots = cubic_real_roots(0.0, p, q)
             missing = np.isnan(roots[2])
@@ -883,44 +767,14 @@ def collapse_contact_cubic(
                 raise InvalidParams(f"no admissible branches at lam={lam!r}")
         return roots[1] if branch == "lower" else roots[far]
 
-    def phi_deriv(lam: float, ph: float) -> float:
-        p = C2 * C2 - C1 / lam
-        return (2.0 * g * C3 - C1 * ph) / (lam * lam * (3.0 * ph * ph + p))
-
     def value_fn(t, r, theta):
-        w = 1.0 - math.cos(f * t)
+        ft = f * t
+        w = 1.0 - cos(ft)
         lam = w / (r * r)
         ph = phi(lam)
-        U = ph / r + (f * r / 2.0) * math.sin(f * t) / w
+        U = ph / r + (f * r / 2.0) * sin(ft) / w
         V = C2 / r - f * r / 2.0
         return U, V, C3 / (lam * ph) / (r * r)
-
-    def jet_fn(t, r, theta):
-        w = 1.0 - math.cos(f * t)
-        s = math.sin(f * t)
-        lam = w / (r * r)
-        lam_t = f * s / (r * r)
-        lam_r = -2.0 * lam / r
-        cot = s / w
-        cot_dot = -(f / 2.0) * (1.0 + cot * cot)
-        ph = phi(lam)
-        phd = phi_deriv(lam, ph)
-        e = C3 / (lam * ph)
-        ed = -C3 * (ph + lam * phd) / (lam * ph) ** 2
-        U = ph / r + (f * r / 2.0) * cot
-        vals = np.array([U, C2 / r - f * r / 2.0, e / (r * r)])
-        grad = np.array(
-            [
-                [
-                    phd * lam_t / r + (f * r / 2.0) * cot_dot,
-                    phd * lam_r / r - ph / (r * r) + (f / 2.0) * cot,
-                    0.0,
-                ],
-                [0.0, -C2 / (r * r) - f / 2.0, 0.0],
-                [ed * lam_t / (r * r), ed * lam_r / (r * r) - 2.0 * e / r ** 3, 0.0],
-            ]
-        )
-        return vals, grad
 
     def r_lo(t: float) -> float:
         w = 1.0 - math.cos(f * t)
@@ -931,7 +785,6 @@ def collapse_contact_cubic(
         frame="polar",
         params=params,
         value_fn=value_fn,
-        jet_fn=jet_fn,
         window=Window(t_lo=0.0, t_hi=period, t_guard=1e-9 * period, r_lo=r_lo),
         label=f"collapse-contact-cubic(C=({C1:g},{C2:g},{C3:g}), {branch})",
         meta={
@@ -954,7 +807,8 @@ def collapse_scaling(
     implicit tabulation.  For phi0 > 0 the ring first spreads until the
     turning time, then collapses; eta grows without bound as t approaches
     the finite blow-up time T*.  Time derivatives come from the reduced
-    ODEs themselves, so the jets are analytic given the tabulated values.
+    ODEs themselves (:meth:`~rswlab.reduction.ImplicitCollapse.state_of_t`
+    on a jet), so the jets are analytic given the tabulated values.
     """
     ic = tabulation if tabulation is not None else collapse2_build(phi0, eta0, params)
     f, g = params.f, params.g
@@ -964,25 +818,10 @@ def collapse_scaling(
         ph, e = ic.state_of_t(t)
         return r * ph, -f * r / 2.0, r * r * e
 
-    def jet_fn(t, r, theta):
-        ph, e = ic.state_of_t(t)
-        phi_dot = -f * f / 4.0 - ph * ph - 2.0 * g * e
-        eta_dot = -4.0 * ph * e
-        vals = np.array([r * ph, -f * r / 2.0, r * r * e])
-        grad = np.array(
-            [
-                [r * phi_dot, ph, 0.0],
-                [0.0, -f / 2.0, 0.0],
-                [r * r * eta_dot, 2.0 * r * e, 0.0],
-            ]
-        )
-        return vals, grad
-
     return FlowField(
         frame="polar",
         params=params,
         value_fn=value_fn,
-        jet_fn=jet_fn,
         window=Window(t_lo=-1e-12, t_hi=t_hi),
         label=f"collapse-scaling(phi0={phi0:g}, eta0={eta0:g})",
         meta={

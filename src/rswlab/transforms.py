@@ -19,7 +19,9 @@ Three pieces of machinery live here:
 
 The Y9 dilation is defined once, by :func:`y9_factors` and
 :func:`y9_dilation`; the finite transformation, the transport operator, the
-pulsating cylinder and drop, and their trajectory formulas all use it.
+pulsating cylinder and drop, and their trajectory formulas all use it.  It
+takes a :class:`~rswlab.core.Jet` time, so the mapped and transported
+fields get their analytic jets by composition.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .core import (
     PolarState,
     Window,
 )
+from .core import arctan2, atan, cos, sin, sqrt, value_of  # jet-aware math
 from .errors import InvalidParams, SingularTime
 
 Direction = Literal["rsw2sw", "sw2rsw"]
@@ -84,17 +87,20 @@ class EquivalenceMap:
 
 
 def _forward_arrays(arr, f: float) -> tuple:
-    """Rotating -> non-rotating map of (t, x, y, u, v, h); float t, the rest may be arrays."""
+    """Rotating -> non-rotating map of (t, x, y, u, v, h); float t, the rest may be arrays.
+
+    Any of them may be jets.
+    """
     t, x, y, u, v, h = arr
     half = f * t / 2.0
-    s2 = math.sin(half)
-    if abs(s2) < SINGULAR_GUARD:
+    s2 = sin(half)
+    if abs(value_of(s2)) < SINGULAR_GUARD:
         raise SingularTime(
-            f"equivalence map singular at t={t!r} (sin(f t/2)={s2!r})"
+            f"equivalence map singular at t={value_of(t)!r} (sin(f t/2)={value_of(s2)!r})"
         )
-    c = math.cos(half) / s2
-    s = math.sin(f * t)
-    w = 1.0 - math.cos(f * t)
+    c = cos(half) / s2
+    s = sin(f * t)
+    w = 1.0 - cos(f * t)
     return (
         -c / f,
         -(x * c - y) / 2.0,
@@ -106,9 +112,9 @@ def _forward_arrays(arr, f: float) -> tuple:
 
 
 def _inverse_arrays(arr, f: float) -> tuple:
-    """Non-rotating -> rotating map, landing in the principal period; float t'."""
+    """Non-rotating -> rotating map, landing in the principal period; float t' or jets."""
     tp, xp, yp, up, vp, hp = arr
-    t = (2.0 / f) * (math.pi / 2.0 + math.atan(f * tp))
+    t = (2.0 / f) * (math.pi / 2.0 + atan(f * tp))
     c = -f * tp
     one_c2 = 1.0 + c * c
     x = -2.0 * (c * xp + yp) / one_c2
@@ -145,6 +151,8 @@ def map_field_rsw_to_sw(field_: FlowField, params: FlowParameters | None = None)
     source is restricted to its principal period; the image time window is
     the monotone image of that interval.  The source time depends on t'
     alone, so array positions read the source in one checked block call.
+    Jets compose through the map and the source's own, and the source's
+    window check applies to their values.
     """
     params = params or field_.params
     if field_.frame != "cartesian":
@@ -175,10 +183,8 @@ def map_field_rsw_to_sw(field_: FlowField, params: FlowParameters | None = None)
         frame="cartesian",
         params=params,
         value_fn=value_fn,
-        jet_fn=None,
         window=window,
         system="sw",
-        derivative_mode="fd",
         label=f"sw_image({src.label})",
         meta=meta,
     )
@@ -189,7 +195,7 @@ def map_field_sw_to_rsw(field_: FlowField, params: FlowParameters | None = None)
 
     Defined on the principal period (0, 2*pi/f) minus a guard band.  The
     source time depends on t alone, so array positions read the source in
-    one checked block call.
+    one checked block call.  Jets compose as in :func:`map_field_rsw_to_sw`.
     """
     params = params or field_.params
     if field_.frame != "cartesian":
@@ -211,10 +217,8 @@ def map_field_sw_to_rsw(field_: FlowField, params: FlowParameters | None = None)
         frame="cartesian",
         params=params,
         value_fn=value_fn,
-        jet_fn=None,
         window=window,
         system="rsw",
-        derivative_mode="fd",
         label=f"rsw_image({src.label})",
         meta=meta,
     )
@@ -325,29 +329,15 @@ def y9_factors(t: float, alpha: float, f: float) -> tuple[float, float, float, f
       velocity shifts per unit radius.
 
     All of them are smooth for all t; this is the whole cost of the pulsating
-    cylinder, so the angle is left to :func:`y9_dilation`.
+    cylinder, so the angle is left to :func:`y9_dilation`.  A jet t gives
+    jets, and with them the factors' rates.
     """
-    c = math.cos(f * t)
-    s = math.sin(f * t)
+    ft = f * t
+    c, s = cos(ft), sin(ft)
     D = 0.5 * ((1.0 + alpha * alpha) + c * (1.0 - alpha * alpha))
     cu = f * (alpha * alpha - 1.0) * s / (4.0 * D)
     cv = -f * (alpha - 1.0) * ((alpha - 1.0) - c * (alpha + 1.0)) / (4.0 * D)
     return c, s, D, cu, cv
-
-
-def y9_factor_rates(
-    c: float, s: float, D: float, alpha: float, f: float
-) -> tuple[float, float, float]:
-    """Time derivatives (D', cu', cv') from the (c, s, D) of :func:`y9_factors`."""
-    Ddot = 0.5 * f * s * (alpha * alpha - 1.0)
-    cu_dot = f * (alpha * alpha - 1.0) * (f * c * D - s * Ddot) / (4.0 * D * D)
-    cv_dot = (
-        -f
-        * (alpha - 1.0)
-        * ((f * s * (alpha + 1.0)) * D - ((alpha - 1.0) - c * (alpha + 1.0)) * Ddot)
-        / (4.0 * D * D)
-    )
-    return Ddot, cu_dot, cv_dot
 
 
 def y9_dilation(t: float, alpha: float, f: float) -> tuple[float, float, float, float, float]:
@@ -361,8 +351,8 @@ def y9_dilation(t: float, alpha: float, f: float) -> tuple[float, float, float, 
     the tangent form breaks down, at the half-period times.
     """
     c, s, D, cu, cv = y9_factors(t, alpha, f)
-    angle = math.atan2((alpha - 1.0) * s, (1.0 + alpha) - (alpha - 1.0) * c)
-    return t + 2.0 * angle / f, angle, math.sqrt(alpha / D), cu, cv
+    angle = arctan2((alpha - 1.0) * s, (1.0 + alpha) - (alpha - 1.0) * c)
+    return t + 2.0 * angle / f, angle, sqrt(alpha / D), cu, cv
 
 
 def y9_time_map(t: float, alpha: float, f: float) -> float:
@@ -383,7 +373,8 @@ def transport_solution(
     For a source solution (U, V, h) the transported field reads the source
     at the image (tbar, r rho, theta - angle) of :func:`y9_dilation`, scales
     the state by rho, and adds the rigid velocity shifts (cu r, cv r), in
-    one source call for array positions.  Transporting the rest state
+    one source call for array positions; jets compose through the dilation
+    and the source's own.  Transporting the rest state
     produces the pulsating cylinder; transporting the stationary
     rotationally symmetric class produces the pulsating drop family.
     """
@@ -432,10 +423,8 @@ def transport_solution(
         frame="polar",
         params=params,
         value_fn=value_fn,
-        jet_fn=None,
         window=window,
         system="rsw",
-        derivative_mode="fd",
         label=f"transport({src.label}, alpha={alpha:g})",
         meta=meta,
     )

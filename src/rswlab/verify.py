@@ -145,16 +145,15 @@ def _residual_report(
     coriolis: float,
 ) -> ResidualReport:
     n = len(points)
-    if field_.derivative_mode == "analytic":  # jet_fn takes one point at a time
-        jets = [field_.jet(t, a, b) for t, a, b in points.tolist()]
-        values = np.array([v for v, _ in jets]).reshape(n, 3).T
-        grad = np.moveaxis(np.array([g for _, g in jets]).reshape(n, 3, 3), 0, -1)
-    else:  # one FD block per time
-        values, grad = np.empty((3, n)), np.empty((3, 3, n))
-        times, block_of, counts = np.unique(points[:, 0], return_inverse=True, return_counts=True)
-        blocks = np.split(np.argsort(block_of, kind="stable"), np.cumsum(counts)[:-1])
-        for t, rows in zip(times.tolist(), blocks):
-            values[:, rows], grad[..., rows] = field_.jet(t, points[rows, 1], points[rows, 2])
+    values, grad = np.empty((3, n)), np.empty((3, 3, n))
+    times, block_of, counts = np.unique(points[:, 0], return_inverse=True, return_counts=True)
+    blocks = np.split(np.argsort(block_of, kind="stable"), np.cumsum(counts)[:-1])
+    for t, rows in zip(times.tolist(), blocks):  # one block jet per time
+        a, b = points[rows, 1], points[rows, 2]
+        if len(rows) == 1:  # a lone point costs less as floats than as a block
+            a, b = float(a[0]), float(b[0])
+        block_values, block_grad = field_.jet(t, a, b)
+        values[:, rows], grad[..., rows] = block_values.reshape(3, -1), block_grad.reshape(3, 3, -1)
     res = eq_fn(values, grad, points[:, 1], field_.params.g, coriolis).T
     # worst point: the first NaN, else where the largest residual first
     # appears in the last equation to reach it (the order of a running max)
@@ -249,10 +248,10 @@ def residual_polar(
 def residual_report(field_: FlowField, **kw) -> ResidualReport:
     """Frame-dispatching convenience wrapper.
 
-    Analytic jets are taken one point at a time; FD jets are grouped by
-    time, one block call of :meth:`FlowField.jet` each.  The equations are
-    evaluated on arrays.  A NaN pointwise residual fails the report: its
-    ``max_residual`` is NaN and ``worst_point`` names the first such point.
+    Jets, analytic or FD, are grouped by time, one block call of
+    :meth:`FlowField.jet` each.  The equations are evaluated on arrays.  A
+    NaN pointwise residual fails the report: its ``max_residual`` is NaN
+    and ``worst_point`` names the first such point.
     """
     if field_.frame == "polar":
         return residual_polar(field_, **kw)
@@ -284,7 +283,7 @@ class Trajectory:
 # the seventh stage is evaluated at the propagated solution and is the
 # first stage of the next step (FSAL); _DP_E is fifth- minus fourth-order.
 # Stages six and seven (c = 1) are evaluated at the step's end time itself,
-# so that a landing step evaluates exactly at its event or record time.
+# so that a landing step evaluates exactly at its record time.
 _DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9)
 _DP_A = [np.array(row) for row in (
     (),
@@ -304,19 +303,18 @@ def integrate_ode(
     t0: float,
     t1: float,
     tol: float = 1e-10,
-    events: Sequence[float] = (),
     record: Sequence[float] | None = None,
     max_steps: int = 2_000_000,
 ):
-    """Adaptive Dormand-Prince 5(4) integration with event-aligned landing.
+    """Adaptive Dormand-Prince 5(4) integration landing on the record times.
 
     Steps propagate the fifth-order solution.  ``tol`` (finite, > 0) bounds
     the local error per step, estimated by the embedded fourth-order pair as
     max_i |err_i| / max(1, |y_i|); steps with a larger or non-finite error
     are rejected, and h scales by clamp(0.9 (tol/err)^(1/5), 0.2, 5).  With
     FSAL a step costs six evaluations of ``fn``.  The integrator lands
-    exactly on every time in ``events`` and ``record`` and returns the
-    recorded states with ``{"steps", "rejected", "rhs_evals"}`` counts.
+    exactly on every time in ``record`` and returns the recorded states
+    with ``{"steps", "rejected", "rhs_evals"}`` counts.
     :class:`BlowUp` is raised on step underflow or after ``max_steps``
     accepted plus rejected steps.
     """
@@ -325,7 +323,7 @@ def integrate_ode(
     if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
         raise InvalidParams("t1 must exceed t0, both finite")
     recorded = [] if record is None else [float(t) for t in record]
-    checkpoints = sorted({float(t) for t in (*events, *recorded, t1) if t0 < t <= t1})
+    checkpoints = sorted({float(t) for t in (*recorded, t1) if t0 < t <= t1})
     record_set = set(recorded) or {t1}
     ts_out = [t0] if (record is None or t0 in record_set) else []
     ys_out = [y0.copy()] if ts_out else []

@@ -301,6 +301,24 @@ class TestDeterminism:
         assert run([*args, "--out", str(d)]) == 0
         assert c.read_bytes() == d.read_bytes()
 
+    def test_parser_is_shared_and_calls_leak_nothing(self, tmp_path):
+        from rswlab.cli import build_parser
+
+        assert build_parser() is build_parser()
+        fd, plain = tmp_path / "fd.json", tmp_path / "plain.json"
+        family = ["--family", "cylinder", "--shape", "3,3,2"]
+        assert run(["residual", *family, "--mode", "fd", "--out", str(fd)]) == 0
+        assert run(["residual", *family, "--out", str(plain)]) == 0
+        assert json.loads(fd.read_text())["report"]["derivative_mode"] == "fd"
+        assert json.loads(plain.read_text())["report"]["derivative_mode"] == "analytic"
+
+        js, csv_out = tmp_path / "f.json", tmp_path / "f.csv"
+        grid = ["--family", "rest", "--t", "0.5", "--r", "0.5:1:2"]
+        assert run(["field", *grid, "--format", "json", "--out", str(js)]) == 0
+        assert run(["field", *grid, "--out", str(csv_out)]) == 0
+        assert json.loads(js.read_text())["command"] == "field"
+        assert csv_out.read_text().splitlines()[0] == "t,r,theta,U,V,h"
+
     def test_csv_uses_17_significant_digits(self, tmp_path):
         out = tmp_path / "f.csv"
         run(["field", "--family", "drop", "--alpha", "2", "--t", "0.7853981633974483",

@@ -10,6 +10,7 @@ from rswlab.core import (
     CartesianPoint,
     CartesianState,
     FlowParameters,
+    Jet,
     PolarPoint,
     PolarState,
     as_cartesian,
@@ -347,3 +348,89 @@ class TestArrayContract:
         assert str(block.value) == str(scalar.value)
         with pytest.raises(WindowViolation):
             field.with_derivative_mode("fd").jet(0.5, a, b)
+
+
+class TestJetContract:
+    """Jets derived from ``value_fn``: values with the bits of ``eval``, FD-close gradients."""
+
+    @pytest.mark.parametrize("name", sorted(ARRAY_VIEWS))
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_jet_values_are_eval_and_gradients_match_fd(self, name, data):
+        field, source = ARRAY_VIEWS[name]
+        assert field.derivative_mode == "analytic"
+        t, a, b = _draw_block(data, field, source)
+        values, grad = field.jet(t, a, b)
+        assert grad.shape == (3, 3) + a.shape
+        assert np.array_equal(values, field.eval(t, a, b))
+        for x, y in zip(a.ravel().tolist(), b.ravel().tolist()):
+            assert np.array_equal(field.jet(t, x, y)[0], field.eval(t, x, y))
+        _, fd = field.with_derivative_mode("fd").jet(t, a, b)
+        # the second term is FD's rounding, about eps |value| / fd_step, which
+        # is all FD returns where the exact gradient vanishes
+        tol = 1e-6 * np.abs(grad).max(axis=(0, 1)) + 1e-9 * np.abs(values).max(axis=0)
+        assert np.all(np.abs(grad - fd) <= tol)
+
+    @pytest.mark.parametrize("name", ["pulsating-cylinder", "pulsating-drop", "stationary-rotsym", "rest"])
+    def test_cartesian_view_is_differentiable_at_the_origin(self, name, catalog):
+        cart = as_cartesian(catalog[name])
+        t = 0.9
+        values, grad = cart.jet(t, 0.0, 0.0)
+        assert np.array_equal(values, cart.eval(t, 0.0, 0.0))
+        # central differences straddling the origin agree to O(fd_step): the
+        # drop's velocity holds a y sqrt(x^2 + y^2) term, C^1 but not C^2 there
+        _, fd = cart.with_derivative_mode("fd").jet(t, 0.0, 0.0)
+        rtol = 1e-4 if name == "pulsating-drop" else 1e-8
+        assert np.all(np.abs(grad - fd) <= rtol * max(1.0, np.abs(grad).max()))
+        # the same point inside a block, next to points off the origin
+        block_values, block_grad = cart.jet(t, np.array([0.3, 0.0, -0.2]), np.array([0.1, 0.0, 0.4]))
+        assert np.array_equal(block_grad[..., 1], grad)
+        assert np.array_equal(block_values[:, 1], values)
+
+
+class TestJetElementaryFunctions:
+    """Each rule: the plain call's bits as the value, the derivative as the slope."""
+
+    CASES = [  # (name, math, numpy, argument values)
+        ("cos", math.cos, np.cos, (0.3, 2.5)),
+        ("sin", math.sin, np.sin, (0.3, 2.5)),
+        ("tan", math.tan, np.tan, (0.3, -1.2)),
+        ("atan", math.atan, np.arctan, (0.3, -4.0)),
+        ("sqrt", math.sqrt, np.sqrt, (0.3, 7.0)),
+        ("exp", math.exp, np.exp, (0.3, -2.0)),
+        ("hypot", math.hypot, np.hypot, ((0.3, -1.1), (2.0, 0.5))),
+        ("arctan2", math.atan2, np.arctan2, ((0.3, -1.1), (-2.0, 0.5))),
+    ]
+
+    @pytest.mark.parametrize("name, math_fn, np_fn, points", CASES, ids=[c[0] for c in CASES])
+    def test_values_and_slopes(self, name, math_fn, np_fn, points):
+        import rswlab.core as core
+
+        fn = getattr(core, name)
+        for point in points:
+            args = point if isinstance(point, tuple) else (point,)
+            assert fn(*args) == math_fn(*args)  # floats take math
+            arrays = [np.array([x, x]) for x in args]
+            assert np.array_equal(fn(*arrays), np_fn(*arrays))
+            for k in range(len(args)):
+                seeded = [Jet(x, 1.0) if j == k else x for j, x in enumerate(args)]
+                jet, via_numpy = fn(*seeded), np_fn(*seeded)
+                assert jet.v == math_fn(*args) and via_numpy.v == np_fn(*args)
+                step = 1e-6 * max(1.0, abs(args[k]))
+                hi = [x + step if j == k else x for j, x in enumerate(args)]
+                lo = [x - step if j == k else x for j, x in enumerate(args)]
+                fd = (math_fn(*hi) - math_fn(*lo)) / (2.0 * step)
+                assert jet.t == pytest.approx(fd, rel=1e-8, abs=1e-10)
+                assert via_numpy.t == pytest.approx(jet.t, rel=1e-15)
+
+    def test_arithmetic_values_are_the_plain_operations(self):
+        x, y = 0.7, -1.9
+        jx, jy = Jet(x, 1.0), Jet(y, 0.0, 1.0)
+        for got, want in [(jx + jy, x + y), (2.0 - jx, 2.0 - x), (jx * jy, x * y),
+                          (jx / jy, x / y), (3.0 / jy, 3.0 / y), (jx ** 1.5, x ** 1.5),
+                          (-jx, -x), (np.float64(2.5) * jx, 2.5 * x)]:
+            assert got.v == want
+        quotient = jx / jy
+        assert (quotient.t, quotient.a) == pytest.approx((1.0 / y, -x / (y * y)), rel=1e-15)
+        power = jx ** 1.5
+        assert power.t == pytest.approx(1.5 * math.sqrt(x), rel=1e-15)

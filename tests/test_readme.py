@@ -1,5 +1,6 @@
 """Every ``rsw`` line of README's command-line block runs and exits 0."""
 
+import json
 import shlex
 from pathlib import Path
 
@@ -36,3 +37,13 @@ def test_block_covers_every_subcommand():
 def test_readme_command_exits_0(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [argv for argv in COMMANDS if argv[0] == "map"])
+def test_readme_map_residual_is_at_rounding_level(argv, tmp_path, monkeypatch, capsys):
+    # mapped fields have analytic jets, composed through the map
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "--format", "json", "--out", "map.json"]) == 0
+    residual = json.loads((tmp_path / "map.json").read_text())["residual"]
+    assert residual["derivative_mode"] == "analytic"
+    assert residual["max_residual"] < 1e-12

@@ -490,3 +490,55 @@ class TestValueJetAgreement:
         assert np.all(np.abs(jet_values - values) <= 1e-15 * np.abs(values).max())
         _, fd = field.with_derivative_mode("fd").jet(t, a, b)
         assert np.all(np.abs(grad - fd) <= 1e-6 * np.abs(grad).max())
+
+
+def _closed_forms(name: str, params: FlowParameters):
+    """Each closed-form family's state as sympy expressions of (t, a, b)."""
+    import sympy as sp
+
+    t, a, b = sp.symbols("t a b", real=True)
+    f, g = sp.Float(params.f, 30), sp.Float(params.g, 30)
+    alpha, h0, u0, v0 = sp.Float(2, 30), sp.Float(1, 30), sp.Float(1, 30), sp.Float("0.5", 30)
+    c, s = sp.cos(f * t), sp.sin(f * t)
+    D = ((1 + alpha ** 2) + c * (1 - alpha ** 2)) / 2
+    cu = f * (alpha ** 2 - 1) * s / (4 * D)
+    cv = -f * (alpha - 1) * ((alpha - 1) - c * (alpha + 1)) / (4 * D)
+    if name == "rest":
+        state = (sp.Integer(0), sp.Integer(0), h0)
+    elif name == "constant-sw-image":
+        cot = sp.cot(f * t / 2)
+        state = ((f * a / 2 - u0) * cot + f * b / 2 - v0, -f * a / 2 + u0 + (f * b / 2 - v0) * cot,
+                 2 * h0 / (1 - c))
+    elif name == "barochronous-sw":
+        W = 1 + f ** 2 * t ** 2
+        state = ((f ** 2 * t * a - f * b) / W, (f * a + f ** 2 * t * b) / W, h0 / W)
+    elif name == "pulsating-cylinder":
+        state = (cu * a, cv * a, alpha * h0 / D)
+    else:  # pulsating-drop: transported quadratic swirl, depth closing on a circle
+        l = -f ** 2 * sp.sqrt(alpha / (12 * g))
+        P = alpha / D
+        state = (cu * a, l * a ** 2 * P ** sp.Rational(3, 2) + cv * a,
+                 l ** 2 / (4 * g) * a ** 4 * P ** 3 + f * l / (3 * g) * a ** 3 * P ** sp.Rational(5, 2)
+                 + f ** 4 / (12 * g * l ** 2) * P)
+    grad = [[sp.diff(comp, x) for x in (t, a, b)] for comp in state]
+    return sp.lambdify((t, a, b), (state, grad), "mpmath")
+
+
+class TestJetsAgainstSympy:
+    """The closed-form families' jets against sympy's derivatives in 30 digits."""
+
+    @pytest.mark.parametrize("name", ["rest", "constant-sw-image", "barochronous-sw",
+                                      "pulsating-cylinder", "pulsating-drop"])
+    def test_jets_match_symbolic_derivatives(self, name, catalog):
+        import mpmath
+
+        field = catalog[name]
+        oracle = _closed_forms(name, field.params)
+        grid = sample_grid(field, (5, 4, 3))
+        with mpmath.workdps(30):
+            for t, a, b in grid.tolist():
+                values, grad = field.jet(t, a, b)
+                want_values, want_grad = (np.array(x, dtype=float) for x in oracle(t, a, b))
+                scale = max(np.abs(want_grad).max(), 1e-300)
+                assert np.all(np.abs(grad - want_grad) <= 1e-13 * scale)
+                assert np.all(np.abs(values - want_values) <= 1e-13 * np.abs(want_values).max())

@@ -108,9 +108,12 @@ class TestResidualReports:
     def test_matches_pointwise_reference(self, case):
         def tie_jet(t, x, y):
             # x-momentum fails by 0.5 where x < 0, y-momentum by as much elsewhere
-            grad = np.zeros((3, 3))
-            grad[0 if x < 0.0 else 1, 0] = 0.5
-            return np.array([0.0, 0.0, 1.0]), grad
+            grad = np.zeros((3, 3) + np.shape(x))
+            grad[0, 0] = np.where(x < 0.0, 0.5, 0.0)
+            grad[1, 0] = np.where(x < 0.0, 0.0, 0.5)
+            values = np.zeros((3,) + np.shape(x))
+            values[2] = 1.0
+            return values, grad
 
         field = {
             "cylinder": pulsating_cylinder(2.0, 1.0, P),
@@ -137,8 +140,7 @@ class TestResidualReports:
         def jet_fn(t, r, theta):
             values, grad = base.jet_fn(t, r, theta)
             values = np.array(values, dtype=float)
-            if r > 1.0:
-                values[2] = math.nan
+            values[2] = np.where(r > 1.0, math.nan, values[2])
             return values, grad
 
         field = replace(base, jet_fn=jet_fn)
@@ -253,14 +255,13 @@ class TestIntegrateOde:
 
     def test_global_error_shrinks_with_tol_and_lands_exactly(self):
         record = np.linspace(0.0, 10.0, 11)
-        events = [0.3, math.pi, 7.77]
         errors = []
         for tol in (1e-6, 1e-8, 1e-10, 1e-12):
             calls = []
             ts, ys, _ = integrate_ode(self.rotation(calls), np.array([1.0, 0.0]), 0.0, 10.0,
-                                      tol=tol, events=events, record=record)
+                                      tol=tol, record=record)
             assert np.array_equal(ts, record)
-            assert all(e in calls for e in events)
+            assert all(t in calls for t in record[1:])
             exact = np.column_stack([np.cos(2.0 * ts), np.sin(2.0 * ts)])
             errors.append(float(np.max(np.abs(ys - exact))))
             assert errors[-1] < 50.0 * tol
