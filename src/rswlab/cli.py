@@ -116,6 +116,8 @@ def _family_kwargs(args) -> dict:
                  "phi0", "eta0", "lam0"):
         val = getattr(args, name, None)
         if val is not None:
+            if not math.isfinite(val):
+                raise InvalidParams(f"--{name} must be finite, got {val!r}")
             kw[name] = val
     for name in ("branch", "profile", "psi", "frame"):
         val = getattr(args, name, None)
@@ -246,7 +248,10 @@ def cmd_trajectory(args) -> int:
 
 def cmd_residual(args) -> int:
     field_ = _build_field(args)
-    shape = tuple(int(n) for n in args.shape.split(","))
+    try:
+        shape = tuple(int(n) for n in args.shape.split(","))
+    except ValueError:
+        shape = ()  # rejected below with the other malformed shapes
     if len(shape) != 3 or any(n < 2 for n in shape):
         raise InvalidParams(f"shape must be three counts >= 2, got {args.shape!r}")
     report = residual_report(field_, shape=shape)

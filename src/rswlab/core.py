@@ -551,10 +551,8 @@ def _components(field_: FlowField, point) -> tuple[float, float, float]:
     return point.t, point.x, point.y
 
 
-def curl_plus_coriolis(field_: FlowField, point) -> float:
-    """Absolute vorticity v_x - u_y + f at a point, f per the field's system."""
-    t, a, b = _components(field_, point)
-    values, grad = field_.jet(t, a, b)
+def _absolute_vorticity(field_: FlowField, a: float, values, grad) -> float:
+    """v_x - u_y + f from a jet at a point with first coordinate ``a``."""
     f_eff = field_.coriolis
     if field_.frame == "cartesian":
         return grad[1, 1] - grad[0, 2] + f_eff
@@ -567,16 +565,32 @@ def curl_plus_coriolis(field_: FlowField, point) -> float:
     return V_r + V / r - U_theta / r + f_eff
 
 
+def curl_plus_coriolis(field_: FlowField, point) -> float:
+    """Absolute vorticity v_x - u_y + f at a point, f per the field's system."""
+    t, a, b = _components(field_, point)
+    return _absolute_vorticity(field_, a, *field_.jet(t, a, b))
+
+
+def _state_and_pv(field_: FlowField, point) -> tuple[np.ndarray, float]:
+    """State values and potential vorticity at a point, from one checked jet."""
+    t, a, b = _components(field_, point)
+    values, grad = field_.jet(t, a, b)
+    if not np.all(np.isfinite(values)):
+        raise WindowViolation(
+            f"field {field_.label!r} produced non-finite values at (t={t!r}, {a!r}, {b!r})"
+        )
+    h = float(values[2])
+    if h <= DEPTH_FLOOR:
+        raise ZeroDepth(f"depth {h!r} at or below floor {DEPTH_FLOOR!r}")
+    return values, _absolute_vorticity(field_, a, values, grad) / h
+
+
 def potential_vorticity(field_: FlowField, point) -> float:
     """Potential vorticity (v_x - u_y + f) / h; materially conserved.
 
     Raises :class:`ZeroDepth` when the depth is at or below the depth floor.
     """
-    t, a, b = _components(field_, point)
-    h = float(field_.eval(t, a, b)[2])
-    if h <= DEPTH_FLOOR:
-        raise ZeroDepth(f"depth {h!r} at or below floor {DEPTH_FLOOR!r}")
-    return curl_plus_coriolis(field_, point) / h
+    return _state_and_pv(field_, point)[1]
 
 
 def diagnostics(field_: FlowField, point) -> Diagnostics:
@@ -585,16 +599,10 @@ def diagnostics(field_: FlowField, point) -> Diagnostics:
     The flow is supercritical where the Froude number exceeds one and
     subcritical where it is below one.
     """
-    t, a, b = _components(field_, point)
-    values = field_.eval(t, a, b)
-    h = float(values[2])
-    if h <= DEPTH_FLOOR:
-        raise ZeroDepth(f"depth {h!r} at or below floor {DEPTH_FLOOR!r}")
+    values, omega = _state_and_pv(field_, point)
     speed = math.hypot(float(values[0]), float(values[1]))
-    froude = speed / math.sqrt(field_.params.g * h)
-    return Diagnostics(
-        omega=potential_vorticity(field_, point), froude=froude, speed=speed
-    )
+    froude = speed / math.sqrt(field_.params.g * float(values[2]))
+    return Diagnostics(omega=omega, froude=froude, speed=speed)
 
 
 def as_cartesian(field_: FlowField, label: str | None = None) -> FlowField:
@@ -603,9 +611,10 @@ def as_cartesian(field_: FlowField, label: str | None = None) -> FlowField:
     Valid away from the origin; the radial window carries over through
     r = hypot(x, y).  Its values broadcast over array positions as the
     source's do.  Its jets compose through the polar chart, which is
-    singular at x = y = 0: there they come from the source's jets along the
-    rays theta = 0 and theta = pi/2, exact for a source that is smooth in
-    Cartesian coordinates.
+    singular at x = y = 0: there, and within 1e-150 of it, where the chart's
+    slopes of order 1/r lose their precision, they come from the source's
+    jets along the rays theta = 0 and theta = pi/2, exact for a source that
+    is smooth in Cartesian coordinates.
     """
     if field_.frame == "cartesian":
         return field_
@@ -623,7 +632,7 @@ def as_cartesian(field_: FlowField, label: str | None = None) -> FlowField:
         if not isinstance(t, Jet):
             return view(t, x, y)
         xv, yv = value_of(x), value_of(y)
-        origin = (xv == 0.0) & (yv == 0.0)
+        origin = np.hypot(xv, yv) < 1e-150
         if not np.any(origin):
             return view(t, x, y)
         # d/dx from the ray theta = 0 (u = U, v = V), d/dy from theta = pi/2

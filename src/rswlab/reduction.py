@@ -605,22 +605,17 @@ class ImplicitCollapse:
     radicand zero, and inverted by safeguarded Newton iteration.
     """
 
-    def __init__(
-        self,
-        phi0: float,
-        eta0: float,
-        params: FlowParameters,
-        eta_cap: float | None = None,
-        refine: int = 1,
-    ) -> None:
+    #: Panels of each tabulated branch; the tail from eta_cap to infinity takes a tenth.
+    PANELS = 400
+
+    def __init__(self, phi0: float, eta0: float, params: FlowParameters) -> None:
+        if not (math.isfinite(phi0) and math.isfinite(eta0)):
+            raise InvalidParams(f"phi0 and eta0 must be finite, got {phi0!r}, {eta0!r}")
         if not eta0 > 0.0:
             raise InvalidParams(f"eta0 must be positive, got {eta0}")
-        if refine < 1:
-            raise InvalidParams("refine must be >= 1")
         self.phi0 = float(phi0)
         self.eta0 = float(eta0)
         self.params = params
-        self.refine = int(refine)
         f, g = params.f, params.g
         self.K = phi0 * phi0 - 2.0 * g * eta0 + f * f / 4.0
         # The radicand is quadratic in m = sqrt(eta) with one positive and
@@ -631,9 +626,9 @@ class ImplicitCollapse:
         self._m_plus = (-kk + disc) / (4.0 * g)
         self._m_minus = (-kk - disc) / (4.0 * g)
         self.eta_z = self._m_plus ** 2
-        self.eta_cap = eta_cap if eta_cap is not None else 2e4 * max(1.0, eta0)
-        if self.eta_cap <= max(eta0, self.eta_z) * 4.0:
-            raise InvalidParams("eta_cap too small for a useful tabulation")
+        # eta_z <= eta0 up to rounding (the radicand is phi0^2 >= 0 at eta0),
+        # so the cap lies at least 2e4 times above both
+        self.eta_cap = 2e4 * max(1.0, eta0)
 
         self.eta1: float | None = None
         self.t1: float | None = None
@@ -664,7 +659,7 @@ class ImplicitCollapse:
         return -sign / (2.0 * nu * np.sqrt(factor))
 
     def _tabulate(self, sign: float, s_from: float, s_to: float, t_start: float) -> _Branch:
-        n_seg = 400 * self.refine
+        n_seg = self.PANELS
         u = np.linspace(0.0, 1.0, n_seg + 1)
         s_min, s_max = min(s_from, s_to), max(s_from, s_to)
         ascending = s_min + (s_max - s_min) * u * u
@@ -703,7 +698,7 @@ class ImplicitCollapse:
             return 1.0 / (2.0 * sig * root)
 
         sig_cap = 1.0 / math.sqrt(self.eta_cap)
-        n_seg = 40 * self.refine
+        n_seg = self.PANELS // 10
         # integrand -> 1 / (2 sqrt(2 g)) smoothly as sig -> 0
         grid = sig_cap * np.linspace(0.0, 1.0, n_seg + 1) ** 2
 
@@ -783,15 +778,9 @@ class ImplicitCollapse:
         return r0 * (self.eta0 / self.eta_of_t(t)) ** 0.25
 
 
-def collapse2_build(
-    phi0: float,
-    eta0: float,
-    params: FlowParameters,
-    eta_cap: float | None = None,
-    refine: int = 1,
-) -> ImplicitCollapse:
+def collapse2_build(phi0: float, eta0: float, params: FlowParameters) -> ImplicitCollapse:
     """Tabulate the implicit collapse solution; see :class:`ImplicitCollapse`."""
-    return ImplicitCollapse(phi0, eta0, params, eta_cap=eta_cap, refine=refine)
+    return ImplicitCollapse(phi0, eta0, params)
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ from .reduction import (
     ring_bounds,
     solve_cubic_real,
 )
-from .transforms import y9_dilation, y9_factors
+from .transforms import check_dilation, y9_dilation, y9_factors
 
 FAMILY_NAMES = (
     "rest",
@@ -127,17 +127,19 @@ def profile_zero() -> RadialProfile:
     return RadialProfile(lambda r: 0.0, lambda r: 0.0, "zero")
 
 
-def profile_solid(omega: float) -> RadialProfile:
+def profile_solid(omega: float = 0.5) -> RadialProfile:
     return RadialProfile(lambda r: omega * r, lambda r: omega, f"solid:{omega:g}")
 
 
-def profile_quadratic(coef: float) -> RadialProfile:
+def profile_quadratic(coef: float = -0.25) -> RadialProfile:
     return RadialProfile(
         lambda r: coef * r * r, lambda r: 2.0 * coef * r, f"quadratic:{coef:g}"
     )
 
 
-def profile_gauss(coef: float, width: float = 2.0) -> RadialProfile:
+def profile_gauss(coef: float = 0.5, width: float = 2.0) -> RadialProfile:
+    if width == 0.0:
+        raise InvalidParams("gauss profile width must be nonzero")
     w2 = width * width
 
     def fn(r):
@@ -149,20 +151,29 @@ def profile_gauss(coef: float, width: float = 2.0) -> RadialProfile:
     return RadialProfile(fn, deriv, f"gauss:{coef:g},{width:g}")
 
 
+def _parse_spec(spec: str, builders: dict, kind: str):
+    """``builders[name](*numbers)`` for a CLI spec ``name:n1,n2``; no numbers take the defaults."""
+    name, _, rest = spec.partition(":")
+    build = builders.get(name.strip().lower())
+    if build is None:
+        raise InvalidParams(f"unknown {kind} {spec!r}")
+    try:
+        args = [float(tok) for tok in rest.split(",") if tok]
+    except ValueError as exc:
+        raise InvalidParams(f"{kind} {spec!r} needs comma-separated numbers") from exc
+    if not all(math.isfinite(x) for x in args):
+        raise InvalidParams(f"{kind} {spec!r} needs finite numbers")
+    try:
+        return build(*args)
+    except TypeError as exc:
+        raise InvalidParams(f"too many numbers in {kind} {spec!r}") from exc
+
+
 def parse_profile(spec: str) -> RadialProfile:
     """Parse a CLI profile spec like ``solid:0.4`` or ``gauss:0.5,2``."""
-    name, _, rest = spec.partition(":")
-    args = [float(tok) for tok in rest.split(",") if tok] if rest else []
-    name = name.strip().lower()
-    if name == "zero":
-        return profile_zero()
-    if name == "solid":
-        return profile_solid(*(args or [0.5]))
-    if name == "quadratic":
-        return profile_quadratic(*(args or [-0.25]))
-    if name == "gauss":
-        return profile_gauss(*(args or [0.5]))
-    raise InvalidParams(f"unknown profile {spec!r}")
+    builders = {"zero": profile_zero, "solid": profile_solid,
+                "quadratic": profile_quadratic, "gauss": profile_gauss}
+    return _parse_spec(spec, builders, "profile")
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +359,7 @@ def pulsating_cylinder(alpha: float, h0: float, params: FlowParameters) -> FlowF
     depends on time only; every particle rides a circle and returns after one
     inertial period; the potential vorticity is f / h0 everywhere.
     """
-    if not (alpha > 0.0 and math.isfinite(alpha)):
-        raise InvalidParams(f"alpha must be positive, got {alpha}")
+    check_dilation(alpha)
     if not h0 > 0.0:
         raise InvalidParams(f"h0 must be positive, got {h0}")
     f = params.f
@@ -412,8 +422,7 @@ def pulsating_drop(alpha: float, params: FlowParameters) -> FlowField:
     one inertial period.  Particle paths generally only quasi-close; see
     :func:`closure_condition`.
     """
-    if not (alpha > 0.0 and math.isfinite(alpha)):
-        raise InvalidParams(f"alpha must be positive, got {alpha}")
+    check_dilation(alpha)
     f, g = params.f, params.g
     l = drop_swirl_coefficient(alpha, params)
     a4 = l * l / (4.0 * g)
@@ -544,7 +553,7 @@ class SwirlInvariant:
         return self.fn(lam)
 
 
-def swirl_constant(c: float) -> SwirlInvariant:
+def swirl_constant(c: float = 1.0) -> SwirlInvariant:
     return SwirlInvariant(lambda lam: c, lambda lam: 0.0, f"const:{c:g}")
 
 
@@ -557,14 +566,8 @@ def swirl_sine(amplitude: float = 1.0) -> SwirlInvariant:
 
 
 def parse_swirl(spec: str) -> SwirlInvariant:
-    name, _, rest = spec.partition(":")
-    args = [float(tok) for tok in rest.split(",") if tok] if rest else []
-    name = name.strip().lower()
-    if name == "const":
-        return swirl_constant(*(args or [1.0]))
-    if name == "sine":
-        return swirl_sine(*(args or [1.0]))
-    raise InvalidParams(f"unknown swirl invariant {spec!r}")
+    """Parse a CLI swirl invariant spec like ``const:1`` or ``sine:0.5``."""
+    return _parse_spec(spec, {"const": swirl_constant, "sine": swirl_sine}, "swirl invariant")
 
 
 def collapse_contact(
@@ -880,25 +883,15 @@ def make_family(name: str, params: FlowParameters, **kw) -> FlowField:
 
 
 def default_catalog() -> dict[str, FlowField]:
-    """One field per family at its default parameters.
+    """One field per family at the defaults of :func:`make_family`.
 
-    The pulsating families use alpha = 2 with f = g = 1; the stationary
-    ring uses unit constants with f = 0.1, g = 1; the collapse families use
-    unit constants with f = g = 1.
+    Every family uses f = g = 1, except the stationary ring, which uses
+    f = 0.1, g = 1.
     """
-    p11 = FlowParameters(1.0, 1.0)
-    ring_params = FlowParameters(0.1, 1.0)
+    p11, ring_params = FlowParameters(1.0, 1.0), FlowParameters(0.1, 1.0)
     return {
-        "rest": rest_state(1.0, p11),
-        "constant-sw-image": constant_sw_image(1.0, 0.5, 1.0, p11),
-        "barochronous-sw": barochronous_sw(1.0, p11),
-        "stationary-rotsym": stationary_rotsym(profile_gauss(0.5), 1.0, p11),
-        "pulsating-cylinder": pulsating_cylinder(2.0, 1.0, p11),
-        "pulsating-drop": pulsating_drop(2.0, p11),
-        "stationary-ring": stationary_ring(1.0, 1.0, 1.0, ring_params),
-        "collapse-contact": collapse_contact(swirl_sine(1.0), 1.0, 1.0, p11),
-        "collapse-contact-cubic": collapse_contact_cubic(1.0, 1.0, 1.0, p11),
-        "collapse-scaling": collapse_scaling(0.0, 1.0, p11),
+        name: make_family(name, ring_params if name == "stationary-ring" else p11)
+        for name in FAMILY_NAMES
     }
 
 

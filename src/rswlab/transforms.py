@@ -7,11 +7,12 @@ Three pieces of machinery live here:
   one and back (the rotating-frame solution lives on one inertial period
   ``0 < t < 2*pi/f``);
 * finite transformations of the three non-obvious canonical generators,
-  obtained by integrating their flow equations in polar variables.  The two
-  parabolic flows (Y7, Y8) carry piecewise-constant time offsets that keep
-  them continuous across the half-period times ``t = (2n+1)*pi/f``; the
-  dilation (Y9) is written in ``cos f t`` and ``sin f t``, which is smooth
-  for all t;
+  the sl(2) part of the algebra: the two parabolic flows (Y7, Y8) and the
+  dilation (Y9), obtained by integrating their flow equations in polar
+  variables.  Each is a closed form in the sine and cosine of f t (Y9) or
+  f t/2 (Y7, Y8), smooth for all t, and each returns the same tuple
+  ``(tbar, angle, rho, cu, cv)``, which :func:`finite_transform` applies
+  with one formula;
 * the solution-transport operator built from the dilation: given any polar
   solution and a positive parameter ``alpha`` it produces another exact
   solution, which is how the time-periodic pulsating solutions are
@@ -46,22 +47,8 @@ from .errors import InvalidParams, SingularTime
 
 Direction = Literal["rsw2sw", "sw2rsw"]
 
-#: |cos(f t / 2)| (Y8) or |sin(f t / 2)| (Y7) below this triggers the exact
-#: half-period formulas of the parabolic group actions (tan overflows);
-#: |sin(f t / 2)| below it marks the singular times of the equivalence map.
+#: |sin(f t / 2)| below this marks the singular times of the equivalence map.
 SINGULAR_GUARD = 1e-9
-
-
-def chi(t: float, f: float) -> float:
-    """Piecewise-constant offset 2*pi*k/f for t in ((2k-1)pi/f, (2k+1)pi/f)."""
-    k = math.floor(f * t / (2.0 * math.pi) + 0.5)
-    return 2.0 * math.pi * k / f
-
-
-def chi_shifted(t: float, f: float) -> float:
-    """Offset (2k+1)*pi/f for t in (2k pi/f, 2(k+1) pi/f)."""
-    k = math.floor(f * t / (2.0 * math.pi))
-    return (2.0 * k + 1.0) * math.pi / f
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +216,27 @@ def map_field_sw_to_rsw(field_: FlowField, params: FlowParameters | None = None)
 # ---------------------------------------------------------------------------
 
 
+def check_dilation(alpha: float) -> None:
+    """Raise :class:`InvalidParams` unless ``alpha`` is a usable Y9 dilation parameter.
+
+    The dilation needs alpha > 0 with D of :func:`y9_factors` positive at
+    every time.  D ranges over [min(1, alpha^2), max(1, alpha^2)], but it is
+    formed as a difference that rounds to zero at the half-period times (small
+    alpha) or the full-period times (large alpha) once alpha^2 is not resolved
+    against 1, roughly outside 7.5e-9 < alpha < 1.3e8.  Inside that range D,
+    and with it rho, cu and cv, carry a relative error of about
+    eps max(alpha^2, 1 / alpha^2) near those times (eps = 2.2e-16), which
+    reaches O(1) at the bounds; away from them the factors are accurate.
+    """
+    a2 = alpha * alpha
+    if not (alpha > 0.0 and (1.0 + a2) - (1.0 - a2) > 0.0 and (1.0 + a2) + (1.0 - a2) > 0.0):
+        raise InvalidParams(
+            f"dilation parameter alpha must be positive with alpha^2 resolved against 1 "
+            f"(about 7.5e-9 < alpha < 1.3e8; near the half and full periods the dilation "
+            f"loses about 2.2e-16 max(alpha^2, 1/alpha^2) relative), got {alpha!r}"
+        )
+
+
 @dataclass(frozen=True)
 class GroupAction:
     """One-parameter group element for one of the three nontrivial flows.
@@ -245,30 +253,8 @@ class GroupAction:
             raise InvalidParams(f"unsupported generator {self.generator!r}")
         if not math.isfinite(self.parameter):
             raise InvalidParams("group parameter must be finite")
-        if self.generator == "Y9" and self.parameter <= 0.0:
-            raise InvalidParams(
-                f"dilation parameter alpha must be positive, got {self.parameter}"
-            )
-
-
-def _parabolic_map(t, r, theta, U, V, h, a, f, sigma, offset):
-    """Shared form of the two parabolic flows; sigma is tan- or -cot-based."""
-    num = sigma * sigma + 1.0
-    den = (sigma + a) * (sigma + a) + 1.0
-    ratio = math.sqrt(den / num)
-    tbar = (2.0 / f) * math.atan(sigma + a) + offset
-    rbar = r / ratio
-    thbar = theta + math.atan(sigma) - math.atan(sigma + a)
-    shift_u = (f * r / 2.0) * (sigma * sigma + a * sigma - 1.0) * a / den
-    shift_v = (f * r / 2.0) * (2.0 * sigma + a) * a / den
-    return (
-        tbar,
-        rbar,
-        thbar,
-        (U + shift_u) * ratio,
-        (V + shift_v) * ratio,
-        h * den / num,
-    )
+        if self.generator == "Y9":
+            check_dilation(self.parameter)
 
 
 def finite_transform(
@@ -276,45 +262,48 @@ def finite_transform(
 ) -> tuple[PolarPoint, PolarState]:
     """Apply a finite transformation to a polar point/state pair.
 
-    For Y7 and Y8, at the times where the underlying tangent half-angle
-    degenerates, the continuous completion values are used, so the map is
-    defined for all times in the generator's domain; Y9 is
-    :func:`y9_dilation`, which is smooth everywhere.
+    Each generator's action at the point's time is ``(tbar, angle, rho, cu,
+    cv)``, smooth for all t; the point (t, r, theta) maps to
+    (tbar, r rho, theta - angle) and the state (U, V, h) to
+    ((U - cu r) / rho, (V - cv r) / rho, h / rho^2).
     """
-    f = params.f
-    t, r, theta = p.t, p.r, p.theta
-    U, V, h = s.U, s.V, s.h
-    half = f * t / 2.0
+    t, a, f = p.t, action.parameter, params.f
     if action.generator == "Y9":
-        alpha = action.parameter
-        tbar, angle, rho, cu, cv = y9_dilation(t, alpha, f)
-        out = (tbar, r * rho, theta - angle, (U - cu * r) / rho, (V - cv * r) / rho,
-               h / (rho * rho))
-    elif action.generator == "Y8":
-        c2 = math.cos(half)
-        if abs(c2) < SINGULAR_GUARD:
-            a = action.parameter
-            out = (t, r, theta, U + f * r * a / 2.0, V, h)
-        else:
-            tau = math.sin(half) / c2
-            out = _parabolic_map(t, r, theta, U, V, h, action.parameter, f, tau, chi(t, f))
-    else:  # Y7
-        s2 = math.sin(half)
-        if abs(s2) < SINGULAR_GUARD:
-            a = action.parameter
-            out = (t, r, theta, U + f * r * a / 2.0, V, h)
-        else:
-            sigma = -math.cos(half) / s2
-            out = _parabolic_map(
-                t, r, theta, U, V, h, action.parameter, f, sigma, chi_shifted(t, f)
-            )
-    tb, rb, thb, Ub, Vb, hb = out
-    return PolarPoint(tb, rb, thb), PolarState(Ub, Vb, hb)
+        tbar, angle, rho, cu, cv = y9_dilation(t, a, f)
+    else:
+        tbar, angle, rho, cu, cv = _parabolic(t, a, f, y7=action.generator == "Y7")
+    return (
+        PolarPoint(tbar, p.r * rho, p.theta - angle),
+        PolarState((s.U - cu * p.r) / rho, (s.V - cv * p.r) / rho, s.h / (rho * rho)),
+    )
 
 
 # ---------------------------------------------------------------------------
-# The Y9 dilation
+# The sl(2) actions: Y7, Y8 and the Y9 dilation
 # ---------------------------------------------------------------------------
+
+
+def _parabolic(t, a, f: float, y7: bool) -> tuple:
+    """The Y8 flow by a at time t (Y7 with ``y7``): (tbar, angle, rho, cu, cv).
+
+    With sn, cs = sin(f t/2), cos(f t/2) and p = sn + a cs, the flow has
+    1 / rho^2 = p^2 + cs^2 and the angle is the continuous form of
+    atan(tan(f t/2) + a) - atan(tan(f t/2)): the tangent form multiplied
+    through by cs^2.  As a sum of squares 1 / rho^2 does not cancel, so the
+    form is smooth for every a and t and loses no more than the rounding of
+    sn and cs entails: near tan(f t/2) = -a, where 1 / rho^2 is O(1 / a^2),
+    that is about eps |a| relative, and eps a^2 in cu.  Y7 is Y8 at t - pi/f
+    moved forward by pi/f, which replaces (sn, cs) with (-cs, sn).
+    """
+    half = f * t / 2.0
+    sn, cs = sin(half), cos(half)
+    if y7:
+        sn, cs = -cs, sn
+    p = sn + a * cs
+    n = p * p + cs * cs
+    angle = arctan2(a * cs * cs, cs * cs + sn * p)
+    k = f * a / (2.0 * n)
+    return t + 2.0 * angle / f, angle, 1.0 / sqrt(n), k * (cs * cs - sn * p), -k * cs * (sn + p)
 
 
 def y9_factors(t: float, alpha: float, f: float) -> tuple[float, float, float, float, float]:
@@ -348,16 +337,12 @@ def y9_dilation(t: float, alpha: float, f: float) -> tuple[float, float, float, 
     rho = sqrt(alpha / D) and D, cu, cv from :func:`y9_factors`.  The angle
     is the continuous form of atan(alpha tan(f t/2)) - atan(tan(f t/2)) and
     tbar = t + 2 angle / f, so no time is singular: tbar = t exactly where
-    the tangent form breaks down, at the half-period times.
+    the tangent form breaks down, at the half-period times.  The time map
+    t -> tbar is inverted by the dilation with 1/alpha.
     """
     c, s, D, cu, cv = y9_factors(t, alpha, f)
     angle = arctan2((alpha - 1.0) * s, (1.0 + alpha) - (alpha - 1.0) * c)
     return t + 2.0 * angle / f, angle, sqrt(alpha / D), cu, cv
-
-
-def y9_time_map(t: float, alpha: float, f: float) -> float:
-    """Dilated time tbar of :func:`y9_dilation`; alpha -> 1/alpha inverts it."""
-    return y9_dilation(t, alpha, f)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +366,7 @@ def transport_solution(
     params = params or field_.params
     if field_.frame != "polar":
         raise InvalidParams("solution transport expects a polar-frame field")
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise InvalidParams(f"transport parameter alpha must be positive, got {alpha}")
+    check_dilation(alpha)
     f = params.f
     src = field_
 
@@ -408,7 +392,7 @@ def transport_solution(
     # the transported time window is the preimage of the source window;
     # the time map is inverted by the dilation with 1/alpha
     def t_preimage(bound: float) -> float:
-        return y9_time_map(bound, 1.0 / alpha, f) if math.isfinite(bound) else bound
+        return y9_dilation(bound, 1.0 / alpha, f)[0] if math.isfinite(bound) else bound
 
     window = Window(
         t_lo=t_preimage(src.window.t_lo),

@@ -125,6 +125,33 @@ class TestResidualCommand:
             assert not out.exists()
 
 
+class TestBadArguments:
+    @pytest.mark.parametrize("argv", [
+        ["residual", "--family", "rest", "--shape", "10,x,10"],
+        ["field", "--family", "stationary-rotsym", "--profile", "gauss:x"],
+        ["field", "--family", "collapse-contact", "--psi", "sine:x"],
+        ["field", "--family", "stationary-rotsym", "--profile", "solid:1,2,3"],
+        ["field", "--family", "collapse-contact", "--psi", "sine:1,2"],
+        ["field", "--family", "stationary-rotsym", "--profile", "gauss:0.5,0"],
+        ["field", "--family", "drop", "--alpha", "1e-300"],
+        ["field", "--family", "cylinder", "--h0", "inf"],
+        ["field", "--family", "constant", "--u0", "nan"],
+        ["field", "--family", "stationary-rotsym", "--profile", "gauss:nan"],
+        ["field", "--family", "collapse-scaling", "--phi0", "nan"],
+        ["field", "--family", "rest", "--h0", "nan"],
+    ], ids=["shape-not-integers", "profile-not-numbers", "psi-not-numbers",
+            "profile-too-many-numbers", "psi-too-many-numbers", "gauss-zero-width",
+            "drop-alpha-underflow", "h0-inf", "u0-nan", "profile-nan", "phi0-nan", "rest-h0-nan"])
+    def test_exit_2_with_an_error_line(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run([*argv, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith("error: ")
+        assert not out.exists()
+
+
 class TestCommutatorsCommand:
     def test_default_matches_reference(self, tmp_path):
         out = tmp_path / "comm.json"

@@ -302,6 +302,27 @@ class TestPushforward:
         else:
             assert rep.multiplier == pytest.approx(1.0 / f)
 
+    @pytest.mark.parametrize("f", [0.1, 0.37, 1.0, 2.0])
+    def test_exact_for_all_nine_generators(self, f):
+        # one forward-mode pass per point: rounding level (measured 2.8e-14)
+        params = FlowParameters(f, 1.0)
+        for k in range(1, 10):
+            rep = pushforward_check(k, params)
+            assert rep.ok and rep.max_error <= 1e-12, rep
+            assert rep.multiplier == {3: f, 4: f, 8: f, 7: 1.0 / f}.get(k, 1.0)
+
+    @pytest.mark.parametrize("f,t", [(0.1, 1.0), (1.0, 0.1), (2.0, 0.1), (2.0, math.pi - 0.05)])
+    def test_relative_to_the_pushed_size_near_singular_times(self, f, t):
+        # the pushed components grow like 1/sin^2(f t/2) towards the singular
+        # times; compared in units of max(1, |expected|) they stay at rounding
+        # level while sin(f t/2) >= 0.05 (measured 2.4e-14)
+        params = FlowParameters(f, 1.0)
+        rng = np.random.default_rng(2)
+        sample = [JetPoint(t, *rng.uniform(-2.0, 2.0, 5)) for _ in range(8)]
+        for k in range(1, 10):
+            rep = pushforward_check(k, params, sample=sample)
+            assert rep.ok and rep.max_error <= 1e-12, rep
+
     def test_k5_at_specific_time(self):
         params = FlowParameters(1.0, 1.0)
         sample = [JetPoint(math.pi / 2, 0.4, -0.6, 0.9, 0.1, 1.4)]

@@ -25,36 +25,16 @@ from rswlab.solutions import (
 from rswlab.transforms import (
     EquivalenceMap,
     GroupAction,
-    chi,
-    chi_shifted,
     equiv_point,
     finite_transform,
     map_field_rsw_to_sw,
     map_field_sw_to_rsw,
     transport_solution,
-    y9_time_map,
+    y9_dilation,
 )
 from rswlab.verify import residual_cartesian, residual_polar, sample_grid
 
 P = FlowParameters(1.0, 1.0)
-
-
-class TestBranchOffsets:
-    def test_chi_interval_rule(self):
-        f = 1.3
-        for k in range(-3, 4):
-            lo = (2 * k - 1) * math.pi / f
-            hi = (2 * k + 1) * math.pi / f
-            for t in np.linspace(lo + 1e-6, hi - 1e-6, 7):
-                assert chi(t, f) == pytest.approx(2 * math.pi * k / f, abs=1e-12)
-
-    def test_chi_shifted_interval_rule(self):
-        f = 0.7
-        for k in range(-3, 4):
-            lo = 2 * k * math.pi / f
-            hi = 2 * (k + 1) * math.pi / f
-            for t in np.linspace(lo + 1e-6, hi - 1e-6, 7):
-                assert chi_shifted(t, f) == pytest.approx((2 * k + 1) * math.pi / f, abs=1e-12)
 
 
 class TestEquivalencePoint:
@@ -129,6 +109,40 @@ class TestFieldMaps:
         )
         rep = residual_cartesian(img, points=img_pts)
         assert rep.max_residual < 1e-6
+
+
+class TestFieldMapRoundTrips:
+    """Mapping a field to the other system and back gives the field again."""
+
+    @staticmethod
+    def assert_same(back, field_, t, x, y):
+        values, grad = back.jet(t, x, y)
+        want, want_grad = field_.jet(t, x, y)
+        # measured 3.7e-14 for values and 1.8e-15 for jets
+        assert np.all(np.abs(values - want) <= 1e-12 * max(1.0, np.abs(want).max()))
+        assert np.all(np.abs(grad - want_grad) <= 1e-12 * max(1.0, np.abs(want_grad).max()))
+
+    @given(
+        name=st.sampled_from(["pulsating-cylinder", "pulsating-drop", "constant-sw-image", "rest"]),
+        u=st.floats(0.01, 0.99), x=st.floats(-1.0, 1.0), y=st.floats(-1.0, 1.0),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_rsw_to_sw_and_back(self, name, u, x, y):
+        from rswlab.core import as_cartesian
+        from rswlab.solutions import make_family
+
+        field_ = as_cartesian(make_family(name, P))
+        back = map_field_sw_to_rsw(map_field_rsw_to_sw(field_))
+        self.assert_same(back, field_, u * P.period, x, y)
+
+    @given(u=st.floats(0.01, 0.99), x=st.floats(-1.0, 1.0), y=st.floats(-1.0, 1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_sw_to_rsw_and_back(self, u, x, y):
+        field_ = barochronous_sw(1.0, P)
+        back = map_field_rsw_to_sw(map_field_sw_to_rsw(field_))
+        # the image window of the principal period, (-1/tan(f t/2)) / f
+        tp = -1.0 / (P.f * math.tan(math.pi * u))
+        self.assert_same(back, field_, tp, x, y)
 
 
 class TestFiniteTransforms:
@@ -238,35 +252,119 @@ class TestFiniteTransforms:
             assert np.max(np.abs(closed - y)) < 1e-9
 
     def test_one_sided_limits_match_half_period_values(self):
-        # extrapolated limits from t* -/+ eps agree with the continuation
+        # extrapolated limits from t* -/+ eps agree with the value at t*, the
+        # half-period time where the tangent form of each action breaks down
         f = 1.0
         params = FlowParameters(f, 1.0)
-        t_star = math.pi / f
         state = PolarState(0.3, -0.2, 1.1)
+        cases = [("Y9", math.pi / f, (0.5, 4.0)), ("Y8", math.pi / f, (0.7, -1.3)),
+                 ("Y7", 2.0 * math.pi / f, (0.7, -1.3))]
 
-        def snapshot(t, alpha):
+        def snapshot(gen, t, param):
             p, s = finite_transform(
-                GroupAction("Y9", alpha), PolarPoint(t, 1.2, 0.4), state, params
+                GroupAction(gen, param), PolarPoint(t, 1.2, 0.4), state, params
             )
             return np.array([p.t, p.r, p.theta, s.U, s.V, s.h])
 
-        for alpha in (0.5, 4.0):
-            at_star = snapshot(t_star, alpha)
-            for side in (-1.0, +1.0):
-                eps = 1e-6
-                a = snapshot(t_star + side * eps, alpha)
-                b = snapshot(t_star + side * eps / 2, alpha)
-                limit = 2.0 * b - a  # linear extrapolation to eps -> 0
-                assert np.max(np.abs(limit - at_star)) < 1e-8
+        for gen, t_star, parameters in cases:
+            for param in parameters:
+                at_star = snapshot(gen, t_star, param)
+                for side in (-1.0, +1.0):
+                    eps = 1e-6
+                    a = snapshot(gen, t_star + side * eps, param)
+                    b = snapshot(gen, t_star + side * eps / 2, param)
+                    limit = 2.0 * b - a  # linear extrapolation to eps -> 0
+                    assert np.max(np.abs(limit - at_star)) < 1e-8, (gen, param, side)
 
     def test_y9_periodic_time_bookkeeping(self):
         # shifting t by one full period shifts the mapped time equally
         f, alpha = 1.0, 2.0
         period = 2 * math.pi / f
         for t in (0.4, 2.0, 4.4):
-            t1 = y9_time_map(t, alpha, f)
-            t2 = y9_time_map(t + period, alpha, f)
+            t1 = y9_dilation(t, alpha, f)[0]
+            t2 = y9_dilation(t + period, alpha, f)[0]
             assert t2 - t1 == pytest.approx(period, abs=1e-12)
+
+
+class TestParabolicActionsAgainstMpmath:
+    """Y7 and Y8 against their tangent forms at 40 digits, half periods included."""
+
+    @staticmethod
+    def tangent_form(mp, gen, t, r, theta, U, V, h, a, f):
+        # the flows integrated in tan(f t/2) (Y8) or -cot(f t/2) (Y7), with the
+        # offsets that make tbar continuous; finite at every float t in 40 digits
+        t, r, theta, U, V, h, a, f = map(mp.mpf, (t, r, theta, U, V, h, a, f))
+        if gen == "Y8":
+            sig = mp.tan(f * t / 2)
+            offset = 2 * mp.pi * mp.floor(f * t / (2 * mp.pi) + mp.mpf(1) / 2) / f
+        else:
+            sig = -mp.cot(f * t / 2)
+            offset = (2 * mp.floor(f * t / (2 * mp.pi)) + 1) * mp.pi / f
+        num, den = sig * sig + 1, (sig + a) ** 2 + 1
+        ratio = mp.sqrt(den / num)
+        return [
+            (2 / f) * mp.atan(sig + a) + offset,
+            r / ratio,
+            theta + mp.atan(sig) - mp.atan(sig + a),
+            (U + (f * r / 2) * (sig * sig + a * sig - 1) * a / den) * ratio,
+            (V + (f * r / 2) * (2 * sig + a) * a / den) * ratio,
+            h * den / num,
+        ]
+
+    @pytest.mark.parametrize("gen", ["Y7", "Y8"])
+    def test_matches_40_digit_tangent_form(self, gen):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(11)
+        worst, near = 0.0, 0
+        for i in range(240):
+            f = float(rng.choice([0.37, 1.0, 2.0]))
+            t = rng.uniform(-20.0, 20.0)
+            if i % 3 == 0:  # within 2e-9 of a time where the tangent form is singular
+                k = int(rng.integers(-3, 4))
+                t = (2 * k + (gen == "Y8")) * math.pi / f + rng.uniform(-2e-9, 2e-9)
+            half = f * t / 2.0
+            near += abs(math.cos(half) if gen == "Y8" else math.sin(half)) < 1e-9
+            a, r, theta = rng.uniform(-3.0, 3.0), rng.uniform(0.1, 2.0), rng.uniform(-3.0, 3.0)
+            U, V, h = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(0.5, 2.0)
+            p, s = finite_transform(
+                GroupAction(gen, a), PolarPoint(t, r, theta), PolarState(U, V, h),
+                FlowParameters(f, 1.0),
+            )
+            with mpmath.workdps(40):
+                want = self.tangent_form(mpmath, gen, t, r, theta, U, V, h, a, f)
+                for got, w in zip((p.t, p.r, p.theta, s.U, s.V, s.h), want):
+                    # measured 4.2e-15, within 2e-9 of the tangent form's singular times and away from them
+                    worst = max(worst, float(abs(mpmath.mpf(got) - w) / max(1, abs(w))))
+        assert near >= 40
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("gen", ["Y7", "Y8"])
+    def test_large_parameter_near_its_turning_time(self, gen):
+        # near f t = pi + 2/a (Y8; Y7 a half period earlier) tan(f t/2) = -a
+        # and 1/rho^2 is O(1/a^2): a form whose O(1) terms cancel to it loses
+        # eps a^4.  The rounding of sin and cos of f t/2 alone moves the action
+        # by about eps |a| relative, and U by eps a^2; measured at most
+        # 3 eps |a| and 0.4 eps a^2.  f is a power of two, so f t/2 is exact.
+        mpmath = pytest.importorskip("mpmath")
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(12)
+        for _ in range(48):
+            f = float(rng.choice([0.5, 1.0, 2.0]))
+            a = float(rng.choice([1e2, -1e2, 1e4, -1e4]))
+            k = int(rng.integers(-2, 3))
+            t = ((2 * k + (gen == "Y8")) * math.pi + 2.0 / a) / f + rng.uniform(-1.0, 1.0) / (f * a * a)
+            r, theta = rng.uniform(0.1, 2.0), rng.uniform(-3.0, 3.0)
+            U, V, h = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(0.5, 2.0)
+            p, s = finite_transform(
+                GroupAction(gen, a), PolarPoint(t, r, theta), PolarState(U, V, h),
+                FlowParameters(f, 1.0),
+            )
+            with mpmath.workdps(40):
+                want = self.tangent_form(mpmath, gen, t, r, theta, U, V, h, a, f)
+                got = (p.t, p.r, p.theta, s.U, s.V, s.h)
+                err = [float(abs(mpmath.mpf(g) - w) / max(1, abs(w))) for g, w in zip(got, want)]
+            assert err[3] <= eps * a * a, (a, f, t)
+            assert max(err[:3] + err[4:]) <= 8 * eps * abs(a), (a, f, t)
 
 
 class TestTransport:
