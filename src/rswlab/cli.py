@@ -11,7 +11,7 @@ Conventions:
 * output is written to a temporary file and atomically renamed, so no
   partial files survive a crash;
 * exit codes: 0 ok, 1 verification failure, 2 bad arguments,
-  3 domain/window violation.
+  3 domain/window violation, including floating-point overflow.
 """
 
 from __future__ import annotations
@@ -105,9 +105,12 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 def _parse_list(spec: str) -> list[float]:
     try:
-        return [float(tok) for tok in spec.split(",") if tok != ""]
+        values = [float(tok) for tok in spec.split(",") if tok != ""]
     except ValueError as exc:
         raise InvalidParams(f"bad number list {spec!r}") from exc
+    if not values:
+        raise InvalidParams(f"number list {spec!r} has no number")
+    return values
 
 
 def _family_kwargs(args) -> dict:
@@ -450,18 +453,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one ``rsw`` command and return its exit code.
+
+    A command runs with numpy's floating-point overflow, invalid and
+    divide errors raised, so that parameters beyond the range of doubles
+    exit 3 like any other domain violation instead of computing on inf/NaN.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except _BAD_ARGS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _DOMAIN as exc:
+    except (*_DOMAIN, RswError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except RswError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except ArithmeticError as exc:  # overflow, also from Python float arithmetic
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

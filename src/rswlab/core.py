@@ -429,6 +429,8 @@ class FlowField:
         time ``t``: one ``value_fn`` call, with the window and finiteness
         checked on the whole block.  The errors are the scalar call's and
         name an offending point; the result has shape ``(3,) + shape``.
+        Float positions are one point, checked component by component with
+        ``math.isfinite``; the result is a ``(3,)`` array.
         A :class:`Jet` time makes a jet evaluation: the checks apply to the
         values, and the three state jets come back.
         """
@@ -444,9 +446,9 @@ class FlowField:
             a, b = float(a[bad][0]), float(b[bad][0])
         else:
             self.window.check(t, self._radius(a, b))
-            out = np.asarray(self.value_fn(t, a, b), dtype=float)
-            if np.all(np.isfinite(out)):
-                return out
+            out = self.value_fn(t, a, b)
+            if all(map(math.isfinite, out)):
+                return np.array(out, dtype=float)
         raise WindowViolation(
             f"field {self.label!r} produced non-finite values at "
             f"(t={t!r}, {a!r}, {b!r})"

@@ -335,9 +335,15 @@ def sample_jet_points(
     params: FlowParameters, n: int, seed: int = 0
 ) -> list[JetPoint]:
     """Generic sample points: coordinates uniform in [-2, 2], t away from
-    the half-period endpoints where the trigonometric frame degenerates."""
+    the half-period endpoints where the trigonometric frame degenerates.
+    That interval, (0.1, pi/f - 0.1), is empty for f >= 5 pi."""
+    t_hi = math.pi / params.f - 0.1
+    if not t_hi > 0.1:
+        raise InvalidParams(f"sample times need pi/f > 0.2, i.e. f < 5 pi; got f={params.f!r}")
+    if seed < 0:
+        raise InvalidParams(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    t = rng.uniform(0.1, math.pi / params.f - 0.1, size=n)
+    t = rng.uniform(0.1, t_hi, size=n)
     rest = rng.uniform(-2.0, 2.0, size=(n, 5))
     return [JetPoint(t[i], *rest[i]) for i in range(n)]
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -584,6 +585,11 @@ class _Branch:
     s_nodes: np.ndarray         # ascending in t
     t_nodes: np.ndarray         # ascending, same length
 
+    def __post_init__(self) -> None:
+        # float copies for the per-call panel search
+        self.s_list = self.s_nodes.tolist()
+        self.t_list = self.t_nodes.tolist()
+
 
 class ImplicitCollapse:
     """Implicit solution of the self-similar collapse with fixed swirl.
@@ -607,6 +613,8 @@ class ImplicitCollapse:
 
     #: Panels of each tabulated branch; the tail from eta_cap to infinity takes a tenth.
     PANELS = 400
+    #: Times held by the memo of :meth:`state_of_t` (about 0.3 MB); a full memo is cleared.
+    MEMO_CAP = 2048
 
     def __init__(self, phi0: float, eta0: float, params: FlowParameters) -> None:
         if not (math.isfinite(phi0) and math.isfinite(eta0)):
@@ -626,6 +634,8 @@ class ImplicitCollapse:
         self._m_plus = (-kk + disc) / (4.0 * g)
         self._m_minus = (-kk - disc) / (4.0 * g)
         self.eta_z = self._m_plus ** 2
+        if not math.isfinite(self.eta_z):
+            raise InvalidParams(f"collapse parameters overflow: radicand zero eta_z = {self.eta_z!r}")
         # eta_z <= eta0 up to rounding (the radicand is phi0^2 >= 0 at eta0),
         # so the cap lies at least 2e4 times above both
         self.eta_cap = 2e4 * max(1.0, eta0)
@@ -634,6 +644,8 @@ class ImplicitCollapse:
         self.t1: float | None = None
         self.branches: list[_Branch] = []
         self._build()
+        self._memo: dict[float, tuple[float, float]] = {}
+        self._memo_lock = threading.Lock()
 
     # -- construction ----------------------------------------------------
 
@@ -712,7 +724,7 @@ class ImplicitCollapse:
     # -- evaluation ------------------------------------------------------
 
     def _branch_for_time(self, t: float) -> _Branch:
-        if t < -1e-12 or t > self.t_cap * (1.0 + 1e-12):
+        if not -1e-12 <= t <= self.t_cap * (1.0 + 1e-12):
             raise InvalidParams(
                 f"t={t!r} outside tabulated range [0, {self.t_cap!r}]"
             )
@@ -725,18 +737,20 @@ class ImplicitCollapse:
 
         Within the bracketing tabulation segment, T(s) = t_lo + integral of
         dt/ds from the segment start; the derivative is analytic, so Newton
-        converges in a few steps, with bisection as the safeguard.
+        converges in a few steps, with bisection as the safeguard.  This
+        call is not memoized; :meth:`state_of_t`, which :meth:`phi_of_t` and
+        :meth:`piston_radius` read, keeps the per-time memo.
         """
         t = float(t)
         br = self._branch_for_time(t)
-        tn, sn = br.t_nodes, br.s_nodes
-        i = int(np.clip(np.searchsorted(tn, t) - 1, 0, len(tn) - 2))
-        lo_s, hi_s = float(sn[i]), float(sn[i + 1])
-        lo_t = float(tn[i])
+        tn, sn = br.t_list, br.s_list
+        i = min(max(bisect.bisect_left(tn, t) - 1, 0), len(tn) - 2)
+        lo_s, hi_s = sn[i], sn[i + 1]
+        lo_t = tn[i]
         fn = lambda s: self._dt_ds(s, br.sign)
         # traversal-ordered bracket: F(lo_b) <= 0 <= F(hi_b)
         lo_b, hi_b = lo_s, hi_s
-        span = float(tn[i + 1]) - lo_t
+        span = tn[i + 1] - lo_t
         frac = 0.0 if span == 0.0 else (t - lo_t) / span
         s = lo_s + (hi_s - lo_s) * frac
         for _ in range(80):
@@ -747,7 +761,7 @@ class ImplicitCollapse:
                 hi_b = s
             else:
                 lo_b = s
-            dF = float(self._dt_ds(np.asarray(s, dtype=float), br.sign))
+            dF = float(self._dt_ds(s, br.sign))
             s_new = s - F / dF if dF != 0.0 else 0.5 * (lo_b + hi_b)
             s_min, s_max = min(lo_b, hi_b), max(lo_b, hi_b)
             if not s_min <= s_new <= s_max:
@@ -759,23 +773,36 @@ class ImplicitCollapse:
         return self.eta_z + s * s
 
     def phi_of_t(self, t: float) -> float:
-        br = self._branch_for_time(float(t))
-        return float(self.phi_hat(self.eta_of_t(t), br.sign))
+        return self.state_of_t(t)[0]
 
     def state_of_t(self, t: float) -> tuple[float, float]:
         """(phi, eta) at time t; a jet t gives jets, with the reduced ODEs'
-        right-hand sides phi' = -f^2/4 - phi^2 - 2 g eta, eta' = -4 phi eta as slopes."""
+        right-hand sides phi' = -f^2/4 - phi^2 - 2 g eta, eta' = -4 phi eta as slopes.
+
+        Float results are memoized per time, up to :attr:`MEMO_CAP` times;
+        a full memo is cleared.  A repeated time returns the bits computed
+        the first time, which are the bits of a fresh computation, and a
+        time outside the tabulated range raises before anything is stored.
+        """
         if isinstance(t, Jet):
             phi, eta = self.state_of_t(t.v)
             f, g = self.params.f, self.params.g
             return t.chain(phi, -f * f / 4.0 - phi * phi - 2.0 * g * eta), t.chain(eta, -4.0 * phi * eta)
-        br = self._branch_for_time(float(t))
-        eta = self.eta_of_t(t)
-        return float(self.phi_hat(eta, br.sign)), eta
+        t = float(t)
+        state = self._memo.get(t)
+        if state is None:
+            br = self._branch_for_time(t)
+            eta = self.eta_of_t(t)
+            state = float(self.phi_hat(eta, br.sign)), eta
+            with self._memo_lock:  # the cap holds for concurrent callers too
+                if len(self._memo) >= self.MEMO_CAP:
+                    self._memo.clear()
+                self._memo[t] = state
+        return state
 
     def piston_radius(self, t: float, r0: float) -> float:
         """Material boundary radius r0 (eta0/eta)^{1/4}; moves with the flow."""
-        return r0 * (self.eta0 / self.eta_of_t(t)) ** 0.25
+        return r0 * (self.eta0 / self.state_of_t(t)[1]) ** 0.25
 
 
 def collapse2_build(phi0: float, eta0: float, params: FlowParameters) -> ImplicitCollapse:
@@ -828,15 +855,9 @@ def collapse2_verify_ode(
     f, g = params.f, params.g
 
     def rhs(t, y):
-        phi, psi, logeta = y
+        phi, psi, logeta = y.tolist()
         eta = math.exp(logeta)
-        return np.array(
-            [
-                (psi + f) * psi - phi * phi - 2.0 * g * eta,
-                -(2.0 * psi + f) * phi,
-                -4.0 * phi,
-            ]
-        )
+        return (psi + f) * psi - phi * phi - 2.0 * g * eta, -(2.0 * psi + f) * phi, -4.0 * phi
 
     t_end = t_end_fraction * ic.Tstar
     times = np.linspace(0.0, t_end, n_samples)

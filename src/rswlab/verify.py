@@ -298,7 +298,7 @@ _DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 /
 
 
 def integrate_ode(
-    fn: Callable[[float, np.ndarray], np.ndarray],
+    fn: Callable[[float, np.ndarray], Sequence[float]],
     y0: np.ndarray,
     t0: float,
     t1: float,
@@ -312,7 +312,10 @@ def integrate_ode(
     the local error per step, estimated by the embedded fourth-order pair as
     max_i |err_i| / max(1, |y_i|); steps with a larger or non-finite error
     are rejected, and h scales by clamp(0.9 (tol/err)^(1/5), 0.2, 5).  With
-    FSAL a step costs six evaluations of ``fn``.  The integrator lands
+    FSAL a step costs six evaluations of ``fn``, which may return any
+    sequence of floats (it is stored into a row of the stage array); the
+    stage sums are numpy products, and the error norm is taken on floats,
+    a NaN anywhere in it counting as an infinite error.  The integrator lands
     exactly on every time in ``record`` and returns the recorded states
     with ``{"steps", "rejected", "rhs_evals"}`` counts.
     :class:`BlowUp` is raised on step underflow or after ``max_steps``
@@ -345,9 +348,11 @@ def integrate_ode(
             for i in range(1, 7):
                 y_new = y + h * (_DP_A[i] @ k[:i])
                 k[i] = fn(t + _DP_C[i] * h if i < 5 else t_new, y_new)
-            err = float(np.max(np.abs(h * (_DP_E @ k)) / np.maximum(1.0, np.abs(y_new))))
-            if math.isnan(err):
-                err = math.inf  # rejected and shrunk like an infinite error
+            # max(|y_i|, 1.0) keeps a NaN y_i, which max(1.0, |y_i|) would drop;
+            # a NaN error is rejected and shrunk like an infinite one
+            ratios = [abs(e) / max(abs(yi), 1.0)
+                      for e, yi in zip((h * (_DP_E @ k)).tolist(), y_new.tolist())]
+            err = math.inf if any(map(math.isnan, ratios)) else max(ratios)
             factor = 0.9 * (tol / err) ** 0.2 if err > 0.0 else 5.0
             h *= min(5.0, max(0.2, factor))
             if err > tol:
@@ -376,34 +381,39 @@ def integrate_trajectory(
 ) -> Trajectory:
     """Integrate dr/dt = U, dtheta/dt = V/r (or dx/dt = u, dy/dt = v).
 
-    The start is given in polar form in every frame.  One
+    The start is given in polar form in every frame, and a negative ``r0``
+    is an :class:`InvalidParams` error (exit 2 in the CLI).  One
     :func:`integrate_ode` call covers [t0, t1]; it lands on the ``record``
-    times and nowhere else, since every field is smooth in t.  Integration
-    refuses to cross ``r < r_floor``.
+    times and nowhere else, since every field is smooth in t.  The
+    right-hand side reads the state as Python floats and returns a tuple,
+    so the kernel runs on floats; the bits are those of a numpy state.
+    Integration refuses to cross ``r < r_floor``.
     """
     if not (math.isfinite(r0) and math.isfinite(theta0)):
         raise InvalidParams(
             f"trajectory start must be finite, got r0={r0!r}, theta0={theta0!r}"
         )
+    if r0 < 0.0:
+        raise InvalidParams(f"trajectory start radius must be >= 0, got r0={r0!r}")
     if field_.frame == "polar":
         def rhs(t, y):
-            r, th = y
+            r, th = y.tolist()
             if r < r_floor:
                 raise LeftDomain(f"trajectory reached r={r!r} below the floor")
             try:
-                U, V, _ = field_.eval(t, r, th)
+                U, V, _ = field_.eval(t, r, th).tolist()
             except WindowViolation as exc:
                 raise LeftDomain(str(exc)) from exc
-            return np.array([U, V / r])
+            return U, V / r
 
         y0 = np.array([r0, theta0])
     else:
         def rhs(t, y):
             try:
-                u, v, _ = field_.eval(t, y[0], y[1])
+                u, v, _ = field_.eval(t, *y.tolist()).tolist()
             except WindowViolation as exc:
                 raise LeftDomain(str(exc)) from exc
-            return np.array([u, v])
+            return u, v
 
         y0 = np.array([r0 * math.cos(theta0), r0 * math.sin(theta0)])
 

@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -5,10 +8,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from rswlab.cli import main
+from rswlab.cli import build_parser, main
 from rswlab.core import FlowParameters, as_cartesian
-from rswlab.solutions import make_family
+from rswlab.solutions import FAMILY_NAMES, make_family
 from rswlab.transforms import map_field_rsw_to_sw, map_field_sw_to_rsw, transport_solution
 
 
@@ -139,9 +144,14 @@ class TestBadArguments:
         ["field", "--family", "stationary-rotsym", "--profile", "gauss:nan"],
         ["field", "--family", "collapse-scaling", "--phi0", "nan"],
         ["field", "--family", "rest", "--h0", "nan"],
+        ["trajectory", "--family", "rest", "--r0", "-0.5"],
+        ["field", "--family", "rest", "--t", ""],
+        ["trajectory", "--family", "rest", "--r0", ""],
+        ["map", "--transport", "--alpha", "2", "--family", "rest", "--t", "", "--r", "0:2:5"],
     ], ids=["shape-not-integers", "profile-not-numbers", "psi-not-numbers",
             "profile-too-many-numbers", "psi-too-many-numbers", "gauss-zero-width",
-            "drop-alpha-underflow", "h0-inf", "u0-nan", "profile-nan", "phi0-nan", "rest-h0-nan"])
+            "drop-alpha-underflow", "h0-inf", "u0-nan", "profile-nan", "phi0-nan", "rest-h0-nan",
+            "r0-negative", "t-empty", "r0-empty", "map-t-empty"])
     def test_exit_2_with_an_error_line(self, argv, tmp_path, capsys):
         out = tmp_path / "out"
         code = run([*argv, "--out", str(out)])
@@ -329,8 +339,6 @@ class TestDeterminism:
         assert c.read_bytes() == d.read_bytes()
 
     def test_parser_is_shared_and_calls_leak_nothing(self, tmp_path):
-        from rswlab.cli import build_parser
-
         assert build_parser() is build_parser()
         fd, plain = tmp_path / "fd.json", tmp_path / "plain.json"
         family = ["--family", "cylinder", "--shape", "3,3,2"]
@@ -405,3 +413,76 @@ class TestConsoleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
         assert len(list(tmp_path.glob("*.csv"))) == 4
+
+
+
+# ---------------------------------------------------------------------------
+# Argument fuzz: every argv gets a documented exit code, never a traceback
+# ---------------------------------------------------------------------------
+
+FUZZ_VALUES = ("", "nan", "inf", "-1", "0", "1e300", "x", "1,2", "0.5", "1", "2", "0.25,1.5")
+#: Well-formed values of the options that take structured text, kept small.
+FUZZ_EXTRA = {
+    "--r": ("0.5:1.5:3", "0:2:3"), "--theta": ("0:1:2",), "--x": ("-1:1:3",), "--y": ("-1:1:3",),
+    "--shape": ("3,3,2",), "--profile": ("gauss:0.5,2", "solid:1"), "--psi": ("sine:1",),
+    "--samples": ("3",), "--points": ("3",), "--seed": ("3",),
+}
+(_SUBCOMMANDS,) = [a.choices for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+
+
+@st.composite
+def rsw_argv(draw):
+    """A subcommand with up to five of its flags, each set to a drawn value."""
+    name = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    options = [a for a in _SUBCOMMANDS[name]._actions
+               if a.option_strings and a.dest not in ("help", "out")]
+    argv = [name]
+    for action in draw(st.lists(st.sampled_from(options), unique_by=id, max_size=5)):
+        flag = action.option_strings[-1]
+        if action.nargs == 0:
+            argv.append(flag)
+            continue
+        if action.choices:
+            pool = (*action.choices, "x")
+        elif action.dest == "family":
+            pool = (*FAMILY_NAMES, "x", "")
+        else:
+            pool = (*FUZZ_VALUES, *FUZZ_EXTRA.get(flag, ()))
+        argv.append(f"{flag}={draw(st.sampled_from(pool))}")
+    if name != "commutators" and not any(tok.startswith("--family=") for tok in argv):
+        argv.append(f"--family={draw(st.sampled_from(FAMILY_NAMES))}")
+    return argv
+
+
+class TestArgumentFuzz:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+    @given(argv=rsw_argv())
+    def test_exit_code_is_documented_and_nothing_escapes(self, argv, tmp_path):
+        out = tmp_path / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main([*argv, f"--out={out}"])
+            except SystemExit as exc:  # argparse's own usage errors
+                code = exc.code
+        assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        assert [p.name for p in tmp_path.iterdir()] in ([], ["out"])
+
+    @pytest.mark.parametrize("argv", [
+        ["trajectory", "--family", "cylinder", "--t1", "1e300"],
+        ["trajectory", "--family", "collapse-scaling", "--r0", "1,2", "--samples", "3"],
+        ["field", "--family", "barochronous-sw", "--f", "1e300"],
+        ["field", "--family", "collapse-contact-cubic", "--c1", "1e300"],
+        ["commutators", "--f", "1e300", "--seed", "-1"],
+        ["map", "--transport", "--alpha", "1e300", "--family", "drop", "--t", "nan"],
+    ])
+    def test_fixed_cases_finish_in_a_subprocess(self, argv, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-m", "rswlab.cli", *argv, "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode in (0, 1, 2, 3), proc.stderr
+        assert "Traceback" not in proc.stderr

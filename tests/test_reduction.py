@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -190,6 +192,31 @@ class TestRingBounds:
             assert slopes[2] > 1e4
         assert slope(rb.r_inner + 1e-13) > 1e6
 
+    @pytest.mark.parametrize("C1, C2, C3, f", [
+        (1.0, 1.0, 1.0, 0.1), (2.0, 0.5, 0.3, 0.1), (1.5, -1.0, 2.0, 0.5)])
+    def test_bounds_match_40_digit_roots(self, C1, C2, C3, f):
+        # the indicator restated in mpmath and solved from a bracket around
+        # each bound; measured at most 2e-13 relative in r, and 8.4e-12 in
+        # h = -(2/3) phi1(r), whose slope amplifies the error of r
+        mpmath = pytest.importorskip("mpmath")
+        params = FlowParameters(f, 1.0)
+        rb = ring_bounds(C1, C2, C3, params)
+        with mpmath.workdps(40):
+            C1m, C2m, C3m, fm, gm = map(mpmath.mpf, (C1, C2, C3, f, params.g))
+
+            def phi1(r):
+                return (fm * fm * r * r / 8 + C2m * C2m / (2 * r * r) - C1m) / gm
+
+            def indicator(r):
+                return mpmath.mpf(4) / 27 * phi1(r) ** 3 + C3m * C3m / (2 * gm * r * r)
+
+            for r, h in ((rb.r_inner, rb.h_inner), (rb.r_outer, rb.h_outer)):
+                lo, hi = mpmath.mpf(r) / 1.05, mpmath.mpf(r) * 1.05
+                assert indicator(lo) * indicator(hi) < 0
+                root = mpmath.findroot(indicator, (lo, hi), solver="anderson")
+                assert abs(r - root) <= 1e-11 * root
+                assert abs(h + 2 * phi1(root) / 3) <= 1e-10 * abs(h)
+
     def test_threshold_case_has_no_ring(self):
         C2 = 1.0
         C1 = RING.f * abs(C2) / 2.0
@@ -295,6 +322,64 @@ class TestImplicitCollapse:
     def test_rejects_bad_eta0(self):
         with pytest.raises(InvalidParams):
             collapse2_build(0.0, -1.0, P)
+
+    def test_overflowing_parameters_rejected(self):
+        with pytest.raises(InvalidParams):
+            collapse2_build(0.0, 1.0, FlowParameters(1.0, 1e300))
+
+
+class TestStateMemo:
+    """``state_of_t`` memoizes per time, bounded, with the bits of a fresh solve."""
+
+    @pytest.mark.parametrize("phi0", [0.0, 0.5])
+    def test_bounded_and_bit_identical_after_eviction(self, phi0):
+        ic = collapse2_build(phi0, 1.0, P)
+        probes = np.linspace(0.0, 0.9 * ic.Tstar, 7).tolist()
+        first = [ic.state_of_t(t) for t in probes]
+        assert [ic.state_of_t(t) for t in probes] == first  # repeated: memo hits
+        for t in np.linspace(0.001, 0.91 * ic.Tstar, 10_000).tolist():
+            ic.state_of_t(t)
+            assert len(ic._memo) <= ic.MEMO_CAP
+        assert not set(probes) & set(ic._memo)
+        again = [ic.state_of_t(t) for t in probes]
+        fresh = collapse2_build(phi0, 1.0, P)
+        assert again == first == [fresh.state_of_t(t) for t in probes]
+
+    def test_shared_across_threads(self):
+        ic = collapse2_build(0.5, 1.0, P)
+        times = np.linspace(0.0, 0.9 * ic.Tstar, 600).tolist()
+        fresh = collapse2_build(0.5, 1.0, P)
+        expect = [fresh.state_of_t(t) for t in times]
+        ic.MEMO_CAP = 64  # many clears while the threads run
+        results, sizes = {}, []
+
+        def work(k):
+            results[k] = []
+            for t in times[k % 3::3] + times:
+                results[k].append(ic.state_of_t(t))
+                sizes.append(len(ic._memo))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(th.is_alive() for th in threads)
+        assert all(results[k] == expect[k % 3::3] + expect for k in range(6))
+        assert max(sizes) <= 64
+
+    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf, 2.0])
+    def test_out_of_range_times_raise_and_are_not_stored(self, t):
+        ic = collapse2_build(0.0, 1.0, P)
+        ic.state_of_t(0.1)
+        with pytest.raises(InvalidParams):
+            ic.state_of_t(t)
+        assert list(ic._memo) == [0.1]
 
 
 class TestCollapseOdeAgreement:

@@ -17,6 +17,7 @@ from rswlab.errors import (
     OriginSingular,
 )
 from rswlab.solutions import (
+    FAMILY_NAMES,
     barochronous_sw,
     profile_gauss,
     pulsating_cylinder,
@@ -301,6 +302,91 @@ class TestIntegrateOde:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
+
+
+def _reference_integrate(field, r0, th0, t0, t1, tol, record):
+    """The integrator loop as it was on numpy states: ``np.array`` RHS rows
+    of scalar ``eval`` calls and a numpy error norm.  Returns the recorded
+    positions, steps and rejections."""
+    from rswlab.verify import _DP_A, _DP_C, _DP_E
+
+    def fn(t, y):
+        if field.frame == "polar":
+            r, th = y
+            U, V, _ = field.eval(t, r, th)
+            return np.array([U, V / r])
+        u, v, _ = field.eval(t, y[0], y[1])
+        return np.array([u, v])
+
+    polar = field.frame == "polar"
+    y = np.array([r0, th0] if polar else [r0 * math.cos(th0), r0 * math.sin(th0)])
+    t, out, steps, rejects = t0, [y.copy()], 0, 0
+    k = np.empty((7, 2))
+    k[0] = fn(t, y)
+    h = (t1 - t0) / 64.0
+    for target in record[1:]:
+        while t < target - 1e-14 * max(1.0, abs(target)):
+            lands = h >= target - t
+            if lands:
+                h = target - t
+            t_new = target if lands else t + h
+            for i in range(1, 7):
+                y_new = y + h * (_DP_A[i] @ k[:i])
+                k[i] = fn(t + _DP_C[i] * h if i < 5 else t_new, y_new)
+            err = float(np.max(np.abs(h * (_DP_E @ k)) / np.maximum(1.0, np.abs(y_new))))
+            if math.isnan(err):
+                err = math.inf
+            factor = 0.9 * (tol / err) ** 0.2 if err > 0.0 else 5.0
+            h *= min(5.0, max(0.2, factor))
+            if err > tol:
+                rejects += 1
+                continue
+            t, y = t_new, y_new
+            k[0] = k[6]
+            steps += 1
+        t = target
+        out.append(y.copy())
+    return np.array(out), steps, rejects
+
+
+def _one_path(name, catalog):
+    """One path of criterion 6's plan for a catalog family: (r0, theta0, t0, t1)."""
+    field = catalog[name]
+    w0 = 1 - math.cos(1.2)
+    if name == "stationary-ring":
+        b = field.meta["bounds"]
+        r0 = 0.5 * (b.r_inner + b.r_outer)
+        U0 = float(field.values_unchecked(0.0, r0, 0.0)[0])
+        return r0, 2.1, 0.0, min(field.params.period, 0.35 * (b.r_outer - r0) / U0)
+    if name == "collapse-contact":
+        return math.sqrt(w0 / (0.4 * field.meta["lam_max"])), 2.1, 1.2, 4.8
+    if name == "collapse-contact-cubic":
+        return math.sqrt(w0 / (0.4 * field.meta["lam_c"])), 2.1, 1.2, 4.2
+    if name == "collapse-scaling":
+        return 0.97, 2.1, 0.0, 0.85 * field.meta["tabulation"].Tstar
+    if name == "constant-sw-image":
+        return 0.7, 2.1, 0.7, 5.6
+    return 0.97, 2.1, 0.0, 2 * math.pi
+
+
+class TestFloatPathIsBitIdentical:
+    """Float RHS and float error norm against the numpy loop, bit for bit."""
+
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    def test_catalog_path(self, name, catalog):
+        self._check(catalog[name], *_one_path(name, catalog))
+
+    def test_cartesian_view(self, catalog):
+        self._check(as_cartesian(catalog["pulsating-drop"]), 0.8, 0.4, 0.0, 2 * math.pi)
+
+    @staticmethod
+    def _check(field, r0, th0, t0, t1):
+        record = np.linspace(t0, t1, 9)
+        traj = integrate_trajectory(field, r0, th0, t0, t1, tol=1e-10, record=record)
+        positions, steps, rejects = _reference_integrate(field, r0, th0, t0, t1, 1e-10, record)
+        assert traj.positions.tobytes() == positions.tobytes()
+        assert (traj.stats["steps"], traj.stats["rejected"]) == (steps, rejects)
+        assert steps >= len(record) - 1
 
 
 class TestMaterialCurves:
