@@ -113,19 +113,24 @@ def _parse_list(spec: str) -> list[float]:
     return values
 
 
+#: The family flags, each with its ``add_argument`` keywords; a flag that is
+#: given goes to :func:`make_family` under its name.
+_FAMILY_FLAGS = {
+    **{name: {"type": float} for name in ("h0", "u0", "v0", "alpha", "c1", "c2", "c3",
+                                          "phi0", "eta0", "lam0")},
+    "branch": {"choices": ("lower", "upper")},
+    "profile": {"help": "swirl profile, e.g. gauss:0.5,2"},
+    "psi": {"help": "swirl invariant, e.g. sine:1"},
+    "frame": {"choices": ("polar", "cartesian")},
+}
+
+
 def _family_kwargs(args) -> dict:
-    kw = {}
-    for name in ("h0", "u0", "v0", "alpha", "c1", "c2", "c3",
-                 "phi0", "eta0", "lam0"):
-        val = getattr(args, name, None)
-        if val is not None:
-            if not math.isfinite(val):
-                raise InvalidParams(f"--{name} must be finite, got {val!r}")
-            kw[name] = val
-    for name in ("branch", "profile", "psi", "frame"):
-        val = getattr(args, name, None)
-        if val is not None:
-            kw[name] = val
+    given = vars(args)
+    kw = {name: given[name] for name in _FAMILY_FLAGS if given[name] is not None}
+    for name, val in kw.items():
+        if isinstance(val, float) and not math.isfinite(val):
+            raise InvalidParams(f"--{name} must be finite, got {val!r}")
     return kw
 
 
@@ -195,19 +200,21 @@ def cmd_trajectory(args) -> int:
     summaries = []
     for idx, r0 in enumerate(_parse_list(args.r0)):
         theta0 = args.theta0
-        if r0 == 0.0:
-            rows.append([idx, args.t0, 0.0, theta0, 0.0, 0.0, ""])
-            summaries.append({"particle": idx, "kind": "fixed-point"})
-            continue
         traj = integrate_trajectory(
             field_, r0, theta0, args.t0, args.t1, tol=args.tol, record=times
         )
-        circle = None
+        if traj.stats.get("fixed_point"):
+            rows.append([idx, args.t0, 0.0, theta0, 0.0, 0.0, ""])
+            summaries.append({"particle": idx, "kind": "fixed-point"})
+            continue
         try:
             formula = trajectory_formula(field_, r0, theta0)
-            circle = formula.circle
         except (UnsupportedFamily, InvalidParams):
             formula = None
+        # a closed form starts from (r0, theta0) at its anchor time, so its
+        # circle and closure describe this path only when t0 is that time
+        anchored = formula is not None and formula.anchor_time == args.t0
+        circle = formula.circle if anchored else None
         xy = []
         for t, pos in zip(traj.times, traj.positions):
             if field_.frame == "polar":
@@ -221,7 +228,7 @@ def cmd_trajectory(args) -> int:
             rows.append([idx, float(t), r, th, x, y, fit])
         summary: dict = {"particle": idx, "r0": r0, "theta0": theta0}
         meta = field_.meta
-        if meta.get("family") == "pulsating-drop":
+        if anchored and meta.get("family") == "pulsating-drop":
             cl = closure_condition(meta["alpha"], r0, field_.params)
             if cl.closed:
                 summary.update(kind="closed", m=cl.m, M=cl.M)
@@ -257,10 +264,12 @@ def cmd_residual(args) -> int:
         shape = ()  # rejected below with the other malformed shapes
     if len(shape) != 3 or any(n < 2 for n in shape):
         raise InvalidParams(f"shape must be three counts >= 2, got {args.shape!r}")
-    report = residual_report(field_, shape=shape)
     threshold = args.threshold
     if threshold is None:
         threshold = 1e-6 if field_.derivative_mode == "analytic" else 1e-4
+    elif not (math.isfinite(threshold) and threshold > 0.0):
+        raise InvalidParams(f"--threshold must be finite and > 0, got {threshold!r}")
+    report = residual_report(field_, shape=shape)
     payload = {
         "command": "residual",
         "family": canonical_family_name(args.family),
@@ -311,8 +320,8 @@ def cmd_commutators(args) -> int:
 
 
 def cmd_map(args) -> int:
-    params = FlowParameters(args.f, args.g)
-    source = make_family(args.family, params, **_family_kwargs(args))
+    source = _build_field(args)
+    params = source.params
     if args.transport:
         if args.alpha is None or args.alpha <= 0.0:
             raise InvalidParams("--transport requires --alpha > 0")
@@ -362,20 +371,8 @@ def _add_family_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", required=True, help="solution family name")
     p.add_argument("--f", type=float, default=1.0, help="Coriolis parameter")
     p.add_argument("--g", type=float, default=1.0, help="gravity")
-    p.add_argument("--h0", type=float, default=None)
-    p.add_argument("--u0", type=float, default=None)
-    p.add_argument("--v0", type=float, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--c1", type=float, default=None)
-    p.add_argument("--c2", type=float, default=None)
-    p.add_argument("--c3", type=float, default=None)
-    p.add_argument("--phi0", type=float, default=None)
-    p.add_argument("--eta0", type=float, default=None)
-    p.add_argument("--lam0", type=float, default=None)
-    p.add_argument("--branch", choices=("lower", "upper"), default=None)
-    p.add_argument("--profile", default=None, help="swirl profile, e.g. gauss:0.5,2")
-    p.add_argument("--psi", default=None, help="swirl invariant, e.g. sine:1")
-    p.add_argument("--frame", choices=("polar", "cartesian"), default=None)
+    for name, options in _FAMILY_FLAGS.items():
+        p.add_argument(f"--{name}", default=None, **options)
 
 
 def _add_grid_options(p: argparse.ArgumentParser) -> None:
@@ -404,8 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_options(p)
     _add_grid_options(p)
     _add_output_options(p)
-    p.add_argument("--mode", choices=("analytic", "fd"), default="analytic")
-    p.add_argument("--fd-step", dest="fd_step", type=float, default=None)
     p.set_defaults(func=cmd_field)
 
     p = sub.add_parser("trajectory", help="integrate particle paths")

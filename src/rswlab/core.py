@@ -1,8 +1,11 @@
 """Fundamental types: flow parameters, states, forward-mode jets, evaluable
 fields, diagnostics.
 
-Everything in this module is an immutable value; all operations are pure
-functions of their inputs, so unrestricted parallel evaluation is safe.
+Every type here is immutable from the outside, and every operation returns
+the same result for the same inputs.  Some fields keep internal caches (the
+last radius of a stationary swirl, the float rows of an integral table, the
+per-time memo of the collapse tabulation); they are written so that fields
+can be shared across threads.
 
 Conventions used throughout the package:
 
@@ -430,7 +433,8 @@ class FlowField:
         checked on the whole block.  The errors are the scalar call's and
         name an offending point; the result has shape ``(3,) + shape``.
         Float positions are one point, checked component by component with
-        ``math.isfinite``; the result is a ``(3,)`` array.
+        ``math.isfinite``; the result is a ``(3,)`` array, and an
+        arithmetic error of the kernel counts as a non-finite value.
         A :class:`Jet` time makes a jet evaluation: the checks apply to the
         values, and the three state jets come back.
         """
@@ -446,9 +450,12 @@ class FlowField:
             a, b = float(a[bad][0]), float(b[bad][0])
         else:
             self.window.check(t, self._radius(a, b))
-            out = self.value_fn(t, a, b)
-            if all(map(math.isfinite, out)):
-                return np.array(out, dtype=float)
+            try:
+                out = self.value_fn(t, a, b)
+                if all(map(math.isfinite, out)):
+                    return np.array(out, dtype=float)
+            except ArithmeticError:  # float arithmetic raises where arrays give inf or NaN
+                pass
         raise WindowViolation(
             f"field {self.label!r} produced non-finite values at "
             f"(t={t!r}, {a!r}, {b!r})"
@@ -497,9 +504,14 @@ class FlowField:
     def with_derivative_mode(
         self, mode: Literal["analytic", "fd"], fd_step: float | None = None
     ) -> "FlowField":
-        """Copy of this field evaluating derivatives in the given mode."""
+        """Copy of this field evaluating derivatives in the given mode.
+
+        ``fd_step`` must be finite and > 0.
+        """
         kwargs = {"derivative_mode": mode}
         if fd_step is not None:
+            if not (math.isfinite(fd_step) and fd_step > 0.0):
+                raise InvalidParams(f"fd_step must be finite and > 0, got {fd_step!r}")
             kwargs["fd_step"] = fd_step
         return replace(self, **kwargs)
 
@@ -565,12 +577,6 @@ def _absolute_vorticity(field_: FlowField, a: float, values, grad) -> float:
     U_theta = grad[0, 2]
     V_r = grad[1, 1]
     return V_r + V / r - U_theta / r + f_eff
-
-
-def curl_plus_coriolis(field_: FlowField, point) -> float:
-    """Absolute vorticity v_x - u_y + f at a point, f per the field's system."""
-    t, a, b = _components(field_, point)
-    return _absolute_vorticity(field_, a, *field_.jet(t, a, b))
 
 
 def _state_and_pv(field_: FlowField, point) -> tuple[np.ndarray, float]:

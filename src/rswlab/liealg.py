@@ -35,6 +35,7 @@ import numpy as np
 
 from .core import FlowParameters, Jet
 from .errors import FitDegenerate, InvalidParams
+from .transforms import _forward_arrays
 
 Family = Literal["X", "Y", "Z"]
 
@@ -487,8 +488,6 @@ def pushforward_check(
     eps / sin^2(f t/2) relative, and the report shows it.  A sample point at
     a full-period time, where the map is singular, raises :class:`SingularTime`.
     """
-    from .transforms import _forward_arrays  # local import avoids a cycle
-
     mult = pushforward_multiplier(k, params)
     yid = GeneratorId("Y", k)
     zid = GeneratorId("Z", k)

@@ -200,66 +200,54 @@ def cubic_real_roots(b, c, d) -> np.ndarray:
     ``(3,) + shape``, each column the distinct real roots ascending and
     padded with NaN.  The branches of :func:`solve_cubic_real` are chosen
     per element with ``np.where``, and a branch no element takes is not
-    computed; a block smaller than :data:`SMALL_BLOCK` is solved cubic by
-    cubic with the scalar version.  Both versions take ``arccos``, ``cos`` and ``cbrt`` from
-    numpy, whose scalar and array results agree, so a column equals the
-    scalar call bit for bit.
+    computed.  The scalar version solves a block smaller than
+    :data:`SMALL_BLOCK` cubic by cubic, and each cubic inside the
+    near-double-root band wherever it occurs.  Both versions take
+    ``arccos``, ``cos`` and ``cbrt`` from numpy, whose scalar and array
+    results agree, so a column equals the scalar call bit for bit.
     """
     b, c, d = (np.asarray(v, dtype=float) for v in (b, c, d))
     _check_cubic_coefficients(b, c, d, lambda v: np.isfinite(v).all())
     shape = np.broadcast_shapes(b.shape, c.shape, d.shape)
     if math.prod(shape) < SMALL_BLOCK:  # fewer numpy calls than scalar solves
-        roots = np.full((3, math.prod(shape)), np.nan)
-        coefficients = (np.broadcast_to(v, shape).ravel().tolist() for v in (b, c, d))
-        for k, cubic in enumerate(zip(*coefficients)):
+        roots, scalar = np.full((3,) + shape, np.nan), np.ones(shape, dtype=bool)
+    else:
+        with np.errstate(all="ignore"):
+            shift = -b / 3.0
+            q = _cubic_value(b, c, d, shift)
+            p = (3.0 * shift + 2.0 * b) * shift + c
+            m0 = np.sqrt(np.where(p < 0.0, -p / 3.0, 0.0))
+            neg = m0 > 0.0
+            crit = np.abs(q) - 2.0 * (m0 * m0 * m0)
+            ashift = np.abs(shift)
+            size = (((ashift + np.abs(b)) * ashift + np.abs(c)) * ashift + np.abs(d)
+                    + m0 * ((3.0 * ashift + 2.0 * np.abs(b)) * ashift + np.abs(c)))
+            band = np.broadcast_to(neg & (np.abs(crit) <= DOUBLE_ROOT_BAND * size), shape)
+            three = np.broadcast_to(neg & ~band & (crit < 0.0), shape)
+
+            trig = _trig_roots(p, q, m0, shift) if three.any() else [np.nan] * 3
+            card = np.nan
+            if not three.all():
+                hq, p3 = 0.5 * q, p / 3.0
+                disc = hq * hq + p3 * p3 * p3
+                u = np.cbrt(-(hq + np.copysign(np.sqrt(np.maximum(disc, 0.0)), q)))
+                w = np.where(u != 0.0, -p / (3.0 * np.where(u != 0.0, u, 1.0)), 0.0)
+                card = u + w + shift
+            first = np.where(three, trig[0], card)
+            if three.any():
+                roots = _newton_polish_cubic_array(
+                    b, c, d, np.stack([first] + [np.where(three, trig[k], np.nan) for k in (1, 2)]))
+            else:
+                roots = np.full((3,) + shape, np.nan)
+                roots[0] = _newton_polish_cubic_array(b, c, d, first)
+        scalar = band  # a near-double root pair is decided cubic by cubic
+    if scalar.any():  # the scalar version solves these cubics one by one
+        # their rows past the first are NaN, and every cubic has a real root
+        flat = roots.reshape(3, -1)  # a view: roots is contiguous
+        cubics = zip(*(np.broadcast_to(v, shape)[scalar].tolist() for v in (b, c, d)))
+        for k, cubic in zip(np.flatnonzero(scalar).tolist(), cubics):
             found = solve_cubic_real(*cubic)
-            roots[: len(found), k] = found
-        return roots.reshape((3,) + shape)
-    with np.errstate(all="ignore"):
-        shift = -b / 3.0
-        q = _cubic_value(b, c, d, shift)
-        p = (3.0 * shift + 2.0 * b) * shift + c
-        m0 = np.sqrt(np.where(p < 0.0, -p / 3.0, 0.0))
-        neg = m0 > 0.0
-        crit = np.abs(q) - 2.0 * (m0 * m0 * m0)
-        ashift = np.abs(shift)
-        size = (((ashift + np.abs(b)) * ashift + np.abs(c)) * ashift + np.abs(d)
-                + m0 * ((3.0 * ashift + 2.0 * np.abs(b)) * ashift + np.abs(c)))
-        band = np.broadcast_to(neg & (np.abs(crit) <= DOUBLE_ROOT_BAND * size), shape)
-        three = np.broadcast_to(neg & ~band & (crit < 0.0), shape)
-        sq = np.where(q >= 0.0, 1.0, -1.0)
-
-        trig = _trig_roots(p, q, m0, shift) if (three | band).any() else [np.nan] * 3
-        card = np.nan
-        if not (three | band).all():
-            hq, p3 = 0.5 * q, p / 3.0
-            disc = hq * hq + p3 * p3 * p3
-            u = np.cbrt(-(hq + np.copysign(np.sqrt(np.maximum(disc, 0.0)), q)))
-            w = np.where(u != 0.0, -p / (3.0 * np.where(u != 0.0, u, 1.0)), 0.0)
-            card = u + w + shift
-        first = np.where(three, trig[0], np.where(band, np.where(sq > 0.0, trig[0], trig[2]), card))
-        if three.any():
-            roots = _newton_polish_cubic_array(
-                b, c, d, np.stack([first] + [np.where(three, trig[k], np.nan) for k in (1, 2)]))
-        else:
-            roots = np.full((3,) + shape, np.nan)
-            roots[0] = _newton_polish_cubic_array(b, c, d, first)
-
-        if band.any():  # the pair of a near-double root, as in the scalar version
-            bb, cc, dd, s, m, xs, sz = (np.broadcast_to(v, shape)[band] for v in (b, c, d, sq, m0, shift, size))
-            far = roots[0, band]
-            xc = xs + s * m
-            fc = _cubic_value_compensated(bb, cc, dd, xc)
-            pair = -s * fc / (3.0 * m)
-            two = pair > 0.0
-            merged = ~two & (np.abs(fc) <= DOUBLE_ROOT_MERGE * sz)
-            delta = np.sqrt(np.where(two, pair, 0.0))
-            lo = np.where(two, xc - delta, np.where(merged, xc, np.nan))
-            hi = np.where(two, xc + delta, np.nan)
-            up = s > 0.0
-            roots[0, band] = np.where(up | ~(two | merged), far, lo)
-            roots[1, band] = np.where(up, lo, np.where(two, hi, np.where(merged, far, np.nan)))
-            roots[2, band] = np.where(up, hi, np.where(two, far, np.nan))
+            flat[: len(found), k] = found
     return roots
 
 
@@ -568,11 +556,14 @@ class IntegralTable:
             return np.where((x >= self.lo) & (x <= self.hi), v, np.nan)
         if not self.lo <= x <= self.hi:
             return math.nan
-        if self._rows is None:  # the last row twice, for x at the last node
-            self._nodes = self.nodes.tolist()
-            self._rows = list(zip(self._nodes, self.widths.tolist(), *self.coef.T.tolist()))
-            self._rows.append(self._rows[-1])
-        x0, h, c0, c1, c2, c3, c4, c5 = self._rows[bisect.bisect_right(self._nodes, x) - 1]
+        table = self._rows
+        if table is None:  # the last row twice, for x at the last node
+            nodes = self.nodes.tolist()
+            rows = list(zip(nodes, self.widths.tolist(), *self.coef.T.tolist()))
+            rows.append(rows[-1])
+            table = self._rows = nodes, rows  # published whole, for concurrent readers
+        nodes, rows = table
+        x0, h, c0, c1, c2, c3, c4, c5 = rows[bisect.bisect_right(nodes, x) - 1]
         s = (x - x0) / h
         return c0 + s * (c1 + s * (c2 + s * (c3 + s * (c4 + s * c5))))
 

@@ -65,19 +65,6 @@ from .reduction import (
 )
 from .transforms import check_dilation, y9_dilation, y9_factors
 
-FAMILY_NAMES = (
-    "rest",
-    "constant-sw-image",
-    "barochronous-sw",
-    "stationary-rotsym",
-    "pulsating-cylinder",
-    "pulsating-drop",
-    "stationary-ring",
-    "collapse-contact",
-    "collapse-contact-cubic",
-    "collapse-scaling",
-)
-
 _ALIASES = {
     "rest-state": "rest",
     "constant": "constant-sw-image",
@@ -103,24 +90,25 @@ def canonical_family_name(name: str) -> str:
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """A swirl profile V(r) with analytic derivative.
+    """A function of one variable with analytic derivative: a swirl
+    profile V(r), or the contact family's swirl invariant psi(lam).
 
-    Profiles must vanish at the origin (V ~ O(r)) so that the balance
-    integral converges.  ``fn`` and ``deriv`` take floats or arrays, and
-    give the same bits for a float as for that float in an array: the
-    built-in profiles take their transcendental functions from numpy.
-    Called with a :class:`~rswlab.core.Jet`, a profile takes its slope
-    from ``deriv``.
+    A swirl profile must vanish at the origin (V ~ O(r)) so that the
+    balance integral converges.  ``fn`` and ``deriv`` take floats or
+    arrays, and give the same bits for a float as for that float in an
+    array: the built-in profiles take their transcendental functions from
+    numpy.  Called with a :class:`~rswlab.core.Jet`, a profile takes its
+    slope from ``deriv``.
     """
 
     fn: Callable[[float], float]
     deriv: Callable[[float], float]
     label: str
 
-    def __call__(self, r: float) -> float:
-        if isinstance(r, Jet):
-            return r.chain(self.fn(r.v), self.deriv(r.v))
-        return self.fn(r)
+    def __call__(self, x: float) -> float:
+        if isinstance(x, Jet):
+            return x.chain(self.fn(x.v), self.deriv(x.v))
+        return self.fn(x)
 
 
 def profile_zero() -> RadialProfile:
@@ -320,15 +308,17 @@ def stationary_rotsym(
         )
 
     # a particle keeps its radius (U = 0), so a path asks for one radius
-    # over and over: float calls remember the last one
+    # over and over: float calls remember the last one, read once per call
+    # so that a concurrent call cannot swap it between the check and the use
     last = [(math.nan, 0.0, 0.0)]
 
     def value_fn(t, r, theta):
         if isinstance(r, (np.ndarray, Jet)):
             return 0.0, profile(r), depth(r)
-        if last[0][0] != r:
-            last[0] = (r, profile(r), depth(r))
-        return 0.0, last[0][1], last[0][2]
+        entry = last[0]
+        if entry[0] != r:
+            entry = last[0] = (r, profile(r), depth(r))
+        return 0.0, entry[1], entry[2]
 
     return FlowField(
         frame="polar",
@@ -395,17 +385,20 @@ def drop_swirl_coefficient(alpha: float, params: FlowParameters) -> float:
     return -f * f * math.sqrt(alpha / (12.0 * g))
 
 
+def _drop_coefficients(alpha: float, params: FlowParameters) -> tuple[float, float, float, float]:
+    """The swirl coefficient l and the base depth's coefficients a4, a3, a0."""
+    f, g = params.f, params.g
+    l = drop_swirl_coefficient(alpha, params)
+    return l, l * l / (4.0 * g), f * l / (3.0 * g), f ** 4 / (12.0 * g * l * l)
+
+
 def drop_base_depth(alpha: float, params: FlowParameters) -> Callable[[float], float]:
     """Base depth profile of the drop before transport.
 
     hbar(x) = (l^2/(4g)) x^4 + (f l/(3g)) x^3 + f^4/(12 g l^2); it has a
     double zero at x = -f/l and is positive inside.
     """
-    f, g = params.f, params.g
-    l = drop_swirl_coefficient(alpha, params)
-    a4 = l * l / (4.0 * g)
-    a3 = f * l / (3.0 * g)
-    a0 = f ** 4 / (12.0 * g * l * l)
+    _, a4, a3, a0 = _drop_coefficients(alpha, params)
 
     def hbar(x):
         return ((a4 * x + a3) * x * x) * x + a0
@@ -423,11 +416,8 @@ def pulsating_drop(alpha: float, params: FlowParameters) -> FlowField:
     :func:`closure_condition`.
     """
     check_dilation(alpha)
-    f, g = params.f, params.g
-    l = drop_swirl_coefficient(alpha, params)
-    a4 = l * l / (4.0 * g)
-    a3 = f * l / (3.0 * g)
-    a0 = f ** 4 / (12.0 * g * l * l)
+    f = params.f
+    l, a4, a3, a0 = _drop_coefficients(alpha, params)
 
     def value_fn(t, r, theta):
         _, _, D, cu, B = y9_factors(t, alpha, f)
@@ -535,43 +525,59 @@ def stationary_ring(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SwirlInvariant:
-    """psi(lam) with analytic derivative, for the contact family.
-
-    ``fn`` and ``deriv`` take floats or arrays, and a jet takes its slope
-    from ``deriv``, as for :class:`RadialProfile`.
-    """
-
-    fn: Callable[[float], float]
-    deriv: Callable[[float], float]
-    label: str
-
-    def __call__(self, lam: float) -> float:
-        if isinstance(lam, Jet):
-            return lam.chain(self.fn(lam.v), self.deriv(lam.v))
-        return self.fn(lam)
+def _contact_geometry(f: float, t, r) -> tuple:
+    """w = 1 - cos(f t), the similarity variable lam = w / r^2, and the
+    piston velocity (f r / 2) cot(f t / 2) = (f r / 2) sin(f t) / w."""
+    ft = f * t
+    w = 1.0 - cos(ft)
+    return w, w / (r * r), (f * r / 2.0) * sin(ft) / w
 
 
-def swirl_constant(c: float = 1.0) -> SwirlInvariant:
-    return SwirlInvariant(lambda lam: c, lambda lam: 0.0, f"const:{c:g}")
+def _level_radius(f: float, t: float, lam: float) -> float:
+    """The radius sqrt((1 - cos f t) / lam) of the similarity level lam at time t."""
+    return math.sqrt((1.0 - math.cos(f * t)) / lam)
 
 
-def swirl_sine(amplitude: float = 1.0) -> SwirlInvariant:
-    return SwirlInvariant(
+def _contact_window(params: FlowParameters, lam_cap: float) -> Window:
+    """One inertial period, at the radii inside the similarity level lam_cap."""
+    period = params.period
+    return Window(t_lo=0.0, t_hi=period, t_guard=1e-9 * period,
+                  r_lo=lambda t: _level_radius(params.f, t, lam_cap))
+
+
+def _bisect_last(holds: Callable[[float], bool], lo: float, hi: float, rtol: float) -> float:
+    """Bisect [lo, hi], where ``holds`` is true at lo and false at hi, until
+    hi - lo < rtol max(1, lo); return the last point where it holds."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < rtol * max(1.0, lo):
+            break
+    return lo
+
+
+def swirl_constant(c: float = 1.0) -> RadialProfile:
+    return RadialProfile(lambda lam: c, lambda lam: 0.0, f"const:{c:g}")
+
+
+def swirl_sine(amplitude: float = 1.0) -> RadialProfile:
+    return RadialProfile(
         lambda lam: amplitude * np.sin(lam),
         lambda lam: amplitude * np.cos(lam),
         f"sine:{amplitude:g}",
     )
 
 
-def parse_swirl(spec: str) -> SwirlInvariant:
+def parse_swirl(spec: str) -> RadialProfile:
     """Parse a CLI swirl invariant spec like ``const:1`` or ``sine:0.5``."""
     return _parse_spec(spec, {"const": swirl_constant, "sine": swirl_sine}, "swirl invariant")
 
 
 def collapse_contact(
-    psi: SwirlInvariant,
+    psi: RadialProfile,
     lam0: float,
     eta0: float,
     params: FlowParameters,
@@ -632,16 +638,7 @@ def collapse_contact(
         lam_max = lam_ceiling
         psi_sq_integral.extend(lam_ceiling)
     else:
-        lo, hi = lam_max, lam_max + step
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if eta(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-12 * max(1.0, lo):
-                break
-        lam_max = lo
+        lam_max = _bisect_last(lambda lam: eta(lam) > 0.0, lam_max, lam_max + step, 1e-12)
     lam_cap = lam0 + 0.95 * (lam_max - lam0)
 
     def depth(w, lam, r):
@@ -651,16 +648,9 @@ def collapse_contact(
         return Jet(eta(lam.v) / (r.v * r.v), slopes.t, slopes.a, slopes.b)
 
     def value_fn(t, r, theta):
-        ft = f * t
-        w = 1.0 - cos(ft)
-        lam = w / (r * r)
-        U = (f * r / 2.0) * sin(ft) / w
+        w, lam, U = _contact_geometry(f, t, r)
         V = psi(lam) / r - f * r / 2.0
         return U, V, depth(w, lam, r)
-
-    def r_lo(t: float) -> float:
-        w = 1.0 - math.cos(f * t)
-        return math.sqrt(w / lam_cap)
 
     # default sampling stays within a few swirl periods of lam0: far out on
     # the similarity axis the radius shrinks until fixed-step differencing
@@ -672,7 +662,7 @@ def collapse_contact(
         frame="polar",
         params=params,
         value_fn=value_fn,
-        window=Window(t_lo=0.0, t_hi=period, t_guard=1e-9 * period, r_lo=r_lo),
+        window=_contact_window(params, lam_cap),
         label=f"collapse-contact(psi={psi.label}, lam0={lam0:g}, eta0={eta0:g})",
         meta={
             "family": "collapse-contact",
@@ -690,7 +680,7 @@ def collapse_contact(
     for lam in (0.2 * lam0, lam_box):
         try:
             with np.errstate(all="ignore"):  # psi may give numpy floats
-                grad = field_.jet_fn(t_box, math.sqrt((1.0 - math.cos(f * t_box)) / lam), 0.0)[1]
+                grad = field_.jet_fn(t_box, _level_radius(f, t_box, lam), 0.0)[1]
         except ArithmeticError:
             grad = None
         if grad is None or not np.all(np.isfinite(grad)):
@@ -728,24 +718,21 @@ def collapse_contact_cubic(
     def discriminant(lam: float) -> float:
         p = C2 * C2 - C1 / lam
         q = 2.0 * g * C3 / lam
-        return (q / 2.0) ** 2 + (p / 3.0) ** 3
+        try:
+            return (q / 2.0) ** 2 + (p / 3.0) ** 3
+        except OverflowError as exc:
+            raise InvalidParams(
+                f"C=({C1!r}, {C2!r}, {C3!r}) overflow the discriminant of the cubic at lam={lam!r}"
+            ) from exc
 
     if discriminant(1e-8) >= 0.0:
         raise InvalidParams(
             "no two-branch region: the cubic never has three real roots"
         )
-    lo, hi = 1e-8, 1.0
+    hi = 1.0
     while discriminant(hi) < 0.0 and hi < 1e8:
         hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if discriminant(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14 * max(1.0, lo):
-            break
-    lam_c = lo
+    lam_c = _bisect_last(lambda lam: discriminant(lam) < 0.0, 1e-8, hi, 1e-14)
     lam_cap = 0.95 * lam_c
 
     # q = 2 g C3 / lam: three real roots put one root on the side opposite
@@ -771,24 +758,18 @@ def collapse_contact_cubic(
         return roots[1] if branch == "lower" else roots[far]
 
     def value_fn(t, r, theta):
-        ft = f * t
-        w = 1.0 - cos(ft)
-        lam = w / (r * r)
+        _, lam, piston = _contact_geometry(f, t, r)
         ph = phi(lam)
-        U = ph / r + (f * r / 2.0) * sin(ft) / w
+        U = ph / r + piston
         V = C2 / r - f * r / 2.0
         return U, V, C3 / (lam * ph) / (r * r)
-
-    def r_lo(t: float) -> float:
-        w = 1.0 - math.cos(f * t)
-        return math.sqrt(w / lam_cap)
 
     period = params.period
     return FlowField(
         frame="polar",
         params=params,
         value_fn=value_fn,
-        window=Window(t_lo=0.0, t_hi=period, t_guard=1e-9 * period, r_lo=r_lo),
+        window=_contact_window(params, lam_cap),
         label=f"collapse-contact-cubic(C=({C1:g},{C2:g},{C3:g}), {branch})",
         meta={
             "family": "collapse-contact-cubic",
@@ -842,44 +823,41 @@ def collapse_scaling(
 # ---------------------------------------------------------------------------
 
 
+#: Each family's builder, called with ``params`` and its keywords, and the
+#: keywords it takes with their defaults; :func:`make_family` reads it.
+_FAMILIES: dict[str, tuple[Callable[..., FlowField], dict]] = {
+    "rest": (rest_state, {"h0": 1.0, "frame": "polar"}),
+    "constant-sw-image": (constant_sw_image, {"u0": 1.0, "v0": 0.5, "h0": 1.0}),
+    "barochronous-sw": (barochronous_sw, {"h0": 1.0}),
+    "stationary-rotsym": (stationary_rotsym, {"profile": "gauss:0.5", "h0": 1.0}),
+    "pulsating-cylinder": (pulsating_cylinder, {"alpha": 2.0, "h0": 1.0}),
+    "pulsating-drop": (pulsating_drop, {"alpha": 2.0}),
+    "stationary-ring": (
+        lambda params, c1, c2, c3, branch: stationary_ring(c1, c2, c3, params, branch),
+        {"c1": 1.0, "c2": 1.0, "c3": 1.0, "branch": "lower"}),
+    "collapse-contact": (collapse_contact, {"psi": "sine:1", "lam0": 1.0, "eta0": 1.0}),
+    "collapse-contact-cubic": (
+        lambda params, c1, c2, c3, branch: collapse_contact_cubic(c1, c2, c3, params, branch),
+        {"c1": 1.0, "c2": 1.0, "c3": 1.0, "branch": "lower"}),
+    "collapse-scaling": (collapse_scaling, {"phi0": 0.0, "eta0": 1.0}),
+}
+
+FAMILY_NAMES = tuple(_FAMILIES)
+
+
 def make_family(name: str, params: FlowParameters, **kw) -> FlowField:
-    """Build a family by (kebab-case) name with keyword parameters."""
-    key = canonical_family_name(name)
-    if key == "rest":
-        return rest_state(kw.pop("h0", 1.0), params, frame=kw.pop("frame", "polar"))
-    if key == "constant-sw-image":
-        return constant_sw_image(
-            kw.pop("u0", 1.0), kw.pop("v0", 0.5), kw.pop("h0", 1.0), params
-        )
-    if key == "barochronous-sw":
-        return barochronous_sw(kw.pop("h0", 1.0), params)
-    if key == "stationary-rotsym":
-        profile = kw.pop("profile", None) or profile_gauss(0.5)
-        if isinstance(profile, str):
-            profile = parse_profile(profile)
-        return stationary_rotsym(profile, kw.pop("h0", 1.0), params)
-    if key == "pulsating-cylinder":
-        return pulsating_cylinder(kw.pop("alpha", 2.0), kw.pop("h0", 1.0), params)
-    if key == "pulsating-drop":
-        return pulsating_drop(kw.pop("alpha", 2.0), params)
-    if key == "stationary-ring":
-        return stationary_ring(
-            kw.pop("c1", 1.0), kw.pop("c2", 1.0), kw.pop("c3", 1.0),
-            params, branch=kw.pop("branch", "lower"),
-        )
-    if key == "collapse-contact":
-        psi = kw.pop("psi", None) or swirl_sine(1.0)
-        if isinstance(psi, str):
-            psi = parse_swirl(psi)
-        return collapse_contact(psi, kw.pop("lam0", 1.0), kw.pop("eta0", 1.0), params)
-    if key == "collapse-contact-cubic":
-        return collapse_contact_cubic(
-            kw.pop("c1", 1.0), kw.pop("c2", 1.0), kw.pop("c3", 1.0),
-            params, branch=kw.pop("branch", "lower"),
-        )
-    if key == "collapse-scaling":
-        return collapse_scaling(kw.pop("phi0", 0.0), kw.pop("eta0", 1.0), params)
-    raise UnsupportedFamily(name)
+    """Build a family by (kebab-case) name with keyword parameters.
+
+    A keyword the family does not take is ignored, and one given as None
+    takes its default.  ``profile`` and ``psi`` take a profile or its spec
+    string, as :func:`parse_profile` and :func:`parse_swirl` read it.
+    """
+    build, defaults = _FAMILIES[canonical_family_name(name)]
+    args = {k: v if kw.get(k) is None else kw[k] for k, v in defaults.items()}
+    for key, parse in (("profile", parse_profile), ("psi", parse_swirl)):
+        if isinstance(args.get(key), str):
+            args[key] = parse(args[key])
+    return build(params=params, **args)
 
 
 def default_catalog() -> dict[str, FlowField]:
@@ -891,7 +869,7 @@ def default_catalog() -> dict[str, FlowField]:
     p11, ring_params = FlowParameters(1.0, 1.0), FlowParameters(0.1, 1.0)
     return {
         name: make_family(name, ring_params if name == "stationary-ring" else p11)
-        for name in FAMILY_NAMES
+        for name in _FAMILIES
     }
 
 

@@ -156,25 +156,8 @@ def map_field_rsw_to_sw(field_: FlowField, params: FlowParameters | None = None)
     def t_image(t: float) -> float:
         return -1.0 / (f * math.tan(f * t / 2.0))
 
-    src = field_
-
-    def value_fn(tp, xp, yp):
-        t, x, y, _, _, _ = _inverse_arrays((tp, xp, yp, 0.0, 0.0, 0.0), f)
-        u, v, h = src.eval(t, x, y)
-        return _forward_arrays((t, x, y, u, v, h), f)[3:]
-
     window = Window(t_lo=t_image(t_lo), t_hi=t_image(t_hi))
-    meta = dict(src.meta)
-    meta.update(kind="equiv_image", direction="rsw2sw", source=src.label)
-    return FlowField(
-        frame="cartesian",
-        params=params,
-        value_fn=value_fn,
-        window=window,
-        system="sw",
-        label=f"sw_image({src.label})",
-        meta=meta,
-    )
+    return _equivalence_image(field_, params, "rsw2sw", window)
 
 
 def map_field_sw_to_rsw(field_: FlowField, params: FlowParameters | None = None) -> FlowField:
@@ -189,24 +172,33 @@ def map_field_sw_to_rsw(field_: FlowField, params: FlowParameters | None = None)
         raise InvalidParams("sw2rsw field map expects a cartesian-frame field")
     if field_.system != "sw":
         raise InvalidParams("source field must solve the non-rotating system")
-    f = params.f
-    src = field_
-
-    def value_fn(t, x, y):
-        tp, xp, yp, _, _, _ = _forward_arrays((t, x, y, 0.0, 0.0, 0.0), f)
-        up, vp, hp = src.eval(tp, xp, yp)
-        return _inverse_arrays((tp, xp, yp, up, vp, hp), f)[3:]
-
     window = Window(t_lo=0.0, t_hi=params.period, t_guard=1e-9 * params.period)
+    return _equivalence_image(field_, params, "sw2rsw", window)
+
+
+def _equivalence_image(src: FlowField, params: FlowParameters, direction: Direction,
+                       window: Window) -> FlowField:
+    """The image of ``src`` under ``direction`` on ``window``: pull back, evaluate, push forward."""
+    f = params.f
+    pull, push = _inverse_arrays, _forward_arrays
+    if direction == "sw2rsw":
+        pull, push = push, pull
+
+    def value_fn(t, a, b):
+        ts, xs, ys, _, _, _ = pull((t, a, b, 0.0, 0.0, 0.0), f)
+        u, v, h = src.eval(ts, xs, ys)
+        return push((ts, xs, ys, u, v, h), f)[3:]
+
+    system = "sw" if direction == "rsw2sw" else "rsw"
     meta = dict(src.meta)
-    meta.update(kind="equiv_image", direction="sw2rsw", source=src.label)
+    meta.update(kind="equiv_image", direction=direction, source=src.label)
     return FlowField(
         frame="cartesian",
         params=params,
         value_fn=value_fn,
         window=window,
-        system="rsw",
-        label=f"rsw_image({src.label})",
+        system=system,
+        label=f"{system}_image({src.label})",
         meta=meta,
     )
 

@@ -317,9 +317,11 @@ def integrate_ode(
     stage sums are numpy products, and the error norm is taken on floats,
     a NaN anywhere in it counting as an infinite error.  The integrator lands
     exactly on every time in ``record`` and returns the recorded states
-    with ``{"steps", "rejected", "rhs_evals"}`` counts.
-    :class:`BlowUp` is raised on step underflow or after ``max_steps``
-    accepted plus rejected steps.
+    with ``{"steps", "rejected", "rhs_evals"}`` counts.  A trial stage for
+    which ``fn`` raises :class:`LeftDomain` rejects its step like a NaN
+    error.  On step underflow the :class:`LeftDomain` of the last rejected
+    step is raised again, or :class:`BlowUp` if it had none; :class:`BlowUp`
+    is also raised after ``max_steps`` accepted plus rejected steps.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise InvalidParams(f"tol must be finite and > 0, got {tol!r}")
@@ -335,24 +337,32 @@ def integrate_ode(
     k[0] = fn(t, y)
     h = (t1 - t0) / 64.0
     steps = rejects = 0
+    left = None  # why the last rejected step left the domain, if it did
     for target in checkpoints:
         while t < target - 1e-14 * max(1.0, abs(target)):
             lands = h >= target - t
             if lands:
                 h = target - t
             if h < 1e-14 * max(1.0, abs(t)):
+                if left is not None:
+                    raise left
                 raise BlowUp(f"step size underflow at t={t!r}")
             if steps + rejects >= max_steps:
                 raise BlowUp(f"step budget exhausted at t={t!r}")
             t_new = target if lands else t + h
-            for i in range(1, 7):
-                y_new = y + h * (_DP_A[i] @ k[:i])
-                k[i] = fn(t + _DP_C[i] * h if i < 5 else t_new, y_new)
-            # max(|y_i|, 1.0) keeps a NaN y_i, which max(1.0, |y_i|) would drop;
-            # a NaN error is rejected and shrunk like an infinite one
-            ratios = [abs(e) / max(abs(yi), 1.0)
-                      for e, yi in zip((h * (_DP_E @ k)).tolist(), y_new.tolist())]
-            err = math.inf if any(map(math.isnan, ratios)) else max(ratios)
+            try:
+                for i in range(1, 7):
+                    y_new = y + h * (_DP_A[i] @ k[:i])
+                    k[i] = fn(t + _DP_C[i] * h if i < 5 else t_new, y_new)
+            except LeftDomain as exc:
+                left, err = exc, math.inf
+            else:
+                # max(|y_i|, 1.0) keeps a NaN y_i, which max(1.0, |y_i|) would drop;
+                # a NaN error is rejected and shrunk like an infinite one
+                left = None
+                ratios = [abs(e) / max(abs(yi), 1.0)
+                          for e, yi in zip((h * (_DP_E @ k)).tolist(), y_new.tolist())]
+                err = math.inf if any(map(math.isnan, ratios)) else max(ratios)
             factor = 0.9 * (tol / err) ** 0.2 if err > 0.0 else 5.0
             h *= min(5.0, max(0.2, factor))
             if err > tol:
@@ -387,7 +397,9 @@ def integrate_trajectory(
     times and nowhere else, since every field is smooth in t.  The
     right-hand side reads the state as Python floats and returns a tuple,
     so the kernel runs on floats; the bits are those of a numpy state.
-    Integration refuses to cross ``r < r_floor``.
+    Integration refuses to cross ``r < r_floor``.  A polar start at
+    ``r0 = 0`` is checked by one :meth:`~rswlab.core.FlowField.eval` and
+    returned as a single fixed sample, with ``stats["fixed_point"]`` set.
     """
     if not (math.isfinite(r0) and math.isfinite(theta0)):
         raise InvalidParams(
@@ -419,7 +431,8 @@ def integrate_trajectory(
 
     if r0 == 0.0 and field_.frame == "polar":
         # the origin is a stagnation point of every rotationally symmetric
-        # member; report a single fixed sample
+        # member inside whose window it lies; report a single fixed sample
+        field_.eval(t0, 0.0, theta0)
         times = np.array([t0])
         return Trajectory(times, np.array([[0.0, theta0]]), field_.frame, (r0, theta0),
                           {"steps": 0, "rejected": 0, "rhs_evals": 0,

@@ -64,6 +64,13 @@ class TestFieldCommand:
             run(["field", "--t", "1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", [["--mode", "fd"], ["--fd-step", "3"]])
+    def test_derivative_flags_are_not_field_options(self, flag):
+        # rsw field exports values only, so a derivative mode could not change it
+        with pytest.raises(SystemExit) as exc:
+            run(["field", "--family", "rest", *flag])
+        assert exc.value.code == 2
+
     def test_unknown_family_exits_2(self):
         assert run(["field", "--family", "tsunami", "--t", "1"]) == 2
 
@@ -148,10 +155,17 @@ class TestBadArguments:
         ["field", "--family", "rest", "--t", ""],
         ["trajectory", "--family", "rest", "--r0", ""],
         ["map", "--transport", "--alpha", "2", "--family", "rest", "--t", "", "--r", "0:2:5"],
+        ["residual", "--family", "rest", "--mode", "fd", "--fd-step", "0"],
+        ["residual", "--family", "rest", "--mode", "fd", "--fd-step", "nan"],
+        ["residual", "--family", "rest", "--threshold", "nan"],
+        ["field", "--family", "collapse-contact-cubic", "--c1", "1e300"],
+        ["field", "--family", "stationary-rotsym", "--profile", ""],
+        ["field", "--family", "collapse-contact", "--psi", ""],
     ], ids=["shape-not-integers", "profile-not-numbers", "psi-not-numbers",
             "profile-too-many-numbers", "psi-too-many-numbers", "gauss-zero-width",
             "drop-alpha-underflow", "h0-inf", "u0-nan", "profile-nan", "phi0-nan", "rest-h0-nan",
-            "r0-negative", "t-empty", "r0-empty", "map-t-empty"])
+            "r0-negative", "t-empty", "r0-empty", "map-t-empty", "fd-step-zero", "fd-step-nan",
+            "threshold-nan", "cubic-c1-overflow", "profile-empty", "psi-empty"])
     def test_exit_2_with_an_error_line(self, argv, tmp_path, capsys):
         out = tmp_path / "out"
         code = run([*argv, "--out", str(out)])
@@ -321,6 +335,44 @@ class TestTrajectoryCommand:
         assert code == 0
         lines = [ln for ln in out.read_text().splitlines() if ln and not ln.startswith("#")]
         assert len(lines) == 2  # header plus one fixed row
+
+
+    @pytest.mark.parametrize("argv, kind", [
+        (["--family", "cylinder", "--alpha", "2", "--r0", "1"], "circle"),
+        (["--family", "cylinder", "--alpha", "2", "--r0", "1", "--t0", "1", "--t1", "4"],
+         "generic"),
+        (["--family", "constant", "--r0", "0.5", "--t0", repr(math.pi), "--t1", "5"], "circle"),
+        (["--family", "constant", "--r0", "0.5", "--t0", "1", "--t1", "5"], "generic"),
+        (["--family", "drop", "--alpha", "2", "--r0", "1", "--t0", "1", "--t1", "4"], "generic"),
+    ], ids=["cylinder-anchor", "cylinder-t0-1", "constant-anchor", "constant-t0-1", "drop-t0-1"])
+    def test_summary_only_at_the_anchor_time(self, argv, kind, tmp_path):
+        # the closed forms start from (r0, theta0) at t = 0 (pi/f for the
+        # constant image); elsewhere their circle misfits the path by O(1)
+        out = tmp_path / "traj.json"
+        argv = ["trajectory", *argv, "--samples", "9", "--format", "json", "--out", str(out)]
+        assert run(argv) == 0
+        payload = json.loads(out.read_text())
+        summary, fits = payload["summaries"][0], [row[-1] for row in payload["rows"]]
+        assert summary["kind"] == kind
+        if kind == "circle":
+            assert max(fits) < 1e-8 and summary["circle_fit_residual"] < 1e-8
+        else:
+            assert set(fits) == {""}
+
+    @pytest.mark.parametrize("argv, code, rows", [
+        (["--family", "cylinder", "--t0", "1"], 0, 1),
+        (["--family", "collapse-scaling", "--t1", "0.5"], 0, 1),
+        (["--family", "ring", "--f", "0.1"], 3, 0),  # its window excludes r = 0
+        (["--family", "constant", "--t0", "1", "--t1", "3"], 0, 9),  # the origin moves
+    ], ids=["cylinder", "collapse-scaling", "ring", "constant"])
+    def test_zero_radius_start(self, argv, code, rows, tmp_path):
+        out = tmp_path / "traj.csv"
+        assert run(["trajectory", *argv, "--r0", "0", "--samples", "9", "--out", str(out)]) == code
+        lines = out.read_text().splitlines() if code == 0 else []
+        data = [ln.split(",") for ln in lines[1:] if not ln.startswith("#")]
+        assert len(data) == rows
+        if rows == 9:
+            assert float(data[-1][2]) > 3.9  # r at t = 3
 
 
 class TestDeterminism:

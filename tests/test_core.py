@@ -190,6 +190,19 @@ class TestFlowFieldWindow:
         with pytest.raises(WindowViolation):
             field.eval(-0.3, 0.0, 0.0)
 
+    def test_arithmetic_error_of_a_point_is_a_nonfinite_value(self, params11):
+        from rswlab.solutions import constant_sw_image
+
+        field = constant_sw_image(1.0, 0.5, 1.0, params11)
+        t = field.params.period * (1.0 - 1.5e-9)  # inside the guard band's end
+        with pytest.raises(WindowViolation, match="non-finite"):
+            field.eval(t, 0.5, 0.0)  # cos(f t) rounds to 1: a float division by zero
+
+    @pytest.mark.parametrize("step", [0.0, -1e-5, math.nan, math.inf])
+    def test_fd_step_must_be_finite_and_positive(self, step, params11):
+        with pytest.raises(InvalidParams):
+            pulsating_cylinder(2.0, 1.0, params11).with_derivative_mode("fd", step)
+
     def test_ring_radial_window(self, ring_params):
         field = stationary_ring(1.0, 1.0, 1.0, ring_params)
         with pytest.raises(WindowViolation):

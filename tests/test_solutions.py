@@ -1,4 +1,7 @@
 import math
+import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -458,6 +461,33 @@ class TestIntegralTables:
     def test_lam_max_unchanged(self, catalog):
         # the bound of the quadrature-based search, to 1e-12 relative
         assert catalog["collapse-contact"].meta["lam_max"] == pytest.approx(4.628674849633171, rel=1e-12)
+
+    def test_threads_share_a_field_bit_for_bit(self):
+        # the last-radius cache and the table's lazily built float rows are
+        # shared; eight threads, switching every microsecond, read both
+        radii = [*np.linspace(0.0, 6.0, 97).tolist(), 6.0 * 2.0 ** 64]  # and the last node
+        want = [make_family("stationary-rotsym", P).eval(0.0, r, 0.0).tobytes() for r in radii]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                field = make_family("stationary-rotsym", P)
+                got = [None] * 8
+
+                def work(k, field=field, got=got):
+                    order = random.Random(k).sample(range(len(radii)), len(radii))
+                    values = {i: field.eval(0.0, radii[i], 0.0).tobytes() for i in order}
+                    got[k] = [values[i] for i in range(len(radii))]
+
+                threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert got == [want] * 8
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_profiles_and_swirl_take_arrays(self):
         r = np.linspace(0.0, 3.0, 7)

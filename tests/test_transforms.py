@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rswlab.core import (
@@ -115,17 +115,17 @@ class TestFieldMapRoundTrips:
     """Mapping a field to the other system and back gives the field again."""
 
     @staticmethod
-    def assert_same(back, field_, t, x, y):
+    def assert_same(back, field_, t, x, y, tol=1e-12):
         values, grad = back.jet(t, x, y)
         want, want_grad = field_.jet(t, x, y)
-        # measured 3.7e-14 for values and 1.8e-15 for jets
-        assert np.all(np.abs(values - want) <= 1e-12 * max(1.0, np.abs(want).max()))
-        assert np.all(np.abs(grad - want_grad) <= 1e-12 * max(1.0, np.abs(want_grad).max()))
+        assert np.all(np.abs(values - want) <= tol * max(1.0, np.abs(want).max()))
+        assert np.all(np.abs(grad - want_grad) <= tol * max(1.0, np.abs(want_grad).max()))
 
     @given(
         name=st.sampled_from(["pulsating-cylinder", "pulsating-drop", "constant-sw-image", "rest"]),
         u=st.floats(0.01, 0.99), x=st.floats(-1.0, 1.0), y=st.floats(-1.0, 1.0),
     )
+    @example(name="pulsating-cylinder", u=0.9899999999999999, x=0.0, y=0.0)  # 1.46e-12
     @settings(max_examples=80, deadline=None)
     def test_rsw_to_sw_and_back(self, name, u, x, y):
         from rswlab.core import as_cartesian
@@ -133,7 +133,13 @@ class TestFieldMapRoundTrips:
 
         field_ = as_cartesian(make_family(name, P))
         back = map_field_sw_to_rsw(map_field_rsw_to_sw(field_))
-        self.assert_same(back, field_, u * P.period, x, y)
+        # The intermediate image is conditioned like 1/sin^3(pi u) near the
+        # singular times.  Over 8,000 random points with u within 0.06 of
+        # them the error was at most 0.57 eps/sin^3(pi u) (the cylinder's
+        # jets), and below 1e-12 elsewhere (3.7e-14 for values, 1.8e-15 for
+        # jets in mid-period); 2 eps/sin^3(pi u) leaves a margin.
+        tol = max(1e-12, 2.0 * np.finfo(float).eps / math.sin(math.pi * u) ** 3)
+        self.assert_same(back, field_, u * P.period, x, y, tol)
 
     @given(u=st.floats(0.01, 0.99), x=st.floats(-1.0, 1.0), y=st.floats(-1.0, 1.0))
     @settings(max_examples=40, deadline=None)

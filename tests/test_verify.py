@@ -228,6 +228,24 @@ class TestTrajectories:
             # outward drift reaches the outer sonic circle before t1
             integrate_trajectory(ring, 0.97 * b.r_outer, 0.0, 0.0, 60.0)
 
+    def test_origin_outside_the_window_raises(self):
+        from rswlab.errors import WindowViolation
+        from rswlab.solutions import stationary_ring
+
+        ring = stationary_ring(1.0, 1.0, 1.0, FlowParameters(0.1, 1.0))
+        with pytest.raises(WindowViolation):
+            integrate_trajectory(ring, 0.0, 0.0, 0.0, 1.0)
+
+    def test_trial_stage_outside_the_domain_rejects_the_step(self):
+        # the first trial steps of this long path reach r < 0
+        drop = pulsating_drop(2.0, P)
+        traj = integrate_trajectory(drop, 1.0, 0.0, 0.0, 500.0, record=[500.0])
+        path = trajectory_formula(drop, 1.0, 0.0)
+        r, th = traj.positions[-1]
+        miss = math.hypot(r * math.cos(th) - path.x_of_t(500.0), r * math.sin(th) - path.y_of_t(500.0))
+        assert miss < 1e-4  # measured 2.2e-6 after 80 periods
+        assert traj.stats["rejected"] > 0
+
     def test_step_underflow_raises(self):
         def rhs(t, y):
             return np.array([1.0 / max(1.0 - t, 1e-30)])
