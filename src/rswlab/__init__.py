@@ -68,8 +68,6 @@ from .verify import (
     fv_convergence,
     fv_oracle,
     integrate_trajectory,
-    residual_cartesian,
-    residual_polar,
     residual_report,
     sample_grid,
 )

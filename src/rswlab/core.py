@@ -71,6 +71,17 @@ class FlowParameters:
         return 2.0 * math.pi / self.f
 
 
+def source_params(own: FlowParameters, given: FlowParameters | None) -> FlowParameters:
+    """``own``, a source's parameters, once ``given`` (if set) is checked to equal them.
+
+    A map or check run with another system's f or g would return a result
+    that solves neither system, so a difference is :class:`InvalidParams`.
+    """
+    if given is not None and given != own:
+        raise InvalidParams(f"parameters {given} differ from the source's {own}")
+    return own
+
+
 @dataclass(frozen=True)
 class CartesianPoint:
     t: float
@@ -176,13 +187,17 @@ class Window:
         hi = self.r_hi(t) if callable(self.r_hi) else self.r_hi
         return lo, hi
 
-    def check(self, t: float, radius) -> None:
-        """Raise WindowViolation outside; an array of radii names its first offender."""
+    def check_time(self, t: float) -> None:
+        """Raise WindowViolation unless t lies in the open time interval, guard included."""
         if not (self.t_lo + self.t_guard < t < self.t_hi - self.t_guard):
             raise WindowViolation(
                 f"t={t!r} outside validity window "
                 f"({self.t_lo!r}, {self.t_hi!r}) with guard {self.t_guard!r}"
             )
+
+    def check(self, t: float, radius) -> None:
+        """Raise WindowViolation outside; an array of radii names its first offender."""
+        self.check_time(t)
         lo, hi = self.radial_bounds(t)
         if isinstance(radius, np.ndarray):
             outside = ~((lo <= radius) & (radius <= hi))
@@ -433,7 +448,7 @@ class FlowField:
         checked on the whole block.  The errors are the scalar call's and
         name an offending point; the result has shape ``(3,) + shape``.
         Float positions are one point, checked component by component with
-        ``math.isfinite``; the result is a ``(3,)`` array, and an
+        ``math.isfinite``; the result is a ``(3,)`` array.  In both, an
         arithmetic error of the kernel counts as a non-finite value.
         A :class:`Jet` time makes a jet evaluation: the checks apply to the
         values, and the three state jets come back.
@@ -443,7 +458,10 @@ class FlowField:
             return self.value_fn(t, a, b)
         if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
             a, b = self._check_block(t, a, b)
-            out = np.array(np.broadcast_arrays(*self.value_fn(t, a, b), a)[:3], dtype=float)
+            try:
+                out = np.array(np.broadcast_arrays(*self.value_fn(t, a, b), a)[:3], dtype=float)
+            except ArithmeticError:
+                raise self._nonfinite(t, a, b) from None
             bad = ~np.isfinite(out).all(axis=0)
             if not bad.any():
                 return out
@@ -454,9 +472,21 @@ class FlowField:
                 out = self.value_fn(t, a, b)
                 if all(map(math.isfinite, out)):
                     return np.array(out, dtype=float)
-            except ArithmeticError:  # float arithmetic raises where arrays give inf or NaN
+            except ArithmeticError:
                 pass
-        raise WindowViolation(
+        raise self._nonfinite(t, a, b)
+
+    def _nonfinite(self, t: float, a, b) -> WindowViolation:
+        """The error for non-finite values at (t, a, b).
+
+        Float arithmetic raises where arrays give inf or NaN, so a kernel's
+        :class:`ArithmeticError` is reported this way too.  Raised in a
+        block, it comes from a quantity the whole block shares, such as a
+        time factor, so a block of positions is named by its first point.
+        """
+        if isinstance(a, np.ndarray):
+            a, b = (float(c.flat[0]) if c.size else math.nan for c in (a, b))
+        return WindowViolation(
             f"field {self.label!r} produced non-finite values at "
             f"(t={t!r}, {a!r}, {b!r})"
         )
@@ -480,14 +510,18 @@ class FlowField:
         Array positions are one block as in :meth:`eval`, checked as a
         whole, giving values of shape ``(3,) + shape`` and ``grad`` of shape
         ``(3, 3) + shape``: one ``jet_fn`` call, or in the FD mode seven
-        :meth:`eval` calls.
+        :meth:`eval` calls.  An arithmetic error of ``jet_fn`` is reported
+        as :meth:`eval` reports one of ``value_fn``.
         """
         if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
             a, b = self._check_block(t, a, b)
         else:
             self.window.check(t, self._radius(a, b))
         if self.derivative_mode == "analytic":
-            values, grad = self.jet_fn(t, a, b)
+            try:
+                values, grad = self.jet_fn(t, a, b)
+            except ArithmeticError:
+                raise self._nonfinite(t, a, b) from None
             return np.asarray(values, dtype=float), np.asarray(grad, dtype=float)
         values = self.eval(t, a, b)
         grad = np.empty((3, 3) + np.shape(a))
@@ -521,7 +555,7 @@ class FlowField:
         return 0.0 if self.system == "sw" else self.params.f
 
 
-def scale_depth(field_: FlowField, factor: float, label: str | None = None) -> FlowField:
+def scale_depth(field_: FlowField, factor: float) -> FlowField:
     """Corrupted copy of a field with depth scaled by ``factor``.
 
     Used as a negative control: scaling h breaks the momentum balance, so
@@ -537,7 +571,7 @@ def scale_depth(field_: FlowField, factor: float, label: str | None = None) -> F
         field_,
         value_fn=value_fn,
         jet_fn=None,
-        label=label or f"{field_.label}*corrupt({factor})",
+        label=f"{field_.label}*corrupt({factor})",
     )
 
 
@@ -584,9 +618,7 @@ def _state_and_pv(field_: FlowField, point) -> tuple[np.ndarray, float]:
     t, a, b = _components(field_, point)
     values, grad = field_.jet(t, a, b)
     if not np.all(np.isfinite(values)):
-        raise WindowViolation(
-            f"field {field_.label!r} produced non-finite values at (t={t!r}, {a!r}, {b!r})"
-        )
+        raise field_._nonfinite(t, a, b)
     h = float(values[2])
     if h <= DEPTH_FLOOR:
         raise ZeroDepth(f"depth {h!r} at or below floor {DEPTH_FLOOR!r}")

@@ -54,4 +54,4 @@ class NegativeDepth(RswError):
 
 
 class QuadratureFail(RswError):
-    """Adaptive quadrature exceeded its refinement budget."""
+    """The collapse solution's tabulated time map is not strictly increasing."""

@@ -273,6 +273,10 @@ def lie_bracket(
 # Structure constants
 # ---------------------------------------------------------------------------
 
+#: Fitted structure constants within this of a half-integer are snapped to
+#: it, and two tables agree when no entry differs by more.
+TABLE_TOL = 1e-9
+
 #: Canonical commutator table in the Y basis (identical in the Z basis).
 #: Upper-triangle entries only: (i, j) -> ((k, coefficient), ...) meaning
 #: [G_i, G_j] = sum coeff * G_k; all other brackets vanish.
@@ -328,8 +332,8 @@ class StructureTable:
         total = term + np.transpose(term, (1, 2, 0, 3)) + np.transpose(term, (2, 0, 1, 3))
         return float(np.max(np.abs(total)))
 
-    def matches_canonical(self, tol: float = 1e-9) -> bool:
-        return bool(np.max(np.abs(self.coeffs - canonical_structure_array())) <= tol)
+    def matches_canonical(self) -> bool:
+        return bool(np.max(np.abs(self.coeffs - canonical_structure_array())) <= TABLE_TOL)
 
 
 def sample_jet_points(
@@ -355,17 +359,16 @@ def structure_constants(
     n_points: int = 12,
     seed: int = 0,
     points: Sequence[JetPoint] | None = None,
-    snap_tol: float = 1e-9,
-    max_retries: int = 5,
 ) -> StructureTable:
     """Fit every commutator onto the nine-generator frame by least squares.
 
     All nine generators are evaluated at all sample points at once, and the
     36 brackets are fitted by one least-squares call with 36 right-hand
     sides.  Generic points make the frame pointwise independent; a
-    rank-deficient sample is retried with fresh points and ultimately
-    raises :class:`FitDegenerate`.  Fitted coefficients within ``snap_tol`` of a
-    half-integer are snapped, giving exact table entries.
+    rank-deficient sample is retried with fresh points up to five times and
+    then raises :class:`FitDegenerate`.  Fitted coefficients within
+    :data:`TABLE_TOL` of a half-integer are snapped, giving exact table
+    entries.
     """
     if family == "X":
         raise InvalidParams("structure constants are tabulated for Y and Z bases")
@@ -383,7 +386,7 @@ def structure_constants(
         basis = values.transpose(1, 2, 0).reshape(-1, 9)
         if np.linalg.matrix_rank(basis) < 9:
             attempt += 1
-            if points is not None or attempt > max_retries:
+            if points is not None or attempt > 5:
                 raise FitDegenerate(
                     f"sample matrix rank deficient after {attempt} attempt(s)"
                 )
@@ -394,7 +397,7 @@ def structure_constants(
         sol, _, _, _ = np.linalg.lstsq(basis, rhs, rcond=None)
         worst = float(np.max(np.abs(basis @ sol - rhs)))
         nearest = np.round(2.0 * sol) / 2.0
-        snapped = np.where(np.abs(sol - nearest) <= snap_tol, nearest, sol).T
+        snapped = np.where(np.abs(sol - nearest) <= TABLE_TOL, nearest, sol).T
         coeffs = np.zeros((9, 9, 9))
         coeffs[upper] = snapped
         coeffs[upper[::-1]] = -snapped
@@ -418,31 +421,31 @@ def verify_isomorphism(
     params: FlowParameters,
     n_points: int = 12,
     seed: int = 0,
-    tol: float = 1e-9,
 ) -> IsomorphismReport:
     """Check that both bases share one structure table with the expected shape.
 
     Besides elementwise equality this asserts the structural claims: the
     first four canonical generators commute pairwise (abelian nilradical)
-    and the last three close among themselves (an sl(2) subalgebra).
+    and the last three close among themselves (an sl(2) subalgebra), each
+    to within :data:`TABLE_TOL`.
     """
     ty = structure_constants("Y", params, n_points, seed)
     tz = structure_constants("Z", params, n_points, seed + 1)
     diff = np.abs(ty.coeffs - tz.coeffs)
     mismatches = tuple(
         (i + 1, j + 1, k + 1, float(ty.coeffs[i, j, k]), float(tz.coeffs[i, j, k]))
-        for i, j, k in zip(*np.nonzero(diff > tol))
+        for i, j, k in zip(*np.nonzero(diff > TABLE_TOL))
     )
-    nil = bool(np.max(np.abs(ty.coeffs[0:4, 0:4, :])) <= tol)
-    sl2 = bool(np.max(np.abs(ty.coeffs[6:9, 6:9, 0:6])) <= tol)
+    nil = bool(np.max(np.abs(ty.coeffs[0:4, 0:4, :])) <= TABLE_TOL)
+    sl2 = bool(np.max(np.abs(ty.coeffs[6:9, 6:9, 0:6])) <= TABLE_TOL)
     return IsomorphismReport(
         ok=not mismatches,
         max_difference=float(diff.max()),
         mismatches=mismatches,
         nilradical_abelian=nil,
         sl2_closed=sl2,
-        y_matches_canonical=ty.matches_canonical(tol),
-        z_matches_canonical=tz.matches_canonical(tol),
+        y_matches_canonical=ty.matches_canonical(),
+        z_matches_canonical=tz.matches_canonical(),
     )
 
 
@@ -470,9 +473,6 @@ def pushforward_check(
     k: int,
     params: FlowParameters,
     sample: Iterable[JetPoint] | None = None,
-    n_points: int = 6,
-    seed: int = 3,
-    tol: float = 1e-12,
 ) -> PushforwardReport:
     """Push a canonical generator through the equivalence map exactly.
 
@@ -482,7 +482,9 @@ def pushforward_check(
     of the corresponding classical generator at the image point;
     ``max_error`` is the largest difference in units of max(1, |expected|)
     per component, since the pushed components grow like
-    1 / sin^2(f t/2) near the singular times.  It is at rounding level
+    1 / sin^2(f t/2) near the singular times, and the report is ``ok`` up
+    to 1e-12.  ``sample`` defaults to six points of
+    :func:`sample_jet_points` with seed 3.  The error is at rounding level
     while sin(f t/2) >= 0.05; closer to those times the generators' own
     coefficients, sums of 1, cos f t and sin f t, lose about
     eps / sin^2(f t/2) relative, and the report shows it.  A sample point at
@@ -491,7 +493,7 @@ def pushforward_check(
     mult = pushforward_multiplier(k, params)
     yid = GeneratorId("Y", k)
     zid = GeneratorId("Z", k)
-    pts = list(sample) if sample is not None else sample_jet_points(params, n_points, seed)
+    pts = list(sample) if sample is not None else sample_jet_points(params, 6, seed=3)
     worst = 0.0
     for p in pts:
         seeds = [Jet(x, dx) for x, dx in zip(p.as_array(), generator_eval(yid, p, params))]
@@ -499,4 +501,4 @@ def pushforward_check(
         pushed = np.array([c.t for c in out])
         expected = mult * generator_eval(zid, JetPoint(*(c.v for c in out)), params)
         worst = max(worst, float(np.max(np.abs(pushed - expected) / np.maximum(1.0, np.abs(expected)))))
-    return PushforwardReport(index=k, multiplier=mult, max_error=worst, ok=worst <= tol)
+    return PushforwardReport(index=k, multiplier=mult, max_error=worst, ok=worst <= 1e-12)

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import FlowParameters, Jet
+from .core import FD_STEP, FlowParameters, Jet, source_params
 from .errors import InvalidParams, NoRingExists, QuadratureFail
 from .verify import integrate_ode
 
@@ -363,7 +363,6 @@ def submodel_residual_contact(
     eta: Callable[[float], float],
     lam_samples: Sequence[float],
     params: FlowParameters,
-    step: float = 1e-5,
 ) -> np.ndarray:
     """Max-norm residuals of the contact-characteristic ODE system.
 
@@ -375,13 +374,13 @@ def submodel_residual_contact(
         (lam phi eta)' = 0,
 
     with primes in lam.  Derivatives are taken by central differences with
-    relative step ``step``.
+    relative step :data:`~rswlab.core.FD_STEP`.
     """
     g = params.g
     worst = np.zeros(3)
 
     def ddl(fn, lam):
-        d = step * max(1.0, abs(lam))
+        d = FD_STEP * max(1.0, abs(lam))
         return (fn(lam + d) - fn(lam - d)) / (2.0 * d)
 
     for lam in lam_samples:
@@ -822,8 +821,6 @@ def collapse2_verify_ode(
     ic: ImplicitCollapse,
     params: FlowParameters | None = None,
     t_end_fraction: float = 0.9,
-    n_samples: int = 200,
-    tol: float = 1e-11,
 ) -> CollapseOdeReport:
     """Integrate the reduced ODEs directly and compare with the tabulation.
 
@@ -835,14 +832,15 @@ def collapse2_verify_ode(
 
     is integrated (in log eta for stability) from (phi0, -f/2, eta0) in one
     :func:`rswlab.verify.integrate_ode` call, the adaptive Dormand-Prince
-    5(4) pair landing exactly on the ``n_samples`` comparison times; ``tol``
-    bounds its local error per step, relative to max(1, |y|), not the
+    5(4) pair landing exactly on 200 comparison times; its tolerance 1e-11
+    bounds the local error per step, relative to max(1, |y|), not the
     accumulated error.  The swirl equation is fulfilled automatically, so
     psi staying at -f/2 is itself a check.  The piston law
     R(t) = R0 (eta0/eta)^{1/4} must satisfy R' = U(t, R) = phi R, which is
-    checked by differencing the implicit tabulation.
+    checked by differencing the implicit tabulation.  ``params``, when
+    given, must equal the tabulation's.
     """
-    params = params or ic.params
+    params = source_params(ic.params, params)
     f, g = params.f, params.g
 
     def rhs(t, y):
@@ -851,9 +849,9 @@ def collapse2_verify_ode(
         return (psi + f) * psi - phi * phi - 2.0 * g * eta, -(2.0 * psi + f) * phi, -4.0 * phi
 
     t_end = t_end_fraction * ic.Tstar
-    times = np.linspace(0.0, t_end, n_samples)
+    times = np.linspace(0.0, t_end, 200)
     y0 = np.array([ic.phi0, -f / 2.0, math.log(ic.eta0)])
-    ts, ys, _ = integrate_ode(rhs, y0, 0.0, t_end, tol, record=times)
+    ts, ys, _ = integrate_ode(rhs, y0, 0.0, t_end, 1e-11, record=times)
     max_phi = max_eta = max_psi = max_piston = 0.0
     turning = None
     prev_phi = ic.phi0

@@ -54,7 +54,6 @@ import numpy as np
 from .core import FlowField, FlowParameters, Jet, Window, cos, implicit, sin
 from .errors import InvalidParams, UnsupportedFamily
 from .reduction import (
-    ImplicitCollapse,
     IntegralTable,
     collapse2_build,
     cubic_real_roots,
@@ -782,9 +781,7 @@ def collapse_contact_cubic(
     )
 
 
-def collapse_scaling(
-    phi0: float, eta0: float, params: FlowParameters, tabulation: ImplicitCollapse | None = None
-) -> FlowField:
+def collapse_scaling(phi0: float, eta0: float, params: FlowParameters) -> FlowField:
     """Self-similar spreading/collapse regime.
 
     U = r phi(t), V = -f r / 2, h = r^2 eta(t), with (phi, eta) from the
@@ -794,7 +791,7 @@ def collapse_scaling(
     ODEs themselves (:meth:`~rswlab.reduction.ImplicitCollapse.state_of_t`
     on a jet), so the jets are analytic given the tabulated values.
     """
-    ic = tabulation if tabulation is not None else collapse2_build(phi0, eta0, params)
+    ic = collapse2_build(phi0, eta0, params)
     f, g = params.f, params.g
     t_hi = min(0.93 * ic.Tstar, ic.t_cap * 0.999)
 
@@ -887,7 +884,6 @@ class TrajectoryFormula:
     x_of_t: Callable[[float], float]
     y_of_t: Callable[[float], float]
     circle: tuple[float, float, float] | None
-    swirl_rate: float | None
     anchor_time: float
     label: str
 
@@ -939,7 +935,7 @@ def trajectory_formula(
             return r_of_t(t) * math.sin(theta_of_t(t))
 
         return TrajectoryFormula(
-            r_of_t, theta_of_t, x_of_t, y_of_t, circle, C, 0.0, f"path({field_.label})"
+            r_of_t, theta_of_t, x_of_t, y_of_t, circle, 0.0, f"path({field_.label})"
         )
 
     if family == "constant-sw-image":
@@ -971,7 +967,7 @@ def trajectory_formula(
             return math.atan2(y_of_t(t), x_of_t(t))
 
         return TrajectoryFormula(
-            r_of_t, theta_of_t, x_of_t, y_of_t, (A, B, R), None, t_ref,
+            r_of_t, theta_of_t, x_of_t, y_of_t, (A, B, R), t_ref,
             f"path({field_.label})",
         )
 
@@ -990,20 +986,15 @@ class ClosureResult:
     winding_ratio: float
 
 
-def closure_condition(
-    alpha: float,
-    r0: float,
-    params: FlowParameters,
-    tol: float = 1e-9,
-    max_period: int = 1000,
-) -> ClosureResult:
+def closure_condition(alpha: float, r0: float, params: FlowParameters) -> ClosureResult:
     """Classify a drop particle path as closed or quasi-closed.
 
     Per inertial period the path angle advances by 2 pi C / f with
     C = l r0 sqrt(alpha); the path closes after M periods when the winding
-    ratio |C|/f equals m/M in lowest terms.  Particles on the boundary
-    circle have ratio one and close every period; interior ratios are
-    generically irrational and the path only quasi-closes.
+    ratio |C|/f equals m/M in lowest terms, to within 1e-9 for some
+    M <= 1000.  Particles on the boundary circle have ratio one and close
+    every period; interior ratios are generically irrational and the path
+    only quasi-closes.
     """
     if not (alpha > 0.0 and r0 > 0.0):
         raise InvalidParams("alpha and r0 must be positive")
@@ -1014,9 +1005,9 @@ def closure_condition(
             f"r0={r0!r} outside the drop (boundary radius {boundary!r})"
         )
     ratio = abs(l) * r0 * math.sqrt(alpha) / params.f
-    for M in range(1, max_period + 1):
+    for M in range(1, 1001):
         m = round(ratio * M)
-        if m >= 1 and abs(ratio - m / M) <= tol:
+        if m >= 1 and abs(ratio - m / M) <= 1e-9:
             frac = Fraction(m, M)
             return ClosureResult(True, frac.numerator, frac.denominator, ratio)
     return ClosureResult(False, None, None, ratio)

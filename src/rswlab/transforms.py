@@ -41,6 +41,7 @@ from .core import (
     PolarPoint,
     PolarState,
     Window,
+    source_params,
 )
 from .core import arctan2, atan, cos, sin, sqrt, value_of  # jet-aware math
 from .errors import InvalidParams, SingularTime
@@ -139,9 +140,10 @@ def map_field_rsw_to_sw(field_: FlowField, params: FlowParameters | None = None)
     the monotone image of that interval.  The source time depends on t'
     alone, so array positions read the source in one checked block call.
     Jets compose through the map and the source's own, and the source's
-    window check applies to their values.
+    window check applies to their values.  ``params``, when given, must
+    equal the source's.
     """
-    params = params or field_.params
+    params = source_params(field_.params, params)
     if field_.frame != "cartesian":
         raise InvalidParams("rsw2sw field map expects a cartesian-frame field")
     if field_.system != "rsw":
@@ -165,9 +167,10 @@ def map_field_sw_to_rsw(field_: FlowField, params: FlowParameters | None = None)
 
     Defined on the principal period (0, 2*pi/f) minus a guard band.  The
     source time depends on t alone, so array positions read the source in
-    one checked block call.  Jets compose as in :func:`map_field_rsw_to_sw`.
+    one checked block call.  Jets compose, and ``params`` is checked, as in
+    :func:`map_field_rsw_to_sw`.
     """
-    params = params or field_.params
+    params = source_params(field_.params, params)
     if field_.frame != "cartesian":
         raise InvalidParams("sw2rsw field map expects a cartesian-frame field")
     if field_.system != "sw":
@@ -354,8 +357,9 @@ def transport_solution(
     and the source's own.  Transporting the rest state
     produces the pulsating cylinder; transporting the stationary
     rotationally symmetric class produces the pulsating drop family.
+    ``params``, when given, must equal the source's.
     """
-    params = params or field_.params
+    params = source_params(field_.params, params)
     if field_.frame != "polar":
         raise InvalidParams("solution transport expects a polar-frame field")
     check_dilation(alpha)
@@ -370,16 +374,14 @@ def transport_solution(
     src_lo, src_hi = src.window.r_lo, src.window.r_hi
 
     # the source is read at the dilated point, so its radial bounds apply
-    # to r * rho(t) at the mapped time
-    def r_lo(t: float) -> float:
-        tbar, _, rho, _, _ = y9_dilation(t, alpha, f)
-        lo = src_lo(tbar) if callable(src_lo) else src_lo
-        return lo / rho
+    # to r * rho(t) at the mapped time; rho is positive and finite, so an
+    # infinite bound stays infinite
+    def mapped(bound):
+        def r_bound(t: float) -> float:
+            tbar, _, rho, _, _ = y9_dilation(t, alpha, f)
+            return (bound(tbar) if callable(bound) else bound) / rho
 
-    def r_hi(t: float) -> float:
-        tbar, _, rho, _, _ = y9_dilation(t, alpha, f)
-        hi = src_hi(tbar) if callable(src_hi) else src_hi
-        return hi / rho if math.isfinite(hi) else math.inf
+        return r_bound
 
     # the transported time window is the preimage of the source window;
     # the time map is inverted by the dilation with 1/alpha
@@ -390,8 +392,8 @@ def transport_solution(
         t_lo=t_preimage(src.window.t_lo),
         t_hi=t_preimage(src.window.t_hi),
         t_guard=src.window.t_guard,
-        r_lo=r_lo if callable(src_lo) or src_lo else 0.0,
-        r_hi=r_hi if callable(src_hi) or math.isfinite(src_hi) else math.inf,
+        r_lo=mapped(src_lo) if callable(src_lo) or src_lo else 0.0,
+        r_hi=mapped(src_hi) if callable(src_hi) or math.isfinite(src_hi) else math.inf,
     )
     meta = dict(src.meta)
     meta.update(kind="transported", alpha=alpha, source=src.label)

@@ -39,16 +39,16 @@ from .errors import (
 # ---------------------------------------------------------------------------
 
 
-def sample_grid(
-    field_: FlowField,
-    shape: tuple[int, int, int] = (10, 10, 10),
-    margin: float = 0.02,
-) -> np.ndarray:
+#: Fraction of each sampled range left out at both ends by :func:`sample_grid`.
+GRID_MARGIN = 0.02
+
+
+def sample_grid(field_: FlowField, shape: tuple[int, int, int] = (10, 10, 10)) -> np.ndarray:
     """Deterministic (N, 3) sample of the field's preferred window.
 
     Rows are time-major (t, then a, then b), built as whole arrays.  Uses
-    the family's ``sample_box`` metadata when present; spatial axes
-    shrink by ``margin`` so that finite-difference probes stay inside the
+    the family's ``sample_box`` metadata when present; spatial axes shrink
+    by :data:`GRID_MARGIN` so that finite-difference probes stay inside the
     validity window.  For families whose natural domain is a moving level
     set the box carries a ``lam`` range and the radius is derived from it
     per time sample.
@@ -61,7 +61,7 @@ def sample_grid(
     t_lo = max(t_lo, w_lo + 1e-6 * (1.0 if not math.isfinite(w_hi - w_lo) else (w_hi - w_lo)))
     t_hi = min(t_hi, w_hi - 1e-6 * (1.0 if not math.isfinite(w_hi - w_lo) else (w_hi - w_lo)))
     span_t = t_hi - t_lo
-    ts = np.linspace(t_lo + margin * span_t, t_hi - margin * span_t, nt)
+    ts = np.linspace(t_lo + GRID_MARGIN * span_t, t_hi - GRID_MARGIN * span_t, nt)
 
     if field_.frame == "cartesian":
         x_lo, x_hi = box.get("x", (-2.0, 2.0))
@@ -72,7 +72,8 @@ def sample_grid(
     thetas = np.linspace(0.0, 2.0 * math.pi, nb, endpoint=False)
     if "lam" in box:
         lam_lo, lam_hi = box["lam"]
-        lams = np.linspace(lam_lo + margin * (lam_hi - lam_lo), lam_hi - margin * (lam_hi - lam_lo), na)
+        lam_span = lam_hi - lam_lo
+        lams = np.linspace(lam_lo + GRID_MARGIN * lam_span, lam_hi - GRID_MARGIN * lam_span, na)
         w = np.array([1.0 - math.cos(field_.params.f * t) for t in ts.tolist()])
         rs = np.sqrt(w[:, None] / lams)
     else:
@@ -81,7 +82,7 @@ def sample_grid(
         lo = np.maximum(r_lo, bounds[:, 0])
         hi = np.minimum(r_hi, bounds[:, 1])
         span = hi - lo
-        rs = np.linspace(lo + margin * span, hi - margin * span, na, axis=1)
+        rs = np.linspace(lo + GRID_MARGIN * span, hi - GRID_MARGIN * span, na, axis=1)
     grid = np.broadcast_arrays(ts[:, None, None], rs[:, :, None], thetas)
     return np.stack(grid, axis=-1).reshape(-1, 3)
 
@@ -137,13 +138,51 @@ def _normalized(terms: Sequence[np.ndarray]) -> np.ndarray:
     return np.abs(total) / np.maximum(1.0, np.max(np.abs(terms), axis=0))
 
 
-def _residual_report(
+def _cartesian_equations(values, g_, x, grav, f_eff) -> np.ndarray:
+    u, v, h = values
+    u_t, u_x, u_y = g_[0]
+    v_t, v_x, v_y = g_[1]
+    h_t, h_x, h_y = g_[2]
+    e1 = _normalized([u_t, u * u_x, v * u_y, -f_eff * v, grav * h_x])
+    e2 = _normalized([v_t, u * v_x, v * v_y, f_eff * u, grav * h_y])
+    e3 = _normalized([h_t, u * h_x, h * u_x, v * h_y, h * v_y])
+    return np.array([e1, e2, e3])
+
+
+def _polar_equations(values, g_, r, grav, f_eff) -> np.ndarray:
+    U, V, h = values
+    U_t, U_r, U_th = g_[0]
+    V_t, V_r, V_th = g_[1]
+    h_t, h_r, h_th = g_[2]
+    e1 = _normalized([U_t, U * U_r, V * U_th / r, -V * V / r, -f_eff * V, grav * h_r])
+    e2 = _normalized([V_t, U * V_r, V * V_th / r, U * V / r, f_eff * U, grav * h_th / r])
+    e3 = _normalized([h_t, U * h_r, h * U_r, U * h / r, V * h_th / r, h * V_th / r])
+    return np.array([e1, e2, e3])
+
+
+def residual_report(
     field_: FlowField,
-    points: np.ndarray,
-    eq_fn,
-    names: tuple[str, str, str],
-    coriolis: float,
+    points: np.ndarray | None = None,
+    shape: tuple[int, int, int] = (10, 10, 10),
 ) -> ResidualReport:
+    """Residuals of the equations a field solves, on ``points`` or a :func:`sample_grid`.
+
+    The field's frame picks the Cartesian or the polar form, and
+    ``field_.coriolis`` the Coriolis term: zero for a solution of the
+    non-rotating system, so images under the equivalence map are checked
+    against the equations they claim to solve.  A polar sample must keep
+    r > 0 (:class:`OriginSingular`).  Jets, analytic or FD, are grouped by
+    time, one block call of :meth:`FlowField.jet` each.  The equations are
+    evaluated on arrays.  A NaN pointwise residual fails the report: its
+    ``max_residual`` is NaN and ``worst_point`` names the first such point.
+    """
+    points = np.asarray(points if points is not None else sample_grid(field_, shape), dtype=float)
+    if field_.frame == "polar":
+        if np.any(points[:, 1] <= 0.0):
+            raise OriginSingular("polar residual grid must keep r > 0")
+        eq_fn, names = _polar_equations, ("radial momentum", "circular momentum", "mass")
+    else:
+        eq_fn, names = _cartesian_equations, ("x-momentum", "y-momentum", "mass")
     n = len(points)
     values, grad = np.empty((3, n)), np.empty((3, 3, n))
     times, block_of, counts = np.unique(points[:, 0], return_inverse=True, return_counts=True)
@@ -154,7 +193,7 @@ def _residual_report(
             a, b = float(a[0]), float(b[0])
         block_values, block_grad = field_.jet(t, a, b)
         values[:, rows], grad[..., rows] = block_values.reshape(3, -1), block_grad.reshape(3, 3, -1)
-    res = eq_fn(values, grad, points[:, 1], field_.params.g, coriolis).T
+    res = eq_fn(values, grad, points[:, 1], field_.params.g, field_.coriolis).T
     # worst point: the first NaN, else where the largest residual first
     # appears in the last equation to reach it (the order of a running max)
     flat = res.ravel()
@@ -175,87 +214,8 @@ def _residual_report(
         derivative_mode=field_.derivative_mode,
         fd_step=field_.fd_step,
         n_points=n,
-        coriolis=coriolis,
+        coriolis=field_.coriolis,
     )
-
-
-def _cartesian_equations(values, g_, x, grav, f_eff) -> np.ndarray:
-    u, v, h = values
-    u_t, u_x, u_y = g_[0]
-    v_t, v_x, v_y = g_[1]
-    h_t, h_x, h_y = g_[2]
-    e1 = _normalized([u_t, u * u_x, v * u_y, -f_eff * v, grav * h_x])
-    e2 = _normalized([v_t, u * v_x, v * v_y, f_eff * u, grav * h_y])
-    e3 = _normalized([h_t, u * h_x, h * u_x, v * h_y, h * v_y])
-    return np.array([e1, e2, e3])
-
-
-def _polar_equations(values, g_, r, grav, f_eff) -> np.ndarray:
-    U, V, h = values
-    U_t, U_r, U_th = g_[0]
-    V_t, V_r, V_th = g_[1]
-    h_t, h_r, h_th = g_[2]
-    e1 = _normalized([U_t, U * U_r, V * U_th / r, -V * V / r, -f_eff * V, grav * h_r])
-    e2 = _normalized([V_t, U * V_r, V * V_th / r, U * V / r, f_eff * U, grav * h_th / r])
-    e3 = _normalized(
-        [h_t, U * h_r, h * U_r, U * h / r, V * h_th / r, h * V_th / r]
-    )
-    return np.array([e1, e2, e3])
-
-
-def residual_cartesian(
-    field_: FlowField,
-    points: np.ndarray | None = None,
-    shape: tuple[int, int, int] = (10, 10, 10),
-    coriolis: float | None = None,
-) -> ResidualReport:
-    """Residuals of the Cartesian-form governing equations on a sample.
-
-    ``coriolis`` defaults to the field's own system (zero for non-rotating
-    solutions), so images under the equivalence map are checked against the
-    equations they claim to solve.
-    """
-    if field_.frame != "cartesian":
-        raise InvalidParams("residual_cartesian expects a cartesian-frame field")
-    pts = points if points is not None else sample_grid(field_, shape)
-    f_eff = field_.coriolis if coriolis is None else coriolis
-    return _residual_report(
-        field_, np.asarray(pts, dtype=float), _cartesian_equations,
-        ("x-momentum", "y-momentum", "mass"), f_eff,
-    )
-
-
-def residual_polar(
-    field_: FlowField,
-    points: np.ndarray | None = None,
-    shape: tuple[int, int, int] = (10, 10, 10),
-    coriolis: float | None = None,
-) -> ResidualReport:
-    """Residuals of the polar-form governing equations on a sample."""
-    if field_.frame != "polar":
-        raise InvalidParams("residual_polar expects a polar-frame field")
-    pts = points if points is not None else sample_grid(field_, shape)
-    pts = np.asarray(pts, dtype=float)
-    if np.any(pts[:, 1] <= 0.0):
-        raise OriginSingular("polar residual grid must keep r > 0")
-    f_eff = field_.coriolis if coriolis is None else coriolis
-    return _residual_report(
-        field_, pts, _polar_equations,
-        ("radial momentum", "circular momentum", "mass"), f_eff,
-    )
-
-
-def residual_report(field_: FlowField, **kw) -> ResidualReport:
-    """Frame-dispatching convenience wrapper.
-
-    Jets, analytic or FD, are grouped by time, one block call of
-    :meth:`FlowField.jet` each.  The equations are evaluated on arrays.  A
-    NaN pointwise residual fails the report: its ``max_residual`` is NaN
-    and ``worst_point`` names the first such point.
-    """
-    if field_.frame == "polar":
-        return residual_polar(field_, **kw)
-    return residual_cartesian(field_, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +264,6 @@ def integrate_ode(
     t1: float,
     tol: float = 1e-10,
     record: Sequence[float] | None = None,
-    max_steps: int = 2_000_000,
 ):
     """Adaptive Dormand-Prince 5(4) integration landing on the record times.
 
@@ -321,7 +280,7 @@ def integrate_ode(
     which ``fn`` raises :class:`LeftDomain` rejects its step like a NaN
     error.  On step underflow the :class:`LeftDomain` of the last rejected
     step is raised again, or :class:`BlowUp` if it had none; :class:`BlowUp`
-    is also raised after ``max_steps`` accepted plus rejected steps.
+    is also raised after 2,000,000 accepted plus rejected steps.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise InvalidParams(f"tol must be finite and > 0, got {tol!r}")
@@ -347,7 +306,7 @@ def integrate_ode(
                 if left is not None:
                     raise left
                 raise BlowUp(f"step size underflow at t={t!r}")
-            if steps + rejects >= max_steps:
+            if steps + rejects >= 2_000_000:
                 raise BlowUp(f"step budget exhausted at t={t!r}")
             t_new = target if lands else t + h
             try:
@@ -387,7 +346,6 @@ def integrate_trajectory(
     t1: float,
     tol: float = 1e-10,
     record: Sequence[float] | None = None,
-    r_floor: float = R_FLOOR,
 ) -> Trajectory:
     """Integrate dr/dt = U, dtheta/dt = V/r (or dx/dt = u, dy/dt = v).
 
@@ -397,9 +355,11 @@ def integrate_trajectory(
     times and nowhere else, since every field is smooth in t.  The
     right-hand side reads the state as Python floats and returns a tuple,
     so the kernel runs on floats; the bits are those of a numpy state.
-    Integration refuses to cross ``r < r_floor``.  A polar start at
+    Integration refuses to cross ``r <`` :data:`R_FLOOR`.  A polar start at
     ``r0 = 0`` is checked by one :meth:`~rswlab.core.FlowField.eval` and
     returned as a single fixed sample, with ``stats["fixed_point"]`` set.
+    Otherwise ``t0`` and ``t1`` must lie in the window's open time interval,
+    guard included, or :class:`WindowViolation` names the window.
     """
     if not (math.isfinite(r0) and math.isfinite(theta0)):
         raise InvalidParams(
@@ -410,7 +370,7 @@ def integrate_trajectory(
     if field_.frame == "polar":
         def rhs(t, y):
             r, th = y.tolist()
-            if r < r_floor:
+            if r < R_FLOOR:
                 raise LeftDomain(f"trajectory reached r={r!r} below the floor")
             try:
                 U, V, _ = field_.eval(t, r, th).tolist()
@@ -438,6 +398,10 @@ def integrate_trajectory(
                           {"steps": 0, "rejected": 0, "rhs_evals": 0,
                            "fixed_point": True})
 
+    # past the window's end the steps would shrink to underflow, or meet
+    # non-finite values, before a stage reached the guard band
+    field_.window.check_time(t0)
+    field_.window.check_time(t1)
     ts, ys, stats = integrate_ode(rhs, y0, t0, t1, tol=tol, record=record)
     return Trajectory(ts, ys, field_.frame, (r0, theta0), stats)
 
@@ -458,7 +422,6 @@ def evolve_material_curve(
     radius: float,
     n_markers: int,
     times: Sequence[float],
-    tol: float = 1e-10,
 ) -> MaterialCurve:
     """Advect a circle of markers and report shape diagnostics per time.
 
@@ -479,7 +442,7 @@ def evolve_material_curve(
     for m, (x, y) in enumerate(xy0):
         r0 = math.hypot(x, y)
         th0 = math.atan2(y, x)
-        traj = integrate_trajectory(field_, r0, th0, t0, times[-1], tol=tol, record=times)
+        traj = integrate_trajectory(field_, r0, th0, t0, times[-1], record=times)
         if field_.frame == "polar":
             if traj.positions.shape[0] == 1:  # fixed point at the origin
                 pos = np.repeat(traj.positions, len(times), axis=0)
@@ -559,7 +522,6 @@ def fv_oracle(
     n: int,
     box: tuple[float, float] = (-3.0, 3.0),
     bc: str = "exact",
-    cfl: float = 0.45,
     dt: float | None = None,
     mask_fn: Callable[[float, np.ndarray, np.ndarray], np.ndarray] | None = None,
     dry_floor: bool = False,
@@ -579,9 +541,9 @@ def fv_oracle(
     interface flux from its two neighbours.
 
     Raises :class:`CFLViolation` when an explicit ``dt`` exceeds the stable
-    step, and :class:`NegativeDepth` when the update makes depth
-    significantly negative (set ``dry_floor`` to clamp instead, for fields
-    with dry regions).
+    step (Courant number 0.45), and :class:`NegativeDepth` when the update
+    makes depth significantly negative (set ``dry_floor`` to clamp instead,
+    for fields with dry regions).
     """
     if bc not in ("exact", "periodic", "outflow"):
         raise InvalidParams(f"unknown boundary treatment {bc!r}")
@@ -633,7 +595,7 @@ def fv_oracle(
         speed_x = np.abs(vel_u) + c
         speed_y = np.abs(vel_v) + c
         rate = speed_x[inner].max() / dx + speed_y[inner].max() / dx
-        dt_stable = cfl / rate if rate > 0.0 else (t1 - t)
+        dt_stable = 0.45 / rate if rate > 0.0 else (t1 - t)
         step_dt = min(dt if dt is not None else dt_stable, t1 - t)
         if dt is not None and dt > dt_stable * (1.0 + 1e-12):
             raise CFLViolation(

@@ -42,7 +42,6 @@ from rswlab.verify import (
     fv_convergence,
     integrate_trajectory,
     pv_along_trajectory,
-    residual_cartesian,
     residual_report,
     sample_grid,
 )
@@ -64,7 +63,7 @@ def test_criterion_1_structure_constants():
         params = FlowParameters(f, 1.0)
         ty = structure_constants("Y", params)
         tz = structure_constants("Z", params)
-        matches &= ty.matches_canonical(1e-9) and tz.matches_canonical(1e-9)
+        matches &= ty.matches_canonical() and tz.matches_canonical()
         identical &= bool(np.max(np.abs(ty.coeffs - tz.coeffs)) <= 1e-9)
     elapsed = time.perf_counter() - start
     ok = matches and identical and elapsed < 1.0
@@ -112,7 +111,7 @@ def test_criterion_3_equivalence_to_plain_system():
                 for th in (0.2, 1.8, 3.9):
                     x, y = rr * math.cos(th), rr * math.sin(th)
                     pts.append(equiv_jet_array([t, x, y, 0, 0, 1], P11)[:3])
-        rep = residual_cartesian(img, points=np.array(pts))
+        rep = residual_report(img, points=np.array(pts))
         worst_res = max(worst_res, rep.max_residual)
     # round-trip of the point map
     rng = np.random.default_rng(12)

@@ -359,6 +359,13 @@ class TestTrajectoryCommand:
         else:
             assert set(fits) == {""}
 
+    @pytest.mark.parametrize("family", ["collapse-contact", "constant-sw-image"])
+    def test_end_past_the_window_names_the_window(self, family, capsys):
+        # t1 = 7 is past the window's end, 2 pi minus the guard band
+        argv = ["trajectory", "--family", family, "--r0", "0.8", "--t0", "1.2", "--t1", "7"]
+        assert run(argv) == 3
+        assert "outside validity window" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, code, rows", [
         (["--family", "cylinder", "--t0", "1"], 0, 1),
         (["--family", "collapse-scaling", "--t1", "0.5"], 0, 1),

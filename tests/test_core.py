@@ -198,6 +198,18 @@ class TestFlowFieldWindow:
         with pytest.raises(WindowViolation, match="non-finite"):
             field.eval(t, 0.5, 0.0)  # cos(f t) rounds to 1: a float division by zero
 
+    @pytest.mark.parametrize("call", ["block-eval", "block-jet", "scalar-jet"])
+    def test_arithmetic_error_of_a_block_or_jet_is_a_nonfinite_value(self, call, params11):
+        from rswlab.solutions import constant_sw_image
+
+        field = constant_sw_image(1.0, 0.5, 1.0, params11)
+        t = field.params.period * (1.0 - 1.5e-9)  # the time factor divides by zero
+        a, b = (np.array([0.5]), np.array([0.0])) if call.startswith("block") else (0.5, 0.0)
+        evaluate = field.eval if call == "block-eval" else field.jet
+        # a block is named by its first point
+        with pytest.raises(WindowViolation, match=rf"non-finite values at \(t={t!r}, 0.5, 0.0\)"):
+            evaluate(t, a, b)
+
     @pytest.mark.parametrize("step", [0.0, -1e-5, math.nan, math.inf])
     def test_fd_step_must_be_finite_and_positive(self, step, params11):
         with pytest.raises(InvalidParams):

@@ -135,6 +135,78 @@ class TestSympyOracle:
                                            rtol=0.0, atol=1e-12), (family, k, f)
 
 
+class TestInvarianceCriterion:
+    """Each generator, read from ``liealg``'s coefficient matrices, is a
+    point symmetry of its equations: its first prolongation applied to them
+    vanishes on their solutions (Olver, *Applications of Lie Groups to
+    Differential Equations*, 2nd ed., Thm 2.31).  X and Y act on the rotating
+    equations, Z on the classical ones; gravity g stays a symbol.
+
+    The matrices are read at dyadic f, whose entries sympy's Rational takes
+    exactly.  Y's rows divide by f, and 4/3 is not dyadic, so Y is read at
+    f = 1/4 where X and Z are read at f = 3/4.
+    """
+
+    @staticmethod
+    def generators(family, f):
+        """The nine generators' coefficient matrices A with coefficients A @ (1, x, y, u, v, h)."""
+        sp = pytest.importorskip("sympy")
+        import rswlab.liealg as la
+
+        t, c, s = sp.symbols("t c s")
+        phi = (1, t, t * t) if family == "Z" else (1, c, s)  # c, s = cos f t, sin f t
+        return [sum((sp.Matrix(B[m]).applyfunc(sp.Rational) * phi[m] for m in range(3)), sp.zeros(6))
+                for B in la._family_matrices(family, float(f))]
+
+    @staticmethod
+    def residues(family, f, generators):
+        """Per generator, the prolonged equations on their solutions, with s^2 = 1 - c^2."""
+        sp = pytest.importorskip("sympy")
+        t, x, y, u, v, h, c, s, g = sp.symbols("t x y u v h c s g")
+        fields, coords = (u, v, h), (t, x, y)
+        d = {(q, z): sp.Symbol(f"{q}_{z}") for q in fields for z in coords}
+        rot = 0 if family == "Z" else f
+        equations = [
+            d[u, t] + u * d[u, x] + v * d[u, y] - rot * v + g * d[h, x],
+            d[v, t] + u * d[v, x] + v * d[v, y] + rot * u + g * d[h, y],
+            d[h, t] + u * d[h, x] + v * d[h, y] + h * (d[u, x] + d[v, y]),
+        ]
+        on_solutions = sp.solve(equations, [d[q, t] for q in fields], dict=True)[0]
+
+        def total(F, z):  # total derivative, with c' = -f s and s' = f c
+            explicit = sp.diff(F, z)
+            if z == t and family != "Z":
+                explicit = sp.diff(F, c) * (-f * s) + sp.diff(F, s) * (f * c)
+            return explicit + sum(sp.diff(F, q) * d[q, z] for q in fields)
+
+        def residue(A, E):
+            xi = dict(zip(coords + fields, A * sp.Matrix([1, x, y, u, v, h])))
+            pr = sum(xi[q] * sp.diff(E, q) for q in fields)
+            for (q, z), slot in d.items():  # eta^(q, z) = D_z eta^q - sum_j q_j D_z xi^j
+                if sp.diff(E, slot) != 0:
+                    eta = total(xi[q], z) - sum(d[q, j] * total(xi[j], z) for j in coords)
+                    pr += eta * sp.diff(E, slot)
+            reduced = sp.expand(pr.subs(on_solutions))
+            return sp.expand(sp.rem(reduced, s * s + c * c - 1, s))
+
+        return [[residue(A, E) for E in equations] for A in generators]
+
+    @pytest.mark.parametrize("family, f", [("X", "1/2"), ("X", "3/4"), ("Y", "1/2"), ("Y", "1/4"),
+                                           ("Z", "1/2"), ("Z", "3/4")])
+    def test_every_generator_is_a_symmetry(self, family, f):
+        sp = pytest.importorskip("sympy")
+        f = sp.Rational(f)
+        residues = self.residues(family, f, self.generators(family, f))
+        assert residues == [[0, 0, 0]] * 9
+
+    def test_a_sign_flip_is_caught(self):
+        sp = pytest.importorskip("sympy")
+        f = sp.Rational(1, 2)
+        A = self.generators("X", f)[7]
+        A[5, :] = -A[5, :]  # X8's h row
+        assert all(r != 0 for r in self.residues("X", f, [A])[0])
+
+
 class TestBrackets:
     def test_y7_y8_gives_y9(self):
         pts = sample_jet_points(P, 5, seed=11)

@@ -398,6 +398,12 @@ class TestCollapseOdeAgreement:
         assert rep.turning_time is not None
         assert rep.turning_time == pytest.approx(ic.t1, abs=0.01)
 
+    def test_only_the_tabulation_parameters_are_accepted(self):
+        ic = collapse2_build(0.0, 1.0, P)
+        with pytest.raises(InvalidParams, match="differ from the source's"):
+            collapse2_verify_ode(ic, FlowParameters(2.0, 1.0))
+        assert collapse2_verify_ode(ic, FlowParameters(1.0, 1.0)) == collapse2_verify_ode(ic)
+
     def test_monotone_collapse_for_negative_start(self):
         ic = collapse2_build(-1.0, 1.0, P)
         rep = collapse2_verify_ode(ic, P)

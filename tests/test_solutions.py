@@ -80,9 +80,7 @@ class TestConstantImage:
         field = constant_sw_image(1.0, 0.5, 1.0, P)
         pts = [(t, x, y) for t in np.linspace(0.5, 5.0, 6)
                for x in np.linspace(-1.5, 1.5, 5) for y in np.linspace(-1.5, 1.5, 5)]
-        from rswlab.verify import residual_cartesian
-
-        rep = residual_cartesian(field, points=np.array(pts))
+        rep = residual_report(field, points=np.array(pts))
         assert rep.max_residual < 1e-6
 
     def test_circle_trajectory_data(self):

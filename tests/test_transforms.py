@@ -16,6 +16,7 @@ from rswlab.errors import InvalidParams, SingularTime
 from rswlab.solutions import (
     barochronous_sw,
     constant_sw_image,
+    make_family,
     pulsating_cylinder,
     pulsating_drop,
     rest_state,
@@ -32,7 +33,7 @@ from rswlab.transforms import (
     transport_solution,
     y9_dilation,
 )
-from rswlab.verify import residual_cartesian, residual_polar, sample_grid
+from rswlab.verify import residual_report, sample_grid
 
 P = FlowParameters(1.0, 1.0)
 
@@ -78,7 +79,7 @@ class TestFieldMaps:
         for t in (-2.0, 0.0, 1.5, 4.0):
             for x, y in ((0.4, 0.8), (-1.0, 0.2)):
                 assert np.allclose(img.eval(t, x, y), ref.eval(t, x, y), atol=1e-12)
-        rep = residual_cartesian(img, points=sample_grid(ref, (6, 6, 6)))
+        rep = residual_report(img, points=sample_grid(ref, (6, 6, 6)))
         assert rep.max_residual < 1e-6
         assert rep.coriolis == 0.0
 
@@ -107,8 +108,24 @@ class TestFieldMaps:
         img_pts = np.array(
             [equiv_jet_array([t, x, y, 0, 0, 1], params11)[:3] for t, x, y in src_pts]
         )
-        rep = residual_cartesian(img, points=img_pts)
+        rep = residual_report(img, points=img_pts)
         assert rep.max_residual < 1e-6
+
+
+class TestForeignParameters:
+    """A map given another system's parameters refuses, rather than
+    returning a field that solves neither system."""
+
+    @pytest.mark.parametrize("name, apply", [
+        ("stationary-rotsym", lambda field, params: transport_solution(field, 2.0, params)),
+        ("constant-sw-image", map_field_rsw_to_sw),
+        ("barochronous-sw", map_field_sw_to_rsw),
+    ], ids=["transport", "rsw2sw", "sw2rsw"])
+    def test_only_the_source_parameters_are_accepted(self, name, apply):
+        field = make_family(name, P)
+        with pytest.raises(InvalidParams, match="differ from the source's"):
+            apply(field, FlowParameters(2.0, 1.0))
+        assert apply(field, FlowParameters(1.0, 1.0)).params is field.params
 
 
 class TestFieldMapRoundTrips:
@@ -412,7 +429,7 @@ class TestTransport:
                     drop.values_unchecked(t, r, 0.1),
                     atol=1e-9,
                 )
-        rep = residual_polar(moved, points=sample_grid(drop, (5, 5, 4)))
+        rep = residual_report(moved, points=sample_grid(drop, (5, 5, 4)))
         assert rep.max_residual < 1e-6
 
     @pytest.mark.parametrize("alpha", [0.5, 2.0, 3.0])
@@ -436,7 +453,7 @@ class TestTransport:
                 for r in np.linspace(lo + 0.06 * (hi - lo), hi - 0.06 * (hi - lo), 4):
                     for th in (0.1, 2.4):
                         pts.append((t, r, th))
-            rep = residual_polar(moved, points=np.array(pts))
+            rep = residual_report(moved, points=np.array(pts))
             assert rep.max_residual < 1e-6, (name, alpha, rep.max_residual)
 
     def test_transported_swirl_paths_match_formula(self, params11):

@@ -33,8 +33,6 @@ from rswlab.verify import (
     integrate_ode,
     integrate_trajectory,
     pv_along_trajectory,
-    residual_cartesian,
-    residual_polar,
     residual_report,
     sample_grid,
 )
@@ -77,7 +75,7 @@ def _pointwise_report(field, points, polar):
 class TestResidualReports:
     def test_rest_state_cartesian(self):
         field = rest_state(1.0, P, frame="cartesian")
-        rep = residual_cartesian(field)
+        rep = residual_report(field)
         assert rep.max_residual < 1e-14
 
     def test_corruption_is_detected(self):
@@ -85,20 +83,20 @@ class TestResidualReports:
         # the momentum balance measurably
         field = stationary_rotsym(profile_gauss(0.5), 1.0, P)
         bad = scale_depth(field, 1.01)
-        rep = residual_polar(bad, shape=(4, 6, 3))
+        rep = residual_report(bad, shape=(4, 6, 3))
         assert rep.max_residual > 1e-3
 
     def test_cartesian_corruption_via_view(self):
         field = as_cartesian(pulsating_drop(2.0, P))
         pts = [(t, x, y) for t in (0.4, 1.5) for x in (0.2, 0.6) for y in (-0.4, 0.3)]
-        good = residual_cartesian(field, points=np.array(pts))
-        bad = residual_cartesian(scale_depth(field, 1.01), points=np.array(pts))
+        good = residual_report(field, points=np.array(pts))
+        bad = residual_report(scale_depth(field, 1.01), points=np.array(pts))
         assert good.max_residual < 1e-6
         assert bad.max_residual > 1e-3
 
     def test_report_carries_metadata(self):
         field = pulsating_cylinder(2.0, 1.0, P).with_derivative_mode("fd", 1e-5)
-        rep = residual_polar(field, shape=(3, 4, 2))
+        rep = residual_report(field, shape=(3, 4, 2))
         assert rep.derivative_mode == "fd"
         assert rep.fd_step == 1e-5
         d = rep.as_dict()
@@ -146,7 +144,7 @@ class TestResidualReports:
 
         field = replace(base, jet_fn=jet_fn)
         pts = sample_grid(base, (2, 4, 2))
-        rep = residual_polar(field, points=pts)
+        rep = residual_report(field, points=pts)
         assert math.isnan(rep.max_residual)
         assert rep.worst_point == next(tuple(p) for p in pts.tolist() if p[1] > 1.0)
         assert rep.worst_equation == "mass"
@@ -161,12 +159,7 @@ class TestResidualReports:
     def test_polar_grid_must_avoid_origin(self):
         field = pulsating_cylinder(2.0, 1.0, P)
         with pytest.raises(OriginSingular):
-            residual_polar(field, points=np.array([[0.1, 0.0, 0.0]]))
-
-    def test_frame_mismatch_rejected(self):
-        field = pulsating_cylinder(2.0, 1.0, P)
-        with pytest.raises(InvalidParams):
-            residual_cartesian(field)
+            residual_report(field, points=np.array([[0.1, 0.0, 0.0]]))
 
 
 class TestTrajectories:
