@@ -79,6 +79,11 @@ EXTRA = [
     ("trajectory-constant-origin", "trajectory --family constant --r0 0 --t0 1 --t1 3"),
     ("trajectory-constant-t1-7", "trajectory --family constant --r0 0.5 --t0 1 --t1 7"),
     ("trajectory-drop-t1-500", "trajectory --family drop --alpha 2 --t1 500 --samples 5"),
+    # the integrator's Cartesian right-hand side, and a tight tolerance on it
+    ("trajectory-cylinder-cartesian", "trajectory --family cylinder --alpha 2 --frame cartesian "
+                                      "--r0 1 --t1 6"),
+    ("trajectory-contact-cartesian", "trajectory --family collapse-contact --frame cartesian "
+                                     "--r0 0.8 --t0 1.2 --t1 3 --tol 1e-13"),
     # inputs that must exit 1, 2 or 3
     ("residual-corrupt", "residual --family drop --corrupt-depth 1.5"),
     ("residual-fd-step-0", "residual --family rest --mode fd --fd-step 0"),
@@ -91,6 +96,7 @@ EXTRA = [
     ("field-unknown-family", "field --family nope"),
     ("field-outside-window", "field --family constant --t 0"),
     ("trajectory-negative-r0", "trajectory --family rest --r0 -0.5"),
+    ("trajectory-cylinder-t1-1e300", "trajectory --family cylinder --t1 1e300"),  # stage sum overflows
 ]
 
 

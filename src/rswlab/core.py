@@ -402,7 +402,9 @@ class FlowField:
     is written on arrays, and a float position gives the same bits as that
     position in an array.  :meth:`eval` and the FD mode of :meth:`jet` take
     such a block of positions at one time too, checked as a whole; scalar
-    calls stay the fast path for one point.
+    calls stay the fast path for one point.  Their checked scalar kernel,
+    :meth:`_eval_point`, returns ``value_fn``'s tuple of floats, which
+    ``eval`` wraps in an array and the path integrator reads directly.
 
     ``jet_fn(t, a, b)`` returns ``(values, grad)`` with ``grad[i, j]`` the
     derivative of component ``i`` with respect to coordinate ``j`` in the
@@ -447,8 +449,8 @@ class FlowField:
         time ``t``: one ``value_fn`` call, with the window and finiteness
         checked on the whole block.  The errors are the scalar call's and
         name an offending point; the result has shape ``(3,) + shape``.
-        Float positions are one point, checked component by component with
-        ``math.isfinite``; the result is a ``(3,)`` array.  In both, an
+        Float positions are one point, checked by :meth:`_eval_point`; the
+        result is its tuple as a ``(3,)`` array.  In both, an
         arithmetic error of the kernel counts as a non-finite value.
         A :class:`Jet` time makes a jet evaluation: the checks apply to the
         values, and the three state jets come back.
@@ -456,24 +458,31 @@ class FlowField:
         if isinstance(t, Jet):
             self.eval(t.v, value_of(a), value_of(b))
             return self.value_fn(t, a, b)
-        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-            a, b = self._check_block(t, a, b)
-            try:
-                out = np.array(np.broadcast_arrays(*self.value_fn(t, a, b), a)[:3], dtype=float)
-            except ArithmeticError:
-                raise self._nonfinite(t, a, b) from None
-            bad = ~np.isfinite(out).all(axis=0)
-            if not bad.any():
+        if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
+            return np.array(self._eval_point(t, a, b), dtype=float)
+        a, b = self._check_block(t, a, b)
+        try:
+            out = np.array(np.broadcast_arrays(*self.value_fn(t, a, b), a)[:3], dtype=float)
+        except ArithmeticError:
+            raise self._nonfinite(t, a, b) from None
+        bad = ~np.isfinite(out).all(axis=0)
+        if bad.any():
+            raise self._nonfinite(t, float(a[bad][0]), float(b[bad][0]))
+        return out
+
+    def _eval_point(self, t: float, a: float, b: float) -> tuple:
+        """``value_fn``'s tuple at one float point, with :meth:`eval`'s checks and errors.
+
+        The window first, then each component by ``math.isfinite``; a
+        kernel's :class:`ArithmeticError` counts as a non-finite value.
+        """
+        self.window.check(t, self._radius(a, b))
+        try:
+            out = self.value_fn(t, a, b)
+            if all(map(math.isfinite, out)):
                 return out
-            a, b = float(a[bad][0]), float(b[bad][0])
-        else:
-            self.window.check(t, self._radius(a, b))
-            try:
-                out = self.value_fn(t, a, b)
-                if all(map(math.isfinite, out)):
-                    return np.array(out, dtype=float)
-            except ArithmeticError:
-                pass
+        except ArithmeticError:
+            pass
         raise self._nonfinite(t, a, b)
 
     def _nonfinite(self, t: float, a, b) -> WindowViolation:

@@ -844,7 +844,7 @@ def collapse2_verify_ode(
     f, g = params.f, params.g
 
     def rhs(t, y):
-        phi, psi, logeta = y.tolist()
+        phi, psi, logeta = y
         eta = math.exp(logeta)
         return (psi + f) * psi - phi * phi - 2.0 * g * eta, -(2.0 * psi + f) * phi, -4.0 * phi
 

@@ -245,6 +245,8 @@ def barochronous_sw(h0: float, params: FlowParameters) -> FlowField:
     if not h0 > 0.0:
         raise InvalidParams(f"h0 must be positive, got {h0}")
     f = params.f
+    if not math.isfinite(f * f):
+        raise InvalidParams(f"f * f overflows at f={f!r}")
 
     def value_fn(t, x, y):
         W = 1.0 + f * f * t * t
@@ -385,10 +387,19 @@ def drop_swirl_coefficient(alpha: float, params: FlowParameters) -> float:
 
 
 def _drop_coefficients(alpha: float, params: FlowParameters) -> tuple[float, float, float, float]:
-    """The swirl coefficient l and the base depth's coefficients a4, a3, a0."""
+    """The swirl coefficient l and the base depth's coefficients a4, a3, a0.
+
+    Raises :class:`InvalidParams` when one overflows, or l underflows to 0.
+    """
     f, g = params.f, params.g
     l = drop_swirl_coefficient(alpha, params)
-    return l, l * l / (4.0 * g), f * l / (3.0 * g), f ** 4 / (12.0 * g * l * l)
+    try:
+        coefficients = l, l * l / (4.0 * g), f * l / (3.0 * g), f ** 4 / (12.0 * g * l * l)
+        if all(map(math.isfinite, coefficients)):
+            return coefficients
+    except ArithmeticError:
+        pass
+    raise InvalidParams(f"drop coefficients leave the float range at f={f!r}, g={g!r}, alpha={alpha!r}")
 
 
 def drop_base_depth(alpha: float, params: FlowParameters) -> Callable[[float], float]:

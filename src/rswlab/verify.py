@@ -258,7 +258,7 @@ _DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 /
 
 
 def integrate_ode(
-    fn: Callable[[float, np.ndarray], Sequence[float]],
+    fn: Callable[[float, tuple[float, ...]], Sequence[float]],
     y0: np.ndarray,
     t0: float,
     t1: float,
@@ -271,10 +271,14 @@ def integrate_ode(
     the local error per step, estimated by the embedded fourth-order pair as
     max_i |err_i| / max(1, |y_i|); steps with a larger or non-finite error
     are rejected, and h scales by clamp(0.9 (tol/err)^(1/5), 0.2, 5).  With
-    FSAL a step costs six evaluations of ``fn``, which may return any
-    sequence of floats (it is stored into a row of the stage array); the
-    stage sums are numpy products, and the error norm is taken on floats,
-    a NaN anywhere in it counting as an infinite error.  The integrator lands
+    FSAL a step costs six evaluations of ``fn``, which gets the state as a
+    tuple of floats and may return any sequence of floats (it is stored
+    into a row of the stage array).  Each stage sum, and the error
+    estimate's, is one BLAS ``dot`` of a tableau row with the stage array;
+    the steps around it run on floats, with the bits of the numpy
+    expressions, and a stage state or error that is not finite is
+    recomputed by those expressions, so that ``np.errstate`` signals as it
+    does on arrays.  A NaN error counts as an infinite one.  The integrator lands
     exactly on every time in ``record`` and returns the recorded states
     with ``{"steps", "rejected", "rhs_evals"}`` counts.  A trial stage for
     which ``fn`` raises :class:`LeftDomain` rejects its step like a NaN
@@ -289,11 +293,12 @@ def integrate_ode(
     recorded = [] if record is None else [float(t) for t in record]
     checkpoints = sorted({float(t) for t in (*recorded, t1) if t0 < t <= t1})
     record_set = set(recorded) or {t1}
+    t, y = t0, tuple(y0.astype(float).tolist())
     ts_out = [t0] if (record is None or t0 in record_set) else []
-    ys_out = [y0.copy()] if ts_out else []
-    t, y = t0, y0.astype(float).copy()
-    k = np.empty((7, y.size))
+    ys_out = [y] if ts_out else []
+    k = np.empty((7, len(y)))
     k[0] = fn(t, y)
+    stage_sums = [(_DP_A[i].dot, k[:i]) for i in range(1, 7)]
     h = (t1 - t0) / 64.0
     steps = rejects = 0
     left = None  # why the last rejected step left the domain, if it did
@@ -310,8 +315,11 @@ def integrate_ode(
                 raise BlowUp(f"step budget exhausted at t={t!r}")
             t_new = target if lands else t + h
             try:
-                for i in range(1, 7):
-                    y_new = y + h * (_DP_A[i] @ k[:i])
+                for i, (dot, ki) in enumerate(stage_sums, 1):
+                    y_new = tuple([yi + h * si for yi, si in zip(y, dot(ki).tolist())])
+                    if not all(map(math.isfinite, y_new)):
+                        # numpy's own expression, to signal under np.errstate
+                        y_new = tuple((np.array(y) + h * (_DP_A[i] @ ki)).tolist())
                     k[i] = fn(t + _DP_C[i] * h if i < 5 else t_new, y_new)
             except LeftDomain as exc:
                 left, err = exc, math.inf
@@ -319,8 +327,10 @@ def integrate_ode(
                 # max(|y_i|, 1.0) keeps a NaN y_i, which max(1.0, |y_i|) would drop;
                 # a NaN error is rejected and shrunk like an infinite one
                 left = None
-                ratios = [abs(e) / max(abs(yi), 1.0)
-                          for e, yi in zip((h * (_DP_E @ k)).tolist(), y_new.tolist())]
+                errs = [h * e for e in _DP_E.dot(k).tolist()]
+                if not all(map(math.isfinite, errs)):
+                    errs = (h * (_DP_E @ k)).tolist()
+                ratios = [abs(e) / max(abs(yi), 1.0) for e, yi in zip(errs, y_new)]
                 err = math.inf if any(map(math.isnan, ratios)) else max(ratios)
             factor = 0.9 * (tol / err) ** 0.2 if err > 0.0 else 5.0
             h *= min(5.0, max(0.2, factor))
@@ -333,7 +343,7 @@ def integrate_ode(
         t = target
         if target in record_set or (record is None):
             ts_out.append(t)
-            ys_out.append(y.copy())
+            ys_out.append(y)
     stats = {"steps": steps, "rejected": rejects, "rhs_evals": 1 + 6 * (steps + rejects)}
     return np.array(ts_out), np.array(ys_out), stats
 
@@ -353,8 +363,8 @@ def integrate_trajectory(
     is an :class:`InvalidParams` error (exit 2 in the CLI).  One
     :func:`integrate_ode` call covers [t0, t1]; it lands on the ``record``
     times and nowhere else, since every field is smooth in t.  The
-    right-hand side reads the state as Python floats and returns a tuple,
-    so the kernel runs on floats; the bits are those of a numpy state.
+    right-hand side calls the field's checked scalar kernel on the float
+    state and returns a tuple; the bits are those of :meth:`~rswlab.core.FlowField.eval`.
     Integration refuses to cross ``r <`` :data:`R_FLOOR`.  A polar start at
     ``r0 = 0`` is checked by one :meth:`~rswlab.core.FlowField.eval` and
     returned as a single fixed sample, with ``stats["fixed_point"]`` set.
@@ -369,11 +379,11 @@ def integrate_trajectory(
         raise InvalidParams(f"trajectory start radius must be >= 0, got r0={r0!r}")
     if field_.frame == "polar":
         def rhs(t, y):
-            r, th = y.tolist()
+            r, th = y
             if r < R_FLOOR:
                 raise LeftDomain(f"trajectory reached r={r!r} below the floor")
             try:
-                U, V, _ = field_.eval(t, r, th).tolist()
+                U, V, _ = field_._eval_point(t, r, th)
             except WindowViolation as exc:
                 raise LeftDomain(str(exc)) from exc
             return U, V / r
@@ -382,7 +392,7 @@ def integrate_trajectory(
     else:
         def rhs(t, y):
             try:
-                u, v, _ = field_.eval(t, *y.tolist()).tolist()
+                u, v, _ = field_._eval_point(t, *y)
             except WindowViolation as exc:
                 raise LeftDomain(str(exc)) from exc
             return u, v

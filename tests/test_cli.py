@@ -161,11 +161,15 @@ class TestBadArguments:
         ["field", "--family", "collapse-contact-cubic", "--c1", "1e300"],
         ["field", "--family", "stationary-rotsym", "--profile", ""],
         ["field", "--family", "collapse-contact", "--psi", ""],
+        ["field", "--family", "drop", "--alpha", "2", "--f", "1e300"],
+        ["field", "--family", "drop", "--alpha", "2", "--f", "1e-300"],
+        ["field", "--family", "barochronous-sw", "--f", "1e300", "--t", "1"],
     ], ids=["shape-not-integers", "profile-not-numbers", "psi-not-numbers",
             "profile-too-many-numbers", "psi-too-many-numbers", "gauss-zero-width",
             "drop-alpha-underflow", "h0-inf", "u0-nan", "profile-nan", "phi0-nan", "rest-h0-nan",
             "r0-negative", "t-empty", "r0-empty", "map-t-empty", "fd-step-zero", "fd-step-nan",
-            "threshold-nan", "cubic-c1-overflow", "profile-empty", "psi-empty"])
+            "threshold-nan", "cubic-c1-overflow", "profile-empty", "psi-empty",
+            "drop-f-overflow", "drop-f-underflow", "barochronous-f-overflow"])
     def test_exit_2_with_an_error_line(self, argv, tmp_path, capsys):
         out = tmp_path / "out"
         code = run([*argv, "--out", str(out)])

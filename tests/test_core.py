@@ -375,6 +375,54 @@ class TestArrayContract:
             field.with_derivative_mode("fd").jet(0.5, a, b)
 
 
+SCALAR_VIEWS = sorted(name for name in ARRAY_VIEWS if "(" not in name or name.startswith("cartesian("))
+
+
+def _error_points():
+    """(view, t, a, b) cases that both scalar entries must reject alike."""
+    cases = []
+    for name in SCALAR_VIEWS:
+        field, source = ARRAY_VIEWS[name]
+        base = source if source is not None else field
+        t, r, _ = sample_grid(base, (3, 4, 2))[5]
+        w = base.window
+        lo, hi = w.radial_bounds(t)
+        points = [("guard", w.t_hi - 0.5 * w.t_guard, r)] if math.isfinite(w.t_hi) else []
+        if math.isfinite(hi) or lo > 0.0:
+            points.append(("radius", t, 1.5 * hi if math.isfinite(hi) else 0.5 * lo))
+        for kind, t_, r_ in points:
+            a, b = (r_, 0.3) if source is None else (r_ * math.cos(0.3), r_ * math.sin(0.3))
+            cases.append(pytest.param(name, float(t_), float(a), float(b), id=f"{name}-{kind}"))
+    # cos(f t) rounds to 1 here, and the kernel divides by zero
+    cases.append(pytest.param("constant-sw-image", 2 * math.pi * (1.0 - 1.5e-9), 0.5, 0.0,
+                              id="constant-sw-image-nonfinite"))
+    return cases
+
+
+class TestScalarKernel:
+    """``FlowField._eval_point``, the float RHS's entry, is ``eval`` without the array."""
+
+    @pytest.mark.parametrize("name", SCALAR_VIEWS)
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_floats_are_the_bits_of_eval(self, name, data):
+        field, source = ARRAY_VIEWS[name]
+        t, a, b = _draw_block(data, field, source)
+        for x, y in zip(a.ravel().tolist(), b.ravel().tolist()):
+            point = [float(c).hex() for c in field._eval_point(t, x, y)]
+            assert point == [c.hex() for c in field.eval(t, x, y).tolist()]
+
+    @pytest.mark.parametrize("name, t, a, b", _error_points())
+    def test_errors_are_those_of_eval(self, name, t, a, b):
+        field = ARRAY_VIEWS[name][0]
+        with pytest.raises(WindowViolation) as point:
+            field._eval_point(t, a, b)
+        with pytest.raises(WindowViolation) as full:
+            field.eval(t, a, b)
+        assert type(point.value) is type(full.value)
+        assert str(point.value) == str(full.value)
+
+
 class TestJetContract:
     """Jets derived from ``value_fn``: values with the bits of ``eval``, FD-close gradients."""
 

@@ -50,6 +50,14 @@ class TestFamilyNames:
         field = make_family("ring", RING, c1=1.0, c2=1.0, c3=1.0)
         assert field.meta["family"] == "stationary-ring"
 
+    @pytest.mark.parametrize("name, f", [("pulsating-drop", 1e300), ("pulsating-drop", 1e-300),
+                                         ("barochronous-sw", 1e300)])
+    def test_coefficients_out_of_float_range_are_invalid(self, name, f):
+        # a bare OverflowError or ZeroDivisionError, or non-finite values at
+        # every t != 0, without the check
+        with pytest.raises(InvalidParams, match="float range" if name == "pulsating-drop" else "overflows"):
+            make_family(name, FlowParameters(f, 1.0))
+
 
 class TestResiduals:
     def test_every_family_solves_its_equations(self, catalog):

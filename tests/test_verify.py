@@ -296,6 +296,18 @@ class TestIntegrateOde:
         with pytest.raises(BlowUp):
             integrate_ode(lambda t, y: np.array([math.nan]), np.array([0.0]), 0.0, 1.0)
 
+    def test_overflowing_stage_sum_signals_under_errstate(self):
+        # a float stage sum overflows to inf silently; numpy's raises at once
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return (1e300,)
+
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            integrate_ode(rhs, np.array([0.0]), 0.0, 1e300)
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_bad_tol_rejected(self, tol):
         with pytest.raises(InvalidParams):
@@ -398,6 +410,64 @@ class TestFloatPathIsBitIdentical:
         assert traj.positions.tobytes() == positions.tobytes()
         assert (traj.stats["steps"], traj.stats["rejected"]) == (steps, rejects)
         assert steps >= len(record) - 1
+
+
+# Captured before the integrator's stage states became Python floats: every
+# step, every rejection and the bits of each path's last state are pinned.
+PINNED_PATHS = [
+    ("rest", 10, 0, ("0x1.f0a3d70a3d70ap-1", "0x1.0cccccccccccdp+1")),
+    ("constant-sw-image", 114, 3, ("0x1.c31b3747e9621p+1", "0x1.61cd58d1fff06p+1")),
+    ("barochronous-sw", 10, 0, ("-0x1.700b5ed774842p+2", "-0x1.1eaa241aed920p+1")),
+    ("stationary-rotsym", 10, 0, ("0x1.f0a3d70a3d70ap-1", "0x1.255164864dd8ep+2")),
+    ("pulsating-cylinder", 76, 2, ("0x1.f0a3d709794d9p-1", "0x1.0cccccccc956cp+1")),
+    ("pulsating-drop", 83, 2, ("0x1.f0a3d709967adp-1", "-0x1.6b348f9a814b1p+0")),
+    ("stationary-ring", 10, 0, ("0x1.1db1df2353267p+4", "0x1.f066d20433e81p+0")),
+    ("collapse-contact", 49, 1, ("0x1.67710af62eb53p-1", "0x1.35ebd0f0968d7p+2")),
+    ("collapse-contact-cubic", 41, 2, ("0x1.651b428d9dc07p+3", "0x1.407310d7a7c5dp-1")),
+    ("collapse-scaling", 38, 1, ("0x1.01e9a1a30a007p-1", "0x1.cfa6c7f3552c6p+0")),
+]
+
+
+class TestPinnedPathBits:
+    """Paths whose steps, rejections and final bits must never move."""
+
+    @staticmethod
+    def _assert_pinned(stats, last, steps, rejected, hexes):
+        assert (stats["steps"], stats["rejected"]) == (steps, rejected)
+        assert tuple(float(v).hex() for v in last) == hexes
+
+    @pytest.mark.parametrize("name, steps, rejected, hexes", PINNED_PATHS)
+    def test_catalog_path(self, name, steps, rejected, hexes, catalog):
+        r0, th0, t0, t1 = _one_path(name, catalog)
+        traj = integrate_trajectory(catalog[name], r0, th0, t0, t1, tol=1e-10,
+                                    record=np.linspace(t0, t1, 9))
+        self._assert_pinned(traj.stats, traj.positions[-1], steps, rejected, hexes)
+
+    def test_cartesian_path(self, catalog):
+        field = as_cartesian(catalog["pulsating-cylinder"])
+        traj = integrate_trajectory(field, 0.9, 0.4, 0.0, 2 * math.pi, tol=1e-10,
+                                    record=np.linspace(0.0, 2 * math.pi, 9))
+        self._assert_pinned(traj.stats, traj.positions[-1], 88, 1,
+                            ("0x1.a86cc6a454750p-1", "0x1.66e35050d3e14p-2"))
+
+    def test_collapse_ode(self, monkeypatch):
+        from rswlab import reduction
+
+        runs = []
+
+        def spy(*args, **kwargs):
+            runs.append(integrate_ode(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(reduction, "integrate_ode", spy)
+        rep = reduction.collapse2_verify_ode(reduction.collapse2_build(0.5, 1.0, P))
+        (_, ys, stats), = runs
+        self._assert_pinned(stats, ys[-1], 261, 0, (
+            "-0x1.2ca9296d1ca38p+2", "-0x1.0000000000000p-1", "0x1.51741e4c8821fp+1"))
+        errors = (rep.max_phi_error, rep.max_eta_error, rep.max_psi_drift, rep.max_piston_error)
+        assert [e.hex() for e in errors] == [
+            "0x1.4068000000000p-37", "0x1.8f2c000000000p-34", "0x0.0p+0", "0x1.7f55800000000p-33"]
+        assert rep.turning_time.hex() == "0x1.fde8fcf942074p-3"
 
 
 class TestMaterialCurves:
