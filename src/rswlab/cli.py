@@ -52,7 +52,8 @@ from .verify import integrate_trajectory, residual_report
 SCHEMA_VERSION = 1
 
 _HEADERS = {"polar": ["t", "r", "theta", "U", "V", "h"], "cartesian": ["t", "x", "y", "u", "v", "h"]}
-_BAD_ARGS = (InvalidParams, UnsupportedFamily, NoRingExists)
+# a count too large to allocate (numpy's MemoryError) is a bad argument too
+_BAD_ARGS = (InvalidParams, UnsupportedFamily, NoRingExists, MemoryError)
 _DOMAIN = (WindowViolation, SingularTime, OriginSingular, LeftDomain)
 
 
@@ -99,6 +100,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         lo, hi, n = float(lo_s), float(hi_s), int(n_s)
     except ValueError as exc:
         raise InvalidParams(f"grid spec must be lo:hi:count, got {spec!r}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidParams(f"grid bounds must be finite, got {spec!r}")
     if n < 2:
         raise InvalidParams(f"grid count must be >= 2, got {n}")
     return np.linspace(lo, hi, n)
@@ -110,6 +113,8 @@ def _parse_list(spec: str) -> list[float]:
         raise InvalidParams(f"bad number list {spec!r}") from exc
     if not values:
         raise InvalidParams(f"number list {spec!r} has no number")
+    if not all(map(math.isfinite, values)):
+        raise InvalidParams(f"number list {spec!r} has a non-finite number")
     return values
 
 
@@ -215,7 +220,7 @@ def cmd_trajectory(args) -> int:
         # circle and closure describe this path only when t0 is that time
         anchored = formula is not None and formula.anchor_time == args.t0
         circle = formula.circle if anchored else None
-        xy = []
+        fits = []
         for t, pos in zip(traj.times, traj.positions):
             if field_.frame == "polar":
                 r, th = float(pos[0]), float(pos[1])
@@ -224,7 +229,7 @@ def cmd_trajectory(args) -> int:
                 x, y = float(pos[0]), float(pos[1])
                 r, th = math.hypot(x, y), math.atan2(y, x)
             fit = abs(math.hypot(x - circle[0], y - circle[1]) - circle[2]) if circle else ""
-            xy.append((x, y))
+            fits.append(fit)
             rows.append([idx, float(t), r, th, x, y, fit])
         summary: dict = {"particle": idx, "r0": r0, "theta0": theta0}
         meta = field_.meta
@@ -236,9 +241,8 @@ def cmd_trajectory(args) -> int:
                 summary.update(kind="quasi-closed", winding_ratio=cl.winding_ratio)
         elif circle is not None:
             A, B, R = circle
-            worst = max(abs(math.hypot(x - A, y - B) - R) for x, y in xy)
             summary.update(kind="circle", center=[A, B], radius=R,
-                           circle_fit_residual=worst)
+                           circle_fit_residual=max(fits))
         else:
             summary.update(kind="generic")
         summaries.append(summary)

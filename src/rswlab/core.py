@@ -3,9 +3,8 @@ fields, diagnostics.
 
 Every type here is immutable from the outside, and every operation returns
 the same result for the same inputs.  Some fields keep internal caches (the
-last radius of a stationary swirl, the float rows of an integral table, the
-per-time memo of the collapse tabulation); they are written so that fields
-can be shared across threads.
+float rows of an integral table, the per-time memo of the collapse
+tabulation); they are written so that fields can be shared across threads.
 
 Conventions used throughout the package:
 

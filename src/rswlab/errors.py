@@ -45,10 +45,6 @@ class BlowUp(RswError):
     """Adaptive step size underflowed; the trajectory is blowing up."""
 
 
-class CFLViolation(RswError):
-    """The requested finite-volume time step exceeds the stable CFL step."""
-
-
 class NegativeDepth(RswError):
     """The finite-volume update produced a significantly negative depth."""
 

@@ -70,9 +70,6 @@ class GeneratorId:
         if not 1 <= self.index <= 9:
             raise InvalidParams(f"generator index must be 1..9, got {self.index}")
 
-    def __str__(self) -> str:
-        return f"{self.family}{self.index}"
-
 
 # ---------------------------------------------------------------------------
 # Generators as coefficient matrices
@@ -457,10 +454,6 @@ def verify_isomorphism(
 PUSHFORWARD_POWER: dict[int, int] = {1: 0, 2: 0, 3: 1, 4: 1, 5: 0, 6: 0, 7: -1, 8: 1, 9: 0}
 
 
-def pushforward_multiplier(k: int, params: FlowParameters) -> float:
-    return params.f ** PUSHFORWARD_POWER[k]
-
-
 @dataclass(frozen=True)
 class PushforwardReport:
     index: int
@@ -490,7 +483,7 @@ def pushforward_check(
     eps / sin^2(f t/2) relative, and the report shows it.  A sample point at
     a full-period time, where the map is singular, raises :class:`SingularTime`.
     """
-    mult = pushforward_multiplier(k, params)
+    mult = params.f ** PUSHFORWARD_POWER[k]
     yid = GeneratorId("Y", k)
     zid = GeneratorId("Z", k)
     pts = list(sample) if sample is not None else sample_jet_points(params, 6, seed=3)

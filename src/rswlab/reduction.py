@@ -674,9 +674,9 @@ class ImplicitCollapse:
 
     def _build(self) -> None:
         s_cap = math.sqrt(self.eta_cap - self.eta_z)
+        s0 = math.sqrt(max(self.eta0 - self.eta_z, 0.0))
         if self.phi0 > 0.0:
             self.eta1 = self.eta_z
-            s0 = math.sqrt(max(self.eta0 - self.eta_z, 0.0))
             # spreading: eta runs from eta0 down to eta1, i.e. s down to 0;
             # reverse the s direction so that t ascends along the nodes.
             down = self._tabulate(+1.0, s0, 0.0, 0.0)
@@ -684,7 +684,6 @@ class ImplicitCollapse:
             self.branches.append(down)
             self.branches.append(self._tabulate(-1.0, 0.0, s_cap, self.t1))
         else:
-            s0 = math.sqrt(max(self.eta0 - self.eta_z, 0.0))
             self.branches.append(self._tabulate(-1.0, s0, s_cap, 0.0))
         tail_branch = self.branches[-1]
         self.t_cap = float(tail_branch.t_nodes[-1])
@@ -728,8 +727,8 @@ class ImplicitCollapse:
         Within the bracketing tabulation segment, T(s) = t_lo + integral of
         dt/ds from the segment start; the derivative is analytic, so Newton
         converges in a few steps, with bisection as the safeguard.  This
-        call is not memoized; :meth:`state_of_t`, which :meth:`phi_of_t` and
-        :meth:`piston_radius` read, keeps the per-time memo.
+        call is not memoized; :meth:`state_of_t`, which
+        :meth:`piston_radius` reads, keeps the per-time memo.
         """
         t = float(t)
         br = self._branch_for_time(t)
@@ -761,9 +760,6 @@ class ImplicitCollapse:
                 break
             s = s_new
         return self.eta_z + s * s
-
-    def phi_of_t(self, t: float) -> float:
-        return self.state_of_t(t)[0]
 
     def state_of_t(self, t: float) -> tuple[float, float]:
         """(phi, eta) at time t; a jet t gives jets, with the reduced ODEs'

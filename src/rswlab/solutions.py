@@ -267,18 +267,16 @@ def barochronous_sw(h0: float, params: FlowParameters) -> FlowField:
     )
 
 
-def stationary_rotsym(
-    profile: RadialProfile, h0: float, params: FlowParameters, r_max: float = 6.0
-) -> FlowField:
+def stationary_rotsym(profile: RadialProfile, h0: float, params: FlowParameters) -> FlowField:
     """Stationary rotationally symmetric flow with a free swirl profile.
 
     Zero radial velocity, V = profile(r), and the depth from integrating
     the cyclogeostrophic balance g h'(r) = V^2 / r + f V from the origin.
     The depth is an :class:`~rswlab.reduction.IntegralTable` built once:
-    Gauss-Legendre panels over [0, r_max], continued by doubling panels
-    out to 2^64 r_max, read by quintic Hermite interpolation (the integrand
-    and its slope from ``profile.deriv`` at each node); its jet takes the
-    integrand as the slope.  Beyond the table
+    Gauss-Legendre panels over [0, r_max] with r_max = 6, continued by
+    doubling panels out to 2^64 r_max, read by quintic Hermite
+    interpolation (the integrand and its slope from ``profile.deriv`` at
+    each node); its jet takes the integrand as the slope.  Beyond the table
     the depth is NaN, which :meth:`FlowField.eval` reports as non-finite.
     The profile must vanish at r = 0.
     """
@@ -287,6 +285,7 @@ def stationary_rotsym(
     if abs(profile(0.0)) > 0.0:
         raise InvalidParams("swirl profile must vanish at the origin")
     f, g = params.f, params.g
+    r_max = 6.0
 
     def integrand(r):
         V = profile(r)  # ~ O(r), so the integrand vanishes at the origin
@@ -308,18 +307,8 @@ def stationary_rotsym(
             f"depth becomes non-positive at r={radii[drained[0]]:g}; choose a tamer profile"
         )
 
-    # a particle keeps its radius (U = 0), so a path asks for one radius
-    # over and over: float calls remember the last one, read once per call
-    # so that a concurrent call cannot swap it between the check and the use
-    last = [(math.nan, 0.0, 0.0)]
-
     def value_fn(t, r, theta):
-        if isinstance(r, (np.ndarray, Jet)):
-            return 0.0, profile(r), depth(r)
-        entry = last[0]
-        if entry[0] != r:
-            entry = last[0] = (r, profile(r), depth(r))
-        return 0.0, entry[1], entry[2]
+        return 0.0, profile(r), depth(r)
 
     return FlowField(
         frame="polar",

@@ -48,6 +48,12 @@ from .errors import InvalidParams, SingularTime
 
 Direction = Literal["rsw2sw", "sw2rsw"]
 
+
+def _check_direction(direction: str) -> None:
+    if direction not in ("rsw2sw", "sw2rsw"):
+        raise InvalidParams(f"direction must be 'rsw2sw' or 'sw2rsw', got {direction!r}")
+
+
 #: |sin(f t / 2)| below this marks the singular times of the equivalence map.
 SINGULAR_GUARD = 1e-9
 
@@ -68,6 +74,9 @@ class EquivalenceMap:
 
     params: FlowParameters
     direction: Direction = "rsw2sw"
+
+    def __post_init__(self) -> None:
+        _check_direction(self.direction)
 
     def inverse(self) -> "EquivalenceMap":
         other = "sw2rsw" if self.direction == "rsw2sw" else "rsw2sw"
@@ -115,6 +124,7 @@ def _inverse_arrays(arr, f: float) -> tuple:
 
 def equiv_jet_array(arr: np.ndarray, params: FlowParameters, direction: Direction = "rsw2sw") -> np.ndarray:
     """The equivalence map as a map of raw 6-vectors (t, x, y, u, v, h)."""
+    _check_direction(direction)
     to = _forward_arrays if direction == "rsw2sw" else _inverse_arrays
     return np.array(to(np.asarray(arr, dtype=float), params.f))
 

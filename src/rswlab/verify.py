@@ -26,7 +26,6 @@ import numpy as np
 from .core import FlowField, as_cartesian
 from .errors import (
     BlowUp,
-    CFLViolation,
     InvalidParams,
     LeftDomain,
     NegativeDepth,
@@ -501,8 +500,6 @@ class FVRun:
     l1_error_h: float
     l1_error_all: float
     steps: int
-    dt_min: float
-    masked_fraction: float
 
 
 def _conserved(shape, u, v, h):
@@ -532,17 +529,18 @@ def fv_oracle(
     n: int,
     box: tuple[float, float] = (-3.0, 3.0),
     bc: str = "exact",
-    dt: float | None = None,
     mask_fn: Callable[[float, np.ndarray, np.ndarray], np.ndarray] | None = None,
     dry_floor: bool = False,
 ) -> FVRun:
     """First-order Lax-Friedrichs/Rusanov cross-check of the equations.
 
-    The exact field provides initial data (and ghost data for ``bc="exact"``,
-    the configuration used in convergence benchmarking; ``periodic`` and
-    ``outflow`` are also available).  The Coriolis source is added
-    explicitly.  Returns the L1 depth error against the exact field at
-    ``t1``, optionally restricted by ``mask_fn(t1, X, Y) -> bool array``.
+    The exact field provides the initial data and, each step, the ghost
+    cells (``bc="exact"``, the one boundary treatment: an exact solution on
+    a finite box is neither periodic nor outflowing).  Each step is the
+    stable one, Courant number 0.45, cut to land on ``t1``.  The Coriolis
+    source is added explicitly.  Returns the L1 depth error against the
+    exact field at ``t1``, optionally restricted by
+    ``mask_fn(t1, X, Y) -> bool array``.
 
     The state lives on one padded (n + 2)^2 array per conservative
     variable.  The exact data come from array calls of the field: the grid
@@ -550,12 +548,11 @@ def fv_oracle(
     wave speed and physical flux are formed once per cell, and each
     interface flux from its two neighbours.
 
-    Raises :class:`CFLViolation` when an explicit ``dt`` exceeds the stable
-    step (Courant number 0.45), and :class:`NegativeDepth` when the update
-    makes depth significantly negative (set ``dry_floor`` to clamp instead,
-    for fields with dry regions).
+    Raises :class:`NegativeDepth` when the update makes depth significantly
+    negative (set ``dry_floor`` to clamp instead, for fields with dry
+    regions).
     """
-    if bc not in ("exact", "periodic", "outflow"):
+    if bc != "exact":
         raise InvalidParams(f"unknown boundary treatment {bc!r}")
     cart = as_cartesian(field_)
     g = field_.params.g
@@ -567,16 +564,12 @@ def fv_oracle(
 
     # one ghost cell on each side; the corners enter no flux
     inner = np.s_[1:-1, 1:-1]
-    hp, hup, hvp = padded = [np.zeros((n + 2, n + 2)) for _ in range(3)]
+    hp, hup, hvp = [np.zeros((n + 2, n + 2)) for _ in range(3)]
     hp[inner], hup[inner], hvp[inner] = _sample_conserved(cart, t0, X, Y)
-    if bc == "exact":
-        ring = np.ones((n + 2, n + 2), dtype=bool)
-        ring[inner] = False
-        gx = np.concatenate([[lo - dx / 2.0], centers, [hi + dx / 2.0]])
-        ring_x, ring_y = (c[ring] for c in np.meshgrid(gx, gx, indexing="ij"))
-    else:
-        # the interior row or column each ghost copies: wrapped or repeated
-        first, last = (-2, 1) if bc == "periodic" else (1, -2)
+    ring = np.ones((n + 2, n + 2), dtype=bool)
+    ring[inner] = False
+    gx = np.concatenate([[lo - dx / 2.0], centers, [hi + dx / 2.0]])
+    ring_x, ring_y = (c[ring] for c in np.meshgrid(gx, gx, indexing="ij"))
 
     # interfaces between neighbouring cells along x (rows) and y (columns)
     x_left, x_right = np.s_[:-1, 1:-1], np.s_[1:, 1:-1]
@@ -587,15 +580,9 @@ def fv_oracle(
 
     t = t0
     steps = 0
-    dt_min = math.inf
     while t < t1 - 1e-14:
-        if bc == "exact":
-            u_g, v_g, h_g = cart.values_unchecked(t, ring_x, ring_y)
-            hp[ring], hup[ring], hvp[ring] = _conserved(ring_x.shape, u_g, v_g, h_g)
-        else:
-            for q in padded:
-                q[0, 1:-1], q[-1, 1:-1] = q[first, 1:-1], q[last, 1:-1]
-                q[1:-1, 0], q[1:-1, -1] = q[1:-1, first], q[1:-1, last]
+        u_g, v_g, h_g = cart.values_unchecked(t, ring_x, ring_y)
+        hp[ring], hup[ring], hvp[ring] = _conserved(ring_x.shape, u_g, v_g, h_g)
 
         wet = hp > 1e-12
         h_safe = np.maximum(hp, 1e-12)
@@ -605,13 +592,7 @@ def fv_oracle(
         speed_x = np.abs(vel_u) + c
         speed_y = np.abs(vel_v) + c
         rate = speed_x[inner].max() / dx + speed_y[inner].max() / dx
-        dt_stable = 0.45 / rate if rate > 0.0 else (t1 - t)
-        step_dt = min(dt if dt is not None else dt_stable, t1 - t)
-        if dt is not None and dt > dt_stable * (1.0 + 1e-12):
-            raise CFLViolation(
-                f"requested dt={dt!r} exceeds stable step {dt_stable!r}"
-            )
-        dt_min = min(dt_min, step_dt)
+        step_dt = min(0.45 / rate, t1 - t) if rate > 0.0 else t1 - t
 
         pressure = 0.5 * g * hp * hp
         half_a = 0.5 * np.maximum(speed_x[x_left], speed_x[x_right])
@@ -646,10 +627,7 @@ def fv_oracle(
     l1_all = float(
         (np.abs(h - h_ex) + np.abs(hu - hu_ex) + np.abs(hv - hv_ex))[mask].sum() * cell
     )
-    return FVRun(
-        n=n, l1_error_h=l1_h, l1_error_all=l1_all, steps=steps, dt_min=dt_min,
-        masked_fraction=float(1.0 - mask.mean()),
-    )
+    return FVRun(n=n, l1_error_h=l1_h, l1_error_all=l1_all, steps=steps)
 
 
 @dataclass(frozen=True)
@@ -672,8 +650,11 @@ def fv_convergence(
     """Empirical convergence rate of the finite-volume oracle.
 
     Rate = log2(error(n) / error(2n)) for the last refinement pair; a
-    first-order scheme on a smooth solution should give about one.
+    first-order scheme on a smooth solution should give about one.  ``ns``
+    needs at least two resolutions, the last larger than the one before.
     """
+    if len(ns) < 2 or not ns[-1] > ns[-2]:
+        raise InvalidParams(f"ns needs two or more resolutions ending in a refinement, got {tuple(ns)}")
     runs = tuple(fv_oracle(field_, t0, t1, n, **kw) for n in ns)
     e_coarse, e_fine = runs[-2].l1_error_h, runs[-1].l1_error_h
     ratio = ns[-1] / ns[-2]

@@ -143,7 +143,7 @@ def test_criterion_4_transport_operator():
                 worst_pt = max(worst_pt, float(np.max(np.abs(a - b))))
     l = drop_swirl_coefficient(2.0, P11)
     h0 = P11.f ** 4 / (12 * P11.g * l * l)
-    base = stationary_rotsym(profile_quadratic(l), h0, P11, r_max=2.4)
+    base = stationary_rotsym(profile_quadratic(l), h0, P11)
     moved = transport_solution(base, 2.0, P11)
     rep = residual_report(moved, points=sample_grid(pulsating_drop(2.0, P11), (6, 6, 4)))
     ok = worst_pt < 1e-12 and rep.max_residual < 1e-6

@@ -164,12 +164,22 @@ class TestBadArguments:
         ["field", "--family", "drop", "--alpha", "2", "--f", "1e300"],
         ["field", "--family", "drop", "--alpha", "2", "--f", "1e-300"],
         ["field", "--family", "barochronous-sw", "--f", "1e300", "--t", "1"],
+        ["field", "--family", "rest", "--t", "nan"],
+        ["field", "--family", "rest", "--r", "nan:1:3"],
+        ["field", "--family", "rest", "--r", "0:inf:3"],
+        ["map", "--transport", "--alpha", "2", "--family", "rest", "--t", "inf", "--r", "0:2:5"],
+        # counts beyond any address space: numpy refuses them before allocating
+        ["trajectory", "--family", "rest", "--samples", "100000000000000000"],
+        ["commutators", "--points", "100000000000000000"],
+        ["field", "--family", "rest", "--r", "0:1:100000000000000000"],
     ], ids=["shape-not-integers", "profile-not-numbers", "psi-not-numbers",
             "profile-too-many-numbers", "psi-too-many-numbers", "gauss-zero-width",
             "drop-alpha-underflow", "h0-inf", "u0-nan", "profile-nan", "phi0-nan", "rest-h0-nan",
             "r0-negative", "t-empty", "r0-empty", "map-t-empty", "fd-step-zero", "fd-step-nan",
             "threshold-nan", "cubic-c1-overflow", "profile-empty", "psi-empty",
-            "drop-f-overflow", "drop-f-underflow", "barochronous-f-overflow"])
+            "drop-f-overflow", "drop-f-underflow", "barochronous-f-overflow",
+            "t-nan", "r-nan", "r-inf", "map-t-inf",
+            "samples-unallocatable", "points-unallocatable", "grid-count-unallocatable"])
     def test_exit_2_with_an_error_line(self, argv, tmp_path, capsys):
         out = tmp_path / "out"
         code = run([*argv, "--out", str(out)])

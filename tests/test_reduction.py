@@ -288,8 +288,8 @@ class TestImplicitCollapse:
         assert all(b < a for a, b in zip(before, before[1:]))  # spreading
         assert all(b > a for a, b in zip(after, after[1:]))  # collapse
         # phi changes sign from positive to negative at the turning time
-        assert ic.phi_of_t(ic.t1 * 0.5) > 0
-        assert ic.phi_of_t(ic.t1 * 1.5) < 0
+        assert ic.state_of_t(ic.t1 * 0.5)[0] > 0
+        assert ic.state_of_t(ic.t1 * 1.5)[0] < 0
 
     @pytest.mark.parametrize("phi0", [0.0, -1.0, 0.5])
     def test_time_map_matches_30_digit_quadrature(self, phi0):

@@ -469,8 +469,8 @@ class TestIntegralTables:
         assert catalog["collapse-contact"].meta["lam_max"] == pytest.approx(4.628674849633171, rel=1e-12)
 
     def test_threads_share_a_field_bit_for_bit(self):
-        # the last-radius cache and the table's lazily built float rows are
-        # shared; eight threads, switching every microsecond, read both
+        # the depth table's lazily built float rows are shared; eight
+        # threads, switching every microsecond, read them
         radii = [*np.linspace(0.0, 6.0, 97).tolist(), 6.0 * 2.0 ** 64]  # and the last node
         want = [make_family("stationary-rotsym", P).eval(0.0, r, 0.0).tobytes() for r in radii]
         interval = sys.getswitchinterval()

@@ -26,6 +26,7 @@ from rswlab.solutions import (
 from rswlab.transforms import (
     EquivalenceMap,
     GroupAction,
+    equiv_jet_array,
     equiv_point,
     finite_transform,
     map_field_rsw_to_sw,
@@ -71,6 +72,13 @@ class TestEquivalencePoint:
         with pytest.raises(SingularTime):
             equiv_point(m, CartesianPoint(2 * math.pi, 0.1, 0.1), CartesianState(0, 0, 1))
 
+    @pytest.mark.parametrize("direction", ["rws2sw", "bogus", ""])
+    def test_unknown_direction_is_invalid(self, direction):
+        with pytest.raises(InvalidParams, match="direction"):
+            EquivalenceMap(P, direction)
+        with pytest.raises(InvalidParams, match="direction"):
+            equiv_jet_array([1.0, 0.5, 0.2, 0.0, 0.0, 1.0], P, direction)
+
 
 class TestFieldMaps:
     def test_rest_maps_to_barochronous(self, params11):
@@ -100,7 +108,6 @@ class TestFieldMaps:
 
     def test_sw_image_of_cylinder_solves_plain_system(self, params11):
         from rswlab.core import as_cartesian
-        from rswlab.transforms import equiv_jet_array
 
         cyl = as_cartesian(pulsating_cylinder(2.0, 1.0, params11))
         img = map_field_rsw_to_sw(cyl, params11)
@@ -419,7 +426,7 @@ class TestTransport:
         alpha = 2.0
         l = drop_swirl_coefficient(alpha, params11)
         h0 = params11.f ** 4 / (12 * params11.g * l * l)
-        base = stationary_rotsym(profile_quadratic(l), h0, params11, r_max=2.4)
+        base = stationary_rotsym(profile_quadratic(l), h0, params11)
         moved = transport_solution(base, alpha, params11)
         drop = pulsating_drop(alpha, params11)
         for t in (0.3, 1.4, math.pi):
