@@ -26,7 +26,6 @@ from .core import (
 )
 from .liealg import (
     GeneratorId,
-    JetPoint,
     StructureTable,
     generator_eval,
     lie_bracket,
@@ -52,7 +51,6 @@ from .solutions import (
     trajectory_formula,
 )
 from .transforms import (
-    EquivalenceMap,
     GroupAction,
     equiv_point,
     finite_transform,

@@ -29,16 +29,7 @@ import tempfile
 import numpy as np
 
 from .core import FlowParameters, FlowField, as_cartesian, scale_depth
-from .errors import (
-    InvalidParams,
-    LeftDomain,
-    NoRingExists,
-    OriginSingular,
-    RswError,
-    SingularTime,
-    UnsupportedFamily,
-    WindowViolation,
-)
+from .errors import InvalidParams, NoRingExists, OriginSingular, RswError, UnsupportedFamily
 from .liealg import structure_constants, verify_isomorphism
 from .solutions import (
     canonical_family_name,
@@ -54,7 +45,6 @@ SCHEMA_VERSION = 1
 _HEADERS = {"polar": ["t", "r", "theta", "U", "V", "h"], "cartesian": ["t", "x", "y", "u", "v", "h"]}
 # a count too large to allocate (numpy's MemoryError) is a bad argument too
 _BAD_ARGS = (InvalidParams, UnsupportedFamily, NoRingExists, MemoryError)
-_DOMAIN = (WindowViolation, SingularTime, OriginSingular, LeftDomain)
 
 
 def _fmt(x: float) -> str:
@@ -466,7 +456,7 @@ def main(argv: list[str] | None = None) -> int:
     except _BAD_ARGS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (*_DOMAIN, RswError) as exc:
+    except RswError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ArithmeticError as exc:  # overflow, also from Python float arithmetic

@@ -697,13 +697,10 @@ def as_cartesian(field_: FlowField, label: str | None = None) -> FlowField:
             for c, d_origin, j in zip(view(t.v, xv, yv), at_origin, away)
         ]
 
-    meta = dict(src.meta)
-    meta["polar_source"] = src.label
     return replace(
         src,
         frame="cartesian",
         value_fn=value_fn,
         jet_fn=None,
         label=label or f"{src.label}(cartesian)",
-        meta=meta,
     )

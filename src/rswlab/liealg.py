@@ -14,49 +14,34 @@ Three generator bases act on the six-dimensional jet space with coordinates
   translations, Galilean boosts, rotation, scaling, time translation,
   projective transformation, and dilation.
 
-Every generator is affine in ``w = (1, x, y, u, v, h)`` with coefficients
-that depend on ``t`` only, and is stated once, as ``A(t) = sum_m B_m
-phi_m(t)`` with constant matrices ``B_m`` and time factors ``(1, cos f t,
-sin f t)`` (X, Y) or ``(1, t, t^2)`` (Z).  Values are ``A(t) @ w`` and the
-jacobians used by the commutators, ``[A'(t) @ w | A(t)[:, 1:]]``, follow
-from the same matrices, so the bracket values are exact up to rounding.
-Structure constants are recovered by least squares over generic
-sample points and snapped to exact values, which makes the comparison with
-the canonical table sharp.
+A jet point is a length-6 array-like ``(t, x, y, u, v, h)``; a sample of
+``n`` points is an ``(n, 6)`` array.  Every generator is affine in
+``w = (1, x, y, u, v, h)`` with coefficients that depend on ``t`` only, and
+is stated once, as ``A(t) = sum_m B_m phi_m(t)`` with constant matrices
+``B_m`` and time factors ``(1, cos f t, sin f t)`` (X, Y) or
+``(1, t, t^2)`` (Z).  Values are ``A(t) @ w`` and the jacobians used by the
+commutators, ``[A'(t) @ w | A(t)[:, 1:]]``, follow from the same matrices,
+so the bracket values are exact up to rounding.  One kernel forms the
+commutators of stacked generators; :func:`lie_bracket` reads it for one
+pair and :func:`structure_constants` for all 36.  Structure constants are
+recovered by least squares over generic sample points and snapped to exact
+values, which makes the comparison with the canonical table sharp.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Literal, Sequence
+from typing import Literal
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .core import FlowParameters, Jet
 from .errors import FitDegenerate, InvalidParams
 from .transforms import _forward_arrays
 
 Family = Literal["X", "Y", "Z"]
-
-
-@dataclass(frozen=True)
-class JetPoint:
-    """A base + fiber point of the symmetry vector fields."""
-
-    t: float
-    x: float
-    y: float
-    u: float
-    v: float
-    h: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.t, self.x, self.y, self.u, self.v, self.h])
-
-    @staticmethod
-    def from_array(arr: Sequence[float]) -> "JetPoint":
-        return JetPoint(*(float(c) for c in arr))
 
 
 @dataclass(frozen=True)
@@ -213,57 +198,40 @@ def _affine_jet(
     return values, np.concatenate([dA_w[..., None], A[..., 1:]], axis=-1)
 
 
+def _bracket(values: np.ndarray, jac: np.ndarray) -> np.ndarray:
+    """Commutators of stacked generators from their values (k, n, 6) and
+    jacobians (k, n, 6, 6): out[i, j] = [G_i, G_j] = J_j G_i - J_i G_j,
+    shape (k, k, n, 6)."""
+    jv = np.einsum("jnkl,inl->ijnk", jac, values)  # jv[i, j] = J_j @ G_i
+    return jv - jv.transpose(1, 0, 2, 3)
+
+
 def _generator_jet(
-    gid: GeneratorId, p: JetPoint, params: FlowParameters
+    gid: GeneratorId, p: ArrayLike, params: FlowParameters
 ) -> tuple[np.ndarray, np.ndarray]:
     B = _family_matrices(gid.family, params.f)[gid.index - 1]
-    values, jac = _affine_jet(B, gid.family, params.f, p.as_array()[None, :])
+    values, jac = _affine_jet(B, gid.family, params.f, np.asarray(p, dtype=float).reshape(1, 6))
     return values[0], jac[0]
 
 
-def generator_eval(gid: GeneratorId, p: JetPoint, params: FlowParameters) -> np.ndarray:
-    """Coefficient 6-vector A(t) @ w of a generator at a jet point."""
+def generator_eval(gid: GeneratorId, p: ArrayLike, params: FlowParameters) -> np.ndarray:
+    """Coefficient 6-vector A(t) @ w of a generator at the jet point ``p``."""
     return _generator_jet(gid, p, params)[0]
 
 
-def generator_jacobian(
-    gid: GeneratorId, p: JetPoint, params: FlowParameters
-) -> np.ndarray:
+def generator_jacobian(gid: GeneratorId, p: ArrayLike, params: FlowParameters) -> np.ndarray:
     """Jacobian of the coefficient functions with respect to (t,x,y,u,v,h),
     derived from the same matrices: [A'(t) @ w | A(t)[:, 1:]]."""
     return _generator_jet(gid, p, params)[1]
 
 
-CoeffFn = Callable[[np.ndarray], np.ndarray]
-JacFn = Callable[[np.ndarray], np.ndarray]
-
-
-def _field_closures(gid: GeneratorId, params: FlowParameters) -> tuple[CoeffFn, JacFn]:
-    def coeff(arr: np.ndarray) -> np.ndarray:
-        return generator_eval(gid, JetPoint.from_array(arr), params)
-
-    def jac(arr: np.ndarray) -> np.ndarray:
-        return generator_jacobian(gid, JetPoint.from_array(arr), params)
-
-    return coeff, jac
-
-
-def bracket_values(
-    a_coeff: CoeffFn, a_jac: JacFn, b_coeff: CoeffFn, b_jac: JacFn, arr: np.ndarray
-) -> np.ndarray:
-    """[A, B] = A(B) - B(A) evaluated at a point from coefficient closures."""
-    return b_jac(arr) @ a_coeff(arr) - a_jac(arr) @ b_coeff(arr)
-
-
-def lie_bracket(
-    a: GeneratorId, b: GeneratorId, p: JetPoint, params: FlowParameters
-) -> np.ndarray:
-    """Commutator of two generators of the same family at a jet point."""
+def lie_bracket(a: GeneratorId, b: GeneratorId, p: ArrayLike, params: FlowParameters) -> np.ndarray:
+    """Commutator [a, b] of two generators of the same family at the jet point ``p``."""
     if a.family != b.family:
         raise InvalidParams("bracket requires generators from the same family")
-    ac, aj = _field_closures(a, params)
-    bc, bj = _field_closures(b, params)
-    return bracket_values(ac, aj, bc, bj, p.as_array())
+    B = _family_matrices(a.family, params.f)[[a.index - 1, b.index - 1]]
+    values, jac = _affine_jet(B, a.family, params.f, np.asarray(p, dtype=float).reshape(1, 6))
+    return _bracket(values, jac)[0, 1, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +301,10 @@ class StructureTable:
         return bool(np.max(np.abs(self.coeffs - canonical_structure_array())) <= TABLE_TOL)
 
 
-def sample_jet_points(
-    params: FlowParameters, n: int, seed: int = 0
-) -> list[JetPoint]:
-    """Generic sample points: coordinates uniform in [-2, 2], t away from
-    the half-period endpoints where the trigonometric frame degenerates.
-    That interval, (0.1, pi/f - 0.1), is empty for f >= 5 pi."""
+def sample_jet_points(params: FlowParameters, n: int, seed: int = 0) -> np.ndarray:
+    """Generic sample points, shape (n, 6): coordinates uniform in [-2, 2],
+    t away from the half-period endpoints where the trigonometric frame
+    degenerates.  That interval, (0.1, pi/f - 0.1), is empty for f >= 5 pi."""
     t_hi = math.pi / params.f - 0.1
     if not t_hi > 0.1:
         raise InvalidParams(f"sample times need pi/f > 0.2, i.e. f < 5 pi; got f={params.f!r}")
@@ -346,16 +312,11 @@ def sample_jet_points(
         raise InvalidParams(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     t = rng.uniform(0.1, t_hi, size=n)
-    rest = rng.uniform(-2.0, 2.0, size=(n, 5))
-    return [JetPoint(t[i], *rest[i]) for i in range(n)]
+    return np.column_stack([t, rng.uniform(-2.0, 2.0, size=(n, 5))])
 
 
 def structure_constants(
-    family: Family,
-    params: FlowParameters,
-    n_points: int = 12,
-    seed: int = 0,
-    points: Sequence[JetPoint] | None = None,
+    family: Family, params: FlowParameters, n_points: int = 12, seed: int = 0
 ) -> StructureTable:
     """Fit every commutator onto the nine-generator frame by least squares.
 
@@ -372,33 +333,25 @@ def structure_constants(
     if n_points < 2:
         raise InvalidParams(f"structure constants need n_points >= 2, got {n_points}")
     B = _family_matrices(family, params.f)
-    upper = np.triu_indices(9, k=1)
-    attempt = 0
-    while True:
-        pts = list(points) if points is not None else sample_jet_points(
-            params, n_points, seed + attempt
-        )
-        values, jac = _affine_jet(B, family, params.f, np.array([p.as_array() for p in pts]))
+    for attempt in range(6):
+        pts = sample_jet_points(params, n_points, seed + attempt)
+        values, jac = _affine_jet(B, family, params.f, pts)
         # rows (point, component), one column per generator
         basis = values.transpose(1, 2, 0).reshape(-1, 9)
-        if np.linalg.matrix_rank(basis) < 9:
-            attempt += 1
-            if points is not None or attempt > 5:
-                raise FitDegenerate(
-                    f"sample matrix rank deficient after {attempt} attempt(s)"
-                )
-            continue
-        # jv[i, j] = J_j @ G_i, so [G_i, G_j] = jv[i, j] - jv[j, i]
-        jv = np.einsum("jnkl,inl->ijnk", jac, values)
-        rhs = (jv - jv.transpose(1, 0, 2, 3))[upper].reshape(36, -1).T
-        sol, _, _, _ = np.linalg.lstsq(basis, rhs, rcond=None)
-        worst = float(np.max(np.abs(basis @ sol - rhs)))
-        nearest = np.round(2.0 * sol) / 2.0
-        snapped = np.where(np.abs(sol - nearest) <= TABLE_TOL, nearest, sol).T
-        coeffs = np.zeros((9, 9, 9))
-        coeffs[upper] = snapped
-        coeffs[upper[::-1]] = -snapped
-        return StructureTable(family=family, coeffs=coeffs, fit_residual=worst)
+        if np.linalg.matrix_rank(basis) == 9:
+            break
+    else:
+        raise FitDegenerate("sample matrix rank deficient after 6 attempt(s)")
+    upper = np.triu_indices(9, k=1)
+    rhs = _bracket(values, jac)[upper].reshape(36, -1).T
+    sol, _, _, _ = np.linalg.lstsq(basis, rhs, rcond=None)
+    worst = float(np.max(np.abs(basis @ sol - rhs)))
+    nearest = np.round(2.0 * sol) / 2.0
+    snapped = np.where(np.abs(sol - nearest) <= TABLE_TOL, nearest, sol).T
+    coeffs = np.zeros((9, 9, 9))
+    coeffs[upper] = snapped
+    coeffs[upper[::-1]] = -snapped
+    return StructureTable(family=family, coeffs=coeffs, fit_residual=worst)
 
 
 @dataclass(frozen=True)
@@ -463,9 +416,7 @@ class PushforwardReport:
 
 
 def pushforward_check(
-    k: int,
-    params: FlowParameters,
-    sample: Iterable[JetPoint] | None = None,
+    k: int, params: FlowParameters, sample: ArrayLike | None = None
 ) -> PushforwardReport:
     """Push a canonical generator through the equivalence map exactly.
 
@@ -476,22 +427,22 @@ def pushforward_check(
     ``max_error`` is the largest difference in units of max(1, |expected|)
     per component, since the pushed components grow like
     1 / sin^2(f t/2) near the singular times, and the report is ``ok`` up
-    to 1e-12.  ``sample`` defaults to six points of
-    :func:`sample_jet_points` with seed 3.  The error is at rounding level
-    while sin(f t/2) >= 0.05; closer to those times the generators' own
-    coefficients, sums of 1, cos f t and sin f t, lose about
+    to 1e-12.  ``sample``, an (n, 6) array-like of jet points, defaults to
+    six points of :func:`sample_jet_points` with seed 3.  The error is at
+    rounding level while sin(f t/2) >= 0.05; closer to those times the
+    generators' own coefficients, sums of 1, cos f t and sin f t, lose about
     eps / sin^2(f t/2) relative, and the report shows it.  A sample point at
     a full-period time, where the map is singular, raises :class:`SingularTime`.
     """
     mult = params.f ** PUSHFORWARD_POWER[k]
     yid = GeneratorId("Y", k)
     zid = GeneratorId("Z", k)
-    pts = list(sample) if sample is not None else sample_jet_points(params, 6, seed=3)
+    pts = sample_jet_points(params, 6, seed=3) if sample is None else np.asarray(sample, dtype=float)
     worst = 0.0
     for p in pts:
-        seeds = [Jet(x, dx) for x, dx in zip(p.as_array(), generator_eval(yid, p, params))]
+        seeds = [Jet(x, dx) for x, dx in zip(p, generator_eval(yid, p, params))]
         out = _forward_arrays(seeds, params.f)
         pushed = np.array([c.t for c in out])
-        expected = mult * generator_eval(zid, JetPoint(*(c.v for c in out)), params)
+        expected = mult * generator_eval(zid, [c.v for c in out], params)
         worst = max(worst, float(np.max(np.abs(pushed - expected) / np.maximum(1.0, np.abs(expected)))))
     return PushforwardReport(index=k, multiplier=mult, max_error=worst, ok=worst <= 1e-12)

@@ -312,7 +312,12 @@ def ring_bounds(
         )
 
     def G(r: float) -> float:
-        return double_root_indicator(*depth_cubic_coeffs(r, C1, C2, C3, params))
+        try:
+            return double_root_indicator(*depth_cubic_coeffs(r, C1, C2, C3, params))
+        except OverflowError as exc:
+            raise InvalidParams(
+                f"C=({C1!r}, {C2!r}, {C3!r}) overflow the double-root indicator at r={r!r}"
+            ) from exc
 
     r = 0.01 * math.sqrt(2.0 * abs(C2) / f) if C2 != 0.0 else 1e-3 * math.sqrt(g) / f
     r_stop = 100.0 * math.sqrt(8.0 * g * C1) / f
@@ -633,7 +638,11 @@ class ImplicitCollapse:
         self.eta1: float | None = None
         self.t1: float | None = None
         self.branches: list[_Branch] = []
-        self._build()
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                self._build()
+        except FloatingPointError as exc:
+            raise InvalidParams(f"collapse parameters overflow the tabulation: {exc}") from exc
         self._memo: dict[float, tuple[float, float]] = {}
         self._memo_lock = threading.Lock()
 

@@ -62,7 +62,7 @@ from .reduction import (
     ring_bounds,
     solve_cubic_real,
 )
-from .transforms import check_dilation, y9_dilation, y9_factors
+from .transforms import _inverse_arrays, check_dilation, y9_dilation, y9_factors
 
 _ALIASES = {
     "rest-state": "rest",
@@ -125,9 +125,9 @@ def profile_quadratic(coef: float = -0.25) -> RadialProfile:
 
 
 def profile_gauss(coef: float = 0.5, width: float = 2.0) -> RadialProfile:
-    if width == 0.0:
-        raise InvalidParams("gauss profile width must be nonzero")
     w2 = width * width
+    if not w2 > 0.0:
+        raise InvalidParams(f"gauss profile width must have a positive square, got {width!r}")
 
     def fn(r):
         return coef * r * np.exp(-r * r / w2)
@@ -184,7 +184,6 @@ def rest_state(h0: float, params: FlowParameters, frame: str = "polar") -> FlowF
         label=f"rest(h0={h0:g})",
         meta={
             "family": "rest",
-            "h0": h0,
             "profile": profile_zero(),
             "sample_box": {"t": (0.0, params.period), "r": (0.0, 2.0), "x": (-2.0, 2.0)},
         },
@@ -228,7 +227,6 @@ def constant_sw_image(
             "family": "constant-sw-image",
             "u0": u0,
             "v0": v0,
-            "h0": h0,
             "sample_box": {"t": (0.08 * period, 0.92 * period), "x": (-2.0, 2.0)},
         },
     )
@@ -261,7 +259,6 @@ def barochronous_sw(h0: float, params: FlowParameters) -> FlowField:
         label=f"barochronous-sw(h0={h0:g})",
         meta={
             "family": "barochronous-sw",
-            "h0": h0,
             "sample_box": {"t": (-2.0, 5.0), "x": (-2.0, 2.0)},
         },
     )
@@ -299,12 +296,13 @@ def stationary_rotsym(profile: RadialProfile, h0: float, params: FlowParameters)
     breaks = np.concatenate([np.linspace(0.0, r_max, 17), r_max * 2.0 ** np.arange(1.0, 65.0)])
     depth = IntegralTable(integrand, integrand_slope, breaks, origin=0.0, value=h0, scale=h0)
 
-    # reject profiles that drain the depth below zero inside the window
+    # reject profiles that drain the depth below zero, or overflow it, inside the window
     radii = np.linspace(0.0, r_max, 61)[1:]
-    drained = np.flatnonzero(depth(radii) <= 0.0)
-    if drained.size:
+    depths = depth(radii)
+    bad = np.flatnonzero(~((depths > 0.0) & np.isfinite(depths)))
+    if bad.size:
         raise InvalidParams(
-            f"depth becomes non-positive at r={radii[drained[0]]:g}; choose a tamer profile"
+            f"depth becomes non-positive or non-finite at r={radii[bad[0]]:g}; choose a tamer profile"
         )
 
     def value_fn(t, r, theta):
@@ -318,7 +316,6 @@ def stationary_rotsym(profile: RadialProfile, h0: float, params: FlowParameters)
         label=f"stationary-rotsym({profile.label}, h0={h0:g})",
         meta={
             "family": "stationary-rotsym",
-            "h0": h0,
             "profile": profile,
             "depth_fn": depth,
             "sample_box": {"t": (0.0, params.period), "r": (0.05, r_max * 0.9)},
@@ -357,9 +354,7 @@ def pulsating_cylinder(alpha: float, h0: float, params: FlowParameters) -> FlowF
         meta={
             "family": "pulsating-cylinder",
             "alpha": alpha,
-            "h0": h0,
             "profile": profile_zero(),
-            "transported": True,
             "sample_box": {"t": (0.0, params.period), "r": (0.05, 2.0)},
         },
     )
@@ -442,10 +437,8 @@ def pulsating_drop(alpha: float, params: FlowParameters) -> FlowField:
         meta={
             "family": "pulsating-drop",
             "alpha": alpha,
-            "swirl_coef": l,
             "boundary_radius": boundary_radius,
             "profile": profile_quadratic(l),
-            "transported": True,
             "sample_box": {"t": (0.0, params.period), "r": (0.05, r_box)},
         },
     )
@@ -508,8 +501,6 @@ def stationary_ring(
         label=f"stationary-ring(C=({C1:g},{C2:g},{C3:g}), {branch})",
         meta={
             "family": "stationary-ring",
-            "C": (C1, C2, C3),
-            "branch": branch,
             "bounds": bounds,
             "sample_box": {
                 "t": (0.0, params.period),
@@ -666,8 +657,6 @@ def collapse_contact(
         meta={
             "family": "collapse-contact",
             "psi": psi,
-            "lam0": lam0,
-            "eta0": eta0,
             "lam_max": lam_max,
             "eta_fn": eta,
             "psi_sq_integral": psi_sq_integral,
@@ -772,10 +761,7 @@ def collapse_contact_cubic(
         label=f"collapse-contact-cubic(C=({C1:g},{C2:g},{C3:g}), {branch})",
         meta={
             "family": "collapse-contact-cubic",
-            "C": (C1, C2, C3),
-            "branch": branch,
             "lam_c": lam_c,
-            "phi_fn": phi,
             "sample_box": {"t": (0.1 * period, 0.9 * period), "lam": (0.05 * lam_c, lam_cap)},
         },
     )
@@ -807,8 +793,6 @@ def collapse_scaling(phi0: float, eta0: float, params: FlowParameters) -> FlowFi
         label=f"collapse-scaling(phi0={phi0:g}, eta0={eta0:g})",
         meta={
             "family": "collapse-scaling",
-            "phi0": phi0,
-            "eta0": eta0,
             "tabulation": ic,
             "sample_box": {"t": (0.0, 0.9 * ic.Tstar), "r": (0.05, 2.0)},
         },
@@ -943,18 +927,16 @@ def trajectory_formula(
         t_ref = math.pi / f
         x0, y0 = r0 * math.cos(theta0), r0 * math.sin(theta0)
 
-        def tp(t):
-            return -1.0 / (f * math.tan(f * t / 2.0))
+        def xy_of_t(t):
+            # the inverse map of the straight path (y0/2, -x0/2) + (u0, v0) t'
+            q = -1.0 / (f * math.tan(f * t / 2.0))  # t'
+            return _inverse_arrays((q, y0 / 2.0 + u0 * q, -x0 / 2.0 + v0 * q, u0, v0, 1.0), f)[1:3]
 
         def x_of_t(t):
-            q = tp(t)
-            W = 1.0 + f * f * q * q
-            return (f * q * y0 + 2.0 * f * u0 * q * q + x0 - 2.0 * v0 * q) / W
+            return xy_of_t(t)[0]
 
         def y_of_t(t):
-            q = tp(t)
-            W = 1.0 + f * f * q * q
-            return (y0 + 2.0 * u0 * q - f * q * x0 + 2.0 * f * v0 * q * q) / W
+            return xy_of_t(t)[1]
 
         A = x0 / 2.0 + u0 / f
         B = y0 / 2.0 + v0 / f

@@ -48,12 +48,6 @@ from .errors import InvalidParams, SingularTime
 
 Direction = Literal["rsw2sw", "sw2rsw"]
 
-
-def _check_direction(direction: str) -> None:
-    if direction not in ("rsw2sw", "sw2rsw"):
-        raise InvalidParams(f"direction must be 'rsw2sw' or 'sw2rsw', got {direction!r}")
-
-
 #: |sin(f t / 2)| below this marks the singular times of the equivalence map.
 SINGULAR_GUARD = 1e-9
 
@@ -61,26 +55,6 @@ SINGULAR_GUARD = 1e-9
 # ---------------------------------------------------------------------------
 # Equivalence transformation
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EquivalenceMap:
-    """Change of variables between the rotating and non-rotating systems.
-
-    In the ``rsw2sw`` direction the map is defined for times with
-    sin(f t / 2) != 0; the ``sw2rsw`` direction is its closed-form inverse
-    and always lands in the principal period (0, 2*pi/f).
-    """
-
-    params: FlowParameters
-    direction: Direction = "rsw2sw"
-
-    def __post_init__(self) -> None:
-        _check_direction(self.direction)
-
-    def inverse(self) -> "EquivalenceMap":
-        other = "sw2rsw" if self.direction == "rsw2sw" else "rsw2sw"
-        return EquivalenceMap(self.params, other)
 
 
 def _forward_arrays(arr, f: float) -> tuple:
@@ -123,18 +97,24 @@ def _inverse_arrays(arr, f: float) -> tuple:
 
 
 def equiv_jet_array(arr: np.ndarray, params: FlowParameters, direction: Direction = "rsw2sw") -> np.ndarray:
-    """The equivalence map as a map of raw 6-vectors (t, x, y, u, v, h)."""
-    _check_direction(direction)
+    """The equivalence map as a map of raw 6-vectors (t, x, y, u, v, h).
+
+    The ``rsw2sw`` direction maps the rotating system to the non-rotating
+    one and is defined for times with sin(f t / 2) != 0; ``sw2rsw`` is its
+    closed-form inverse and always lands in the principal period
+    (0, 2*pi/f).
+    """
+    if direction not in ("rsw2sw", "sw2rsw"):
+        raise InvalidParams(f"direction must be 'rsw2sw' or 'sw2rsw', got {direction!r}")
     to = _forward_arrays if direction == "rsw2sw" else _inverse_arrays
     return np.array(to(np.asarray(arr, dtype=float), params.f))
 
 
 def equiv_point(
-    m: EquivalenceMap, p: CartesianPoint, s: CartesianState
+    p: CartesianPoint, s: CartesianState, params: FlowParameters, direction: Direction = "rsw2sw"
 ) -> tuple[CartesianPoint, CartesianState]:
-    """Apply the equivalence transformation to one point/state pair."""
-    arr = np.array([p.t, p.x, p.y, s.u, s.v, s.h])
-    out = equiv_jet_array(arr, m.params, m.direction)
+    """Apply the equivalence transformation of :func:`equiv_jet_array` to one point/state pair."""
+    out = equiv_jet_array([p.t, p.x, p.y, s.u, s.v, s.h], params, direction)
     return (
         CartesianPoint(float(out[0]), float(out[1]), float(out[2])),
         CartesianState(float(out[3]), float(out[4]), float(out[5])),
@@ -203,8 +183,6 @@ def _equivalence_image(src: FlowField, params: FlowParameters, direction: Direct
         return push((ts, xs, ys, u, v, h), f)[3:]
 
     system = "sw" if direction == "rsw2sw" else "rsw"
-    meta = dict(src.meta)
-    meta.update(kind="equiv_image", direction=direction, source=src.label)
     return FlowField(
         frame="cartesian",
         params=params,
@@ -212,7 +190,7 @@ def _equivalence_image(src: FlowField, params: FlowParameters, direction: Direct
         window=window,
         system=system,
         label=f"{system}_image({src.label})",
-        meta=meta,
+        meta={**src.meta, "kind": "equiv_image"},
     )
 
 
@@ -405,8 +383,6 @@ def transport_solution(
         r_lo=mapped(src_lo) if callable(src_lo) or src_lo else 0.0,
         r_hi=mapped(src_hi) if callable(src_hi) or math.isfinite(src_hi) else math.inf,
     )
-    meta = dict(src.meta)
-    meta.update(kind="transported", alpha=alpha, source=src.label)
     return FlowField(
         frame="polar",
         params=params,
@@ -414,5 +390,5 @@ def transport_solution(
         window=window,
         system="rsw",
         label=f"transport({src.label}, alpha={alpha:g})",
-        meta=meta,
+        meta={**src.meta, "kind": "transported", "alpha": alpha},
     )

@@ -172,6 +172,12 @@ class TestBadArguments:
         ["trajectory", "--family", "rest", "--samples", "100000000000000000"],
         ["commutators", "--points", "100000000000000000"],
         ["field", "--family", "rest", "--r", "0:1:100000000000000000"],
+        # constants that overflow a family's construction
+        ["field", "--family", "collapse-scaling", "--eta0", "1e-300"],
+        ["field", "--family", "collapse-scaling", "--eta0", "1e300"],
+        ["field", "--family", "stationary-rotsym", "--profile", "gauss:0.5,1e-200"],
+        ["field", "--family", "ring", "--c1", "1e300"],
+        ["field", "--family", "stationary-rotsym", "--profile", "solid:1e200"],
     ], ids=["shape-not-integers", "profile-not-numbers", "psi-not-numbers",
             "profile-too-many-numbers", "psi-too-many-numbers", "gauss-zero-width",
             "drop-alpha-underflow", "h0-inf", "u0-nan", "profile-nan", "phi0-nan", "rest-h0-nan",
@@ -179,7 +185,9 @@ class TestBadArguments:
             "threshold-nan", "cubic-c1-overflow", "profile-empty", "psi-empty",
             "drop-f-overflow", "drop-f-underflow", "barochronous-f-overflow",
             "t-nan", "r-nan", "r-inf", "map-t-inf",
-            "samples-unallocatable", "points-unallocatable", "grid-count-unallocatable"])
+            "samples-unallocatable", "points-unallocatable", "grid-count-unallocatable",
+            "scaling-eta0-underflow", "scaling-eta0-overflow", "gauss-width-square-underflow",
+            "ring-c1-overflow", "solid-depth-overflow"])
     def test_exit_2_with_an_error_line(self, argv, tmp_path, capsys):
         out = tmp_path / "out"
         code = run([*argv, "--out", str(out)])

@@ -58,6 +58,21 @@ class TestFamilyNames:
         with pytest.raises(InvalidParams, match="float range" if name == "pulsating-drop" else "overflows"):
             make_family(name, FlowParameters(f, 1.0))
 
+    @pytest.mark.parametrize("name, f, kw", [
+        ("collapse-scaling", 1.0, {"eta0": 1e-300}),
+        ("collapse-scaling", 1.0, {"eta0": 1e300}),
+        ("stationary-rotsym", 1.0, {"profile": "gauss:0.5,1e-200"}),
+        ("stationary-ring", 0.1, {"c1": 1e300}),
+        ("stationary-rotsym", 1.0, {"profile": "solid:1e200"}),
+    ], ids=["scaling-eta0-underflow", "scaling-eta0-overflow", "gauss-width-square-underflow",
+            "ring-c1-overflow", "solid-depth-overflow"])
+    def test_constants_overflowing_the_construction_are_invalid(self, name, f, kw):
+        # without the checks: a numpy overflow warning in the collapse
+        # tabulation, a ZeroDivisionError, an OverflowError in the ring's
+        # bound scan, or a depth table that is infinite from r = 0.1 on
+        with pytest.raises(InvalidParams):
+            make_family(name, FlowParameters(f, 1.0), **kw)
+
 
 class TestResiduals:
     def test_every_family_solves_its_equations(self, catalog):

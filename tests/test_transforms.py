@@ -24,7 +24,6 @@ from rswlab.solutions import (
     profile_gauss,
 )
 from rswlab.transforms import (
-    EquivalenceMap,
     GroupAction,
     equiv_jet_array,
     equiv_point,
@@ -41,8 +40,7 @@ P = FlowParameters(1.0, 1.0)
 
 class TestEquivalencePoint:
     def test_rest_state_at_half_period(self):
-        m = EquivalenceMap(P)
-        p, s = equiv_point(m, CartesianPoint(math.pi, 0.8, -0.3), CartesianState(0, 0, 2.0))
+        p, s = equiv_point(CartesianPoint(math.pi, 0.8, -0.3), CartesianState(0, 0, 2.0), P)
         assert p.t == pytest.approx(0.0, abs=1e-15)
         assert p.x == pytest.approx(-0.3 / 2)
         assert p.y == pytest.approx(-0.8 / 2)
@@ -60,22 +58,20 @@ class TestEquivalencePoint:
     )
     @settings(max_examples=60, deadline=None)
     def test_round_trip(self, t, x, y, u, v, h):
-        m = EquivalenceMap(P)
-        p1, s1 = equiv_point(m, CartesianPoint(t, x, y), CartesianState(u, v, h))
-        p2, s2 = equiv_point(m.inverse(), p1, s1)
+        p1, s1 = equiv_point(CartesianPoint(t, x, y), CartesianState(u, v, h), P)
+        p2, s2 = equiv_point(p1, s1, P, direction="sw2rsw")
         assert abs(p2.t - t) < 1e-10
         assert abs(p2.x - x) < 1e-10 and abs(p2.y - y) < 1e-10
         assert abs(s2.u - u) < 1e-9 and abs(s2.v - v) < 1e-9 and abs(s2.h - h) < 1e-10
 
     def test_full_period_time_is_singular(self):
-        m = EquivalenceMap(P)
         with pytest.raises(SingularTime):
-            equiv_point(m, CartesianPoint(2 * math.pi, 0.1, 0.1), CartesianState(0, 0, 1))
+            equiv_point(CartesianPoint(2 * math.pi, 0.1, 0.1), CartesianState(0, 0, 1), P)
 
     @pytest.mark.parametrize("direction", ["rws2sw", "bogus", ""])
     def test_unknown_direction_is_invalid(self, direction):
         with pytest.raises(InvalidParams, match="direction"):
-            EquivalenceMap(P, direction)
+            equiv_point(CartesianPoint(1.0, 0.5, 0.2), CartesianState(0, 0, 1), P, direction)
         with pytest.raises(InvalidParams, match="direction"):
             equiv_jet_array([1.0, 0.5, 0.2, 0.0, 0.0, 1.0], P, direction)
 
