@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from rswlab.core import FlowParameters, PolarPoint, diagnostics
+from rswlab.core import FlowParameters, diagnostics
 from rswlab.reduction import depth_cubic_coeffs, ring_bounds
 from rswlab.solutions import stationary_ring
 
@@ -60,8 +60,8 @@ def main() -> int:
     for r in np.linspace(bounds.r_inner + 1e-6 * span, bounds.r_outer - 1e-6 * span, args.n):
         hl = lower.values_unchecked(0.0, r, 0.0)[2]
         hu = upper.values_unchecked(0.0, r, 0.0)[2]
-        fl = diagnostics(lower, PolarPoint(0.0, r, 0.0)).froude
-        fu = diagnostics(upper, PolarPoint(0.0, r, 0.0)).froude
+        fl = diagnostics(lower, 0.0, r, 0.0).froude
+        fu = diagnostics(upper, 0.0, r, 0.0).froude
         rows.append(f"{r:.17g},{hl:.17g},{hu:.17g},{fl:.17g},{fu:.17g}")
     args.out.write_text("\n".join(rows) + "\n")
     print(f"sonic radii: inner {bounds.r_inner:.6f}, outer {bounds.r_outer:.6f}")

@@ -10,18 +10,12 @@ cross-check.
 """
 
 from .core import (
-    CartesianPoint,
-    CartesianState,
     Diagnostics,
     FlowField,
     FlowParameters,
-    PolarPoint,
-    PolarState,
     Window,
     as_cartesian,
-    cartesian_to_polar,
     diagnostics,
-    polar_to_cartesian,
     potential_vorticity,
 )
 from .liealg import (
@@ -52,7 +46,6 @@ from .solutions import (
 )
 from .transforms import (
     GroupAction,
-    equiv_point,
     finite_transform,
     map_field_rsw_to_sw,
     map_field_sw_to_rsw,

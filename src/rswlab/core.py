@@ -1,5 +1,5 @@
-"""Fundamental types: flow parameters, states, forward-mode jets, evaluable
-fields, diagnostics.
+"""Fundamental types: flow parameters, forward-mode jets, evaluable fields,
+diagnostics.
 
 Every type here is immutable from the outside, and every operation returns
 the same result for the same inputs.  Some fields keep internal caches (the
@@ -13,6 +13,11 @@ Conventions used throughout the package:
 * Polar coordinates are ``(t, r, theta)`` with radial velocity ``U``,
   circular velocity ``V`` and depth ``h``.  ``theta`` is never normalized
   modulo ``2*pi``: trajectory bookkeeping needs accumulated angle.
+* A point has one format: plain coordinates.  Evaluation and the
+  diagnostics take ``(field_, t, a, b)``, with ``(a, b)`` the position in
+  the field's frame; the point maps of :mod:`rswlab.transforms` take and
+  return, and the generators of :mod:`rswlab.liealg` take, a length-6
+  array ``(t, a, b, c1, c2, h)`` of position and state.
 * A :class:`FlowField` evaluates a solution of either the rotating system
   (``system="rsw"``) or the classical, non-rotating one (``system="sw"``,
   i.e. the same equations with the Coriolis term dropped).
@@ -79,89 +84,6 @@ def source_params(own: FlowParameters, given: FlowParameters | None) -> FlowPara
     if given is not None and given != own:
         raise InvalidParams(f"parameters {given} differ from the source's {own}")
     return own
-
-
-@dataclass(frozen=True)
-class CartesianPoint:
-    t: float
-    x: float
-    y: float
-
-    def __post_init__(self) -> None:
-        _check_finite(t=self.t, x=self.x, y=self.y)
-
-
-@dataclass(frozen=True)
-class PolarPoint:
-    """A spacetime point in polar coordinates; ``theta`` is unnormalized."""
-
-    t: float
-    r: float
-    theta: float
-
-    def __post_init__(self) -> None:
-        _check_finite(t=self.t, r=self.r, theta=self.theta)
-        if self.r < 0.0:
-            raise InvalidParams(f"radius must be nonnegative, got {self.r}")
-
-
-@dataclass(frozen=True)
-class CartesianState:
-    u: float
-    v: float
-    h: float
-
-    def __post_init__(self) -> None:
-        _check_finite(u=self.u, v=self.v, h=self.h)
-        if self.h < 0.0:
-            raise InvalidParams(f"depth must be nonnegative, got {self.h}")
-
-
-@dataclass(frozen=True)
-class PolarState:
-    U: float
-    V: float
-    h: float
-
-    def __post_init__(self) -> None:
-        _check_finite(U=self.U, V=self.V, h=self.h)
-        if self.h < 0.0:
-            raise InvalidParams(f"depth must be nonnegative, got {self.h}")
-
-
-def polar_to_cartesian(
-    p: PolarPoint, s: PolarState
-) -> tuple[CartesianPoint, CartesianState]:
-    """Convert a polar point/state pair to Cartesian coordinates.
-
-    x = r cos(theta), y = r sin(theta); the velocity rotates with the local
-    frame: u = U cos(theta) - V sin(theta), v = U sin(theta) + V cos(theta).
-    Depth is frame independent.
-    """
-    ct, st = math.cos(p.theta), math.sin(p.theta)
-    point = CartesianPoint(p.t, p.r * ct, p.r * st)
-    state = CartesianState(s.U * ct - s.V * st, s.U * st + s.V * ct, s.h)
-    return point, state
-
-
-def cartesian_to_polar(
-    p: CartesianPoint, s: CartesianState
-) -> tuple[PolarPoint, PolarState]:
-    """Inverse of :func:`polar_to_cartesian`; ``theta`` is chosen in (-pi, pi].
-
-    Raises :class:`OriginSingular` at x = y = 0 where the radial/circular
-    velocity decomposition is undefined.
-    """
-    r = math.hypot(p.x, p.y)
-    if r == 0.0:
-        raise OriginSingular("velocity decomposition undefined at x = y = 0")
-    theta = math.atan2(p.y, p.x)
-    if theta == -math.pi:
-        theta = math.pi
-    ct, st = math.cos(theta), math.sin(theta)
-    U = s.u * ct + s.v * st
-    V = -s.u * st + s.v * ct
-    return PolarPoint(p.t, r, theta), PolarState(U, V, s.h)
 
 
 @dataclass(frozen=True)
@@ -597,16 +519,6 @@ class Diagnostics:
     speed: float
 
 
-def _components(field_: FlowField, point) -> tuple[float, float, float]:
-    if field_.frame == "polar":
-        if not isinstance(point, PolarPoint):
-            raise InvalidParams("polar field expects a PolarPoint")
-        return point.t, point.r, point.theta
-    if not isinstance(point, CartesianPoint):
-        raise InvalidParams("cartesian field expects a CartesianPoint")
-    return point.t, point.x, point.y
-
-
 def _absolute_vorticity(field_: FlowField, a: float, values, grad) -> float:
     """v_x - u_y + f from a jet at a point with first coordinate ``a``."""
     f_eff = field_.coriolis
@@ -621,9 +533,15 @@ def _absolute_vorticity(field_: FlowField, a: float, values, grad) -> float:
     return V_r + V / r - U_theta / r + f_eff
 
 
-def _state_and_pv(field_: FlowField, point) -> tuple[np.ndarray, float]:
-    """State values and potential vorticity at a point, from one checked jet."""
-    t, a, b = _components(field_, point)
+def _state_and_pv(field_: FlowField, t: float, a: float, b: float) -> tuple[np.ndarray, float]:
+    """State values and potential vorticity at (t, a, b), from one checked jet.
+
+    The coordinates must be finite and a polar radius ``a`` nonnegative, or
+    :class:`InvalidParams` is raised.
+    """
+    _check_finite(t=t, a=a, b=b)
+    if field_.frame == "polar" and a < 0.0:
+        raise InvalidParams(f"radius must be nonnegative, got {a!r}")
     values, grad = field_.jet(t, a, b)
     if not np.all(np.isfinite(values)):
         raise field_._nonfinite(t, a, b)
@@ -633,21 +551,23 @@ def _state_and_pv(field_: FlowField, point) -> tuple[np.ndarray, float]:
     return values, _absolute_vorticity(field_, a, values, grad) / h
 
 
-def potential_vorticity(field_: FlowField, point) -> float:
-    """Potential vorticity (v_x - u_y + f) / h; materially conserved.
+def potential_vorticity(field_: FlowField, t: float, a: float, b: float) -> float:
+    """Potential vorticity (v_x - u_y + f) / h at (t, a, b); materially conserved.
 
-    Raises :class:`ZeroDepth` when the depth is at or below the depth floor.
+    ``(a, b)`` is ``(x, y)`` or ``(r, theta)`` in the field's frame, as for
+    :meth:`FlowField.eval`.  Raises :class:`ZeroDepth` when the depth is at
+    or below the depth floor.
     """
-    return _state_and_pv(field_, point)[1]
+    return _state_and_pv(field_, t, a, b)[1]
 
 
-def diagnostics(field_: FlowField, point) -> Diagnostics:
-    """Speed, Froude number, and potential vorticity at a point.
+def diagnostics(field_: FlowField, t: float, a: float, b: float) -> Diagnostics:
+    """Speed, Froude number, and potential vorticity at (t, a, b) in the field's frame.
 
     The flow is supercritical where the Froude number exceeds one and
     subcritical where it is below one.
     """
-    values, omega = _state_and_pv(field_, point)
+    values, omega = _state_and_pv(field_, t, a, b)
     speed = math.hypot(float(values[0]), float(values[1]))
     froude = speed / math.sqrt(field_.params.g * float(values[2]))
     return Diagnostics(omega=omega, froude=froude, speed=speed)

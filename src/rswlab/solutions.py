@@ -880,10 +880,15 @@ def trajectory_formula(
     Supported: the pulsating cylinder and drop, any transported stationary
     rotationally symmetric solution, and the constant-stream image (whose
     anchor time is the window midpoint, where the map degenerates to a
-    quarter turn).  Raises :class:`UnsupportedFamily` otherwise.
+    quarter turn).  Raises :class:`UnsupportedFamily` otherwise, and for an
+    equivalence image, which keeps its source's family but is another flow.
     """
     meta = field_.meta
     family = meta.get("family")
+    if meta.get("kind") == "equiv_image":
+        raise UnsupportedFamily(
+            f"no closed-form trajectories for the equivalence image {field_.label!r}"
+        )
     f = field_.params.f
     if family in ("pulsating-cylinder", "pulsating-drop") or meta.get("kind") == "transported":
         alpha = meta["alpha"]

@@ -33,16 +33,7 @@ from typing import Literal
 
 import numpy as np
 
-from .core import (
-    CartesianPoint,
-    CartesianState,
-    FlowField,
-    FlowParameters,
-    PolarPoint,
-    PolarState,
-    Window,
-    source_params,
-)
+from .core import FlowField, FlowParameters, Window, source_params
 from .core import arctan2, atan, cos, sin, sqrt, value_of  # jet-aware math
 from .errors import InvalidParams, SingularTime
 
@@ -96,29 +87,31 @@ def _inverse_arrays(arr, f: float) -> tuple:
     return t, x, y, u, v, h
 
 
-def equiv_jet_array(arr: np.ndarray, params: FlowParameters, direction: Direction = "rsw2sw") -> np.ndarray:
-    """The equivalence map as a map of raw 6-vectors (t, x, y, u, v, h).
+def _checked_point(point) -> list[float]:
+    """A point (t, a, b, c1, c2, h) as six floats, or :class:`InvalidParams`.
+
+    Every entry must be finite and the depth ``h`` nonnegative.
+    """
+    arr = np.asarray(point, dtype=float)
+    if arr.shape != (6,) or not np.isfinite(arr).all():
+        raise InvalidParams(f"a point is six finite numbers (t, a, b, c1, c2, h), got {point!r}")
+    if arr[5] < 0.0:
+        raise InvalidParams(f"depth must be nonnegative, got {arr[5]!r}")
+    return arr.tolist()
+
+
+def equiv_jet_array(point, params: FlowParameters, direction: Direction = "rsw2sw") -> np.ndarray:
+    """The equivalence map of a point (t, x, y, u, v, h), a length-6 array.
 
     The ``rsw2sw`` direction maps the rotating system to the non-rotating
     one and is defined for times with sin(f t / 2) != 0; ``sw2rsw`` is its
     closed-form inverse and always lands in the principal period
-    (0, 2*pi/f).
+    (0, 2*pi/f).  The entries must be finite and the depth nonnegative.
     """
     if direction not in ("rsw2sw", "sw2rsw"):
         raise InvalidParams(f"direction must be 'rsw2sw' or 'sw2rsw', got {direction!r}")
     to = _forward_arrays if direction == "rsw2sw" else _inverse_arrays
-    return np.array(to(np.asarray(arr, dtype=float), params.f))
-
-
-def equiv_point(
-    p: CartesianPoint, s: CartesianState, params: FlowParameters, direction: Direction = "rsw2sw"
-) -> tuple[CartesianPoint, CartesianState]:
-    """Apply the equivalence transformation of :func:`equiv_jet_array` to one point/state pair."""
-    out = equiv_jet_array([p.t, p.x, p.y, s.u, s.v, s.h], params, direction)
-    return (
-        CartesianPoint(float(out[0]), float(out[1]), float(out[2])),
-        CartesianState(float(out[3]), float(out[4]), float(out[5])),
-    )
+    return np.array(to(_checked_point(point), params.f))
 
 
 def map_field_rsw_to_sw(field_: FlowField, params: FlowParameters | None = None) -> FlowField:
@@ -240,24 +233,24 @@ class GroupAction:
             check_dilation(self.parameter)
 
 
-def finite_transform(
-    action: GroupAction, p: PolarPoint, s: PolarState, params: FlowParameters
-) -> tuple[PolarPoint, PolarState]:
-    """Apply a finite transformation to a polar point/state pair.
+def finite_transform(action: GroupAction, point, params: FlowParameters) -> np.ndarray:
+    """Apply a finite transformation to a polar point (t, r, theta, U, V, h).
 
     Each generator's action at the point's time is ``(tbar, angle, rho, cu,
-    cv)``, smooth for all t; the point (t, r, theta) maps to
-    (tbar, r rho, theta - angle) and the state (U, V, h) to
-    ((U - cu r) / rho, (V - cv r) / rho, h / rho^2).
+    cv)``, smooth for all t; the point maps to (tbar, r rho, theta - angle,
+    (U - cu r) / rho, (V - cv r) / rho, h / rho^2), returned as a length-6
+    array.  The entries must be finite, and r and h nonnegative.
     """
-    t, a, f = p.t, action.parameter, params.f
+    t, r, theta, U, V, h = _checked_point(point)
+    if r < 0.0:
+        raise InvalidParams(f"radius must be nonnegative, got {r!r}")
+    a, f = action.parameter, params.f
     if action.generator == "Y9":
         tbar, angle, rho, cu, cv = y9_dilation(t, a, f)
     else:
         tbar, angle, rho, cu, cv = _parabolic(t, a, f, y7=action.generator == "Y7")
-    return (
-        PolarPoint(tbar, p.r * rho, p.theta - angle),
-        PolarState((s.U - cu * p.r) / rho, (s.V - cv * p.r) / rho, s.h / (rho * rho)),
+    return np.array(
+        [tbar, r * rho, theta - angle, (U - cu * r) / rho, (V - cv * r) / rho, h / (rho * rho)]
     )
 
 
@@ -390,5 +383,6 @@ def transport_solution(
         window=window,
         system="rsw",
         label=f"transport({src.label}, alpha={alpha:g})",
-        meta={**src.meta, "kind": "transported", "alpha": alpha},
+        # transports compose: alpha after the source's own dilation is alpha times its alpha
+        meta={**src.meta, "kind": "transported", "alpha": alpha * src.meta.get("alpha", 1.0)},
     )

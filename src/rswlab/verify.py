@@ -18,12 +18,13 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import FlowField, as_cartesian
+from .core import FlowField, as_cartesian, potential_vorticity
 from .errors import (
     BlowUp,
     InvalidParams,
@@ -256,6 +257,16 @@ _DP_A = [np.array(row) for row in (
 _DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 
 
+def _check_span(t0: float, t1: float) -> None:
+    if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
+        raise InvalidParams("t1 must exceed t0, both finite")
+
+
+def _check_count(name: str, n) -> None:
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise InvalidParams(f"{name} must be a positive integer, got {n!r}")
+
+
 def integrate_ode(
     fn: Callable[[float, tuple[float, ...]], Sequence[float]],
     y0: np.ndarray,
@@ -287,8 +298,7 @@ def integrate_ode(
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise InvalidParams(f"tol must be finite and > 0, got {tol!r}")
-    if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
-        raise InvalidParams("t1 must exceed t0, both finite")
+    _check_span(t0, t1)
     recorded = [] if record is None else [float(t) for t in record]
     checkpoints = sorted({float(t) for t in (*recorded, t1) if t0 < t <= t1})
     record_set = set(recorded) or {t1}
@@ -436,15 +446,19 @@ def evolve_material_curve(
 
     ``curve_length`` is the closed polyline length through the markers;
     ``return_distance`` the largest marker displacement from its initial
-    position (zero when the curve returns to itself).
+    position (zero when the curve returns to itself).  ``n_markers`` must be
+    a positive integer and ``times`` non-empty.
     """
+    _check_count("n_markers", n_markers)
     times = sorted(float(t) for t in times)
+    if not times:
+        raise InvalidParams("times must not be empty")
     t0 = times[0]
     cx, cy = center
     xy0 = np.array(
         [
             (cx + radius * math.cos(a), cy + radius * math.sin(a))
-            for a in np.linspace(0.0, 2.0 * math.pi, max(n_markers, 1), endpoint=False)
+            for a in np.linspace(0.0, 2.0 * math.pi, n_markers, endpoint=False)
         ]
     )
     all_pos = np.empty((len(times), len(xy0), 2))
@@ -475,16 +489,10 @@ def evolve_material_curve(
 
 def pv_along_trajectory(field_: FlowField, traj: Trajectory) -> np.ndarray:
     """Potential vorticity sampled along a trajectory's recorded points."""
-    from .core import CartesianPoint, PolarPoint, potential_vorticity
-
-    out = np.empty(len(traj.times))
-    for i, (t, pos) in enumerate(zip(traj.times, traj.positions)):
-        if field_.frame == "polar":
-            point = PolarPoint(float(t), float(pos[0]), float(pos[1]))
-        else:
-            point = CartesianPoint(float(t), float(pos[0]), float(pos[1]))
-        out[i] = potential_vorticity(field_, point)
-    return out
+    return np.array([
+        potential_vorticity(field_, t, a, b)
+        for t, (a, b) in zip(traj.times.tolist(), traj.positions.tolist())
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -550,14 +558,19 @@ def fv_oracle(
 
     Raises :class:`NegativeDepth` when the update makes depth significantly
     negative (set ``dry_floor`` to clamp instead, for fields with dry
-    regions).
+    regions).  ``n`` must be a positive integer, ``t0 < t1`` and the box
+    ``lo < hi``, all finite, or :class:`InvalidParams` is raised.
     """
     if bc != "exact":
         raise InvalidParams(f"unknown boundary treatment {bc!r}")
+    _check_count("n", n)
+    _check_span(t0, t1)
+    lo, hi = box
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise InvalidParams(f"box must be a finite interval with lo < hi, got {box!r}")
     cart = as_cartesian(field_)
     g = field_.params.g
     f_eff = cart.coriolis
-    lo, hi = box
     dx = (hi - lo) / n
     centers = lo + dx * (np.arange(n) + 0.5)
     X, Y = np.meshgrid(centers, centers, indexing="ij")

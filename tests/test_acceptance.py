@@ -13,7 +13,6 @@ import numpy as np
 from rswlab.cli import main as cli_main
 from rswlab.core import (
     FlowParameters,
-    PolarPoint,
     as_cartesian,
     potential_vorticity,
 )
@@ -258,9 +257,8 @@ def test_criterion_6_potential_vorticity_conservation():
     rng = np.random.default_rng(4)
     worst_pv = 0.0
     for _ in range(100):
-        point = PolarPoint(rng.uniform(0, 2 * math.pi), rng.uniform(0.05, 2.0),
-                           rng.uniform(0, 2 * math.pi))
-        worst_pv = max(worst_pv, abs(potential_vorticity(cyl, point) - 1.0))
+        point = (rng.uniform(0, 2 * math.pi), rng.uniform(0.05, 2.0), rng.uniform(0, 2 * math.pi))
+        worst_pv = max(worst_pv, abs(potential_vorticity(cyl, *point) - 1.0))
     ok = worst < 1e-5 and worst_pv < 1e-10
     _report(
         "criterion 6 (conservation)",
@@ -309,9 +307,9 @@ def test_criterion_7_ring_geometry():
     upper = stationary_ring(1.0, 1.0, 1.0, RING, branch="upper")
     fr_ok = True
     for r in np.linspace(bounds.r_inner * 1.001, bounds.r_outer * 0.999, 50):
-        fr_ok &= diagnostics(lower, PolarPoint(0.0, r, 0.0)).froude > 1.0
+        fr_ok &= diagnostics(lower, 0.0, r, 0.0).froude > 1.0
     for r in np.linspace(r_lo * 1.001, r_hi * 0.999, 50):
-        fr_ok &= diagnostics(upper, PolarPoint(0.0, r, 0.0)).froude < 1.0
+        fr_ok &= diagnostics(upper, 0.0, r, 0.0).froude < 1.0
     ok = digits_ok and g_ok and sonic_ok and hc_ok and band_ok and fr_ok
     _report(
         "criterion 7 (ring geometry)",

@@ -7,27 +7,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rswlab.core import (
-    CartesianPoint,
-    CartesianState,
+    FlowField,
     FlowParameters,
     Jet,
-    PolarPoint,
-    PolarState,
     as_cartesian,
-    cartesian_to_polar,
     diagnostics,
-    polar_to_cartesian,
     potential_vorticity,
     scale_depth,
 )
-from rswlab.errors import InvalidParams, OriginSingular, WindowViolation, ZeroDepth
+from rswlab.errors import InvalidParams, WindowViolation, ZeroDepth
 from rswlab.solutions import (
     default_catalog,
     pulsating_cylinder,
     rest_state,
     stationary_ring,
 )
-from rswlab.transforms import map_field_rsw_to_sw, map_field_sw_to_rsw, transport_solution
+from rswlab.transforms import (
+    GroupAction,
+    equiv_jet_array,
+    finite_transform,
+    map_field_rsw_to_sw,
+    map_field_sw_to_rsw,
+    transport_solution,
+)
 from rswlab.verify import sample_grid
 
 
@@ -45,66 +47,29 @@ class TestFlowParameters:
 
 
 class TestCoordinateConversion:
-    def test_theta_zero_identity(self):
-        p, s = polar_to_cartesian(PolarPoint(0.0, 1.0, 0.0), PolarState(1.0, 0.0, 2.0))
-        assert (p.x, p.y) == (1.0, 0.0)
-        assert (s.u, s.v, s.h) == (1.0, 0.0, 2.0)
+    """The polar-to-Cartesian rotation of a state, as :func:`as_cartesian` applies it."""
 
-    def test_quarter_turn(self):
-        p, s = polar_to_cartesian(
-            PolarPoint(0.0, 1.0, math.pi / 2), PolarState(0.0, 1.0, 1.0)
-        )
-        assert p.x == pytest.approx(0.0, abs=1e-15)
-        assert p.y == pytest.approx(1.0)
-        assert s.u == pytest.approx(-1.0)
-        assert s.v == pytest.approx(0.0, abs=1e-15)
+    @staticmethod
+    def uniform_polar(U, V, h, params):
+        return FlowField("polar", params, lambda t, r, theta: (U, V, h))
 
-    def test_inverse_examples(self):
-        p, s = cartesian_to_polar(CartesianPoint(0.0, 1.0, 0.0), CartesianState(1.0, 0.0, 1.0))
-        assert (p.r, p.theta) == (1.0, 0.0)
-        assert (s.U, s.V) == (1.0, 0.0)
-        p, s = cartesian_to_polar(CartesianPoint(0.0, 0.0, 2.0), CartesianState(0.0, 1.0, 1.0))
-        assert p.r == pytest.approx(2.0)
-        assert p.theta == pytest.approx(math.pi / 2)
-        assert s.U == pytest.approx(1.0)
-        assert s.V == pytest.approx(0.0, abs=1e-16)
+    def test_theta_zero_identity(self, params11):
+        cart = as_cartesian(self.uniform_polar(1.0, 0.0, 2.0, params11))
+        assert tuple(cart.eval(0.0, 1.0, 0.0)) == (1.0, 0.0, 2.0)
 
-    def test_origin_is_singular(self):
-        with pytest.raises(OriginSingular):
-            cartesian_to_polar(CartesianPoint(0.0, 0.0, 0.0), CartesianState(1.0, 0.0, 1.0))
-
-    def test_round_trip_specific(self):
-        p0 = PolarPoint(0.0, 0.7, 2.3)
-        s0 = PolarState(-0.4, 1.1, 0.9)
-        p1, s1 = cartesian_to_polar(*polar_to_cartesian(p0, s0))
-        assert abs(p1.r - p0.r) < 1e-12
-        assert abs(p1.theta - p0.theta) < 1e-12
-        assert abs(s1.U - s0.U) < 1e-12 and abs(s1.V - s0.V) < 1e-12
-
-    @given(
-        r=st.floats(1e-3, 1e3),
-        theta=st.floats(-math.pi + 1e-9, math.pi),
-        U=st.floats(-10, 10),
-        V=st.floats(-10, 10),
-        h=st.floats(0, 5),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_round_trip_property(self, r, theta, U, V, h):
-        p0 = PolarPoint(0.0, r, theta)
-        s0 = PolarState(U, V, h)
-        p1, s1 = cartesian_to_polar(*polar_to_cartesian(p0, s0))
-        scale = max(1.0, r)
-        assert abs(p1.r - r) < 1e-12 * scale
-        assert abs(p1.theta - theta) < 1e-9
-        assert abs(s1.U - U) < 1e-10 * max(1.0, abs(U), abs(V))
-        assert abs(s1.V - V) < 1e-10 * max(1.0, abs(U), abs(V))
+    def test_quarter_turn(self, params11):
+        cart = as_cartesian(self.uniform_polar(0.0, 1.0, 1.0, params11))
+        u, v, h = cart.eval(0.0, 0.0, 1.0)
+        assert u == pytest.approx(-1.0)
+        assert v == pytest.approx(0.0, abs=1e-15)
+        assert h == 1.0
 
     @given(U=st.floats(-5, 5), V=st.floats(-5, 5))
     @settings(max_examples=40, deadline=None)
     def test_speed_is_exact_quadrature_of_components(self, U, V):
         params = FlowParameters(1.0, 1.0)
         field = rest_state(1.0, params)
-        diag = diagnostics(field, PolarPoint(0.0, 1.0, 0.0))
+        diag = diagnostics(field, 0.0, 1.0, 0.0)
         assert diag.speed == 0.0
         # independent of frame bookkeeping: q^2 = U^2 + V^2 exactly
         q = math.hypot(U, V)
@@ -114,24 +79,22 @@ class TestCoordinateConversion:
 class TestDiagnostics:
     def test_rest_state_pv(self, params11):
         field = rest_state(1.0, params11)
-        omega = potential_vorticity(field, PolarPoint(0.3, 0.5, 0.1))
+        omega = potential_vorticity(field, 0.3, 0.5, 0.1)
         assert omega == pytest.approx(1.0, abs=1e-14)
 
     def test_rest_state_froude_zero(self, params11):
-        d = diagnostics(rest_state(1.0, params11), PolarPoint(0.0, 1.0, 0.0))
+        d = diagnostics(rest_state(1.0, params11), 0.0, 1.0, 0.0)
         assert d.froude == 0.0
 
     def test_cylinder_pv_constant(self):
         params = FlowParameters(1.0, 1.0)
         field = pulsating_cylinder(2.0, 2.0, params)
         for t, r in [(0.0, 0.5), (1.3, 1.2), (math.pi, 0.8), (5.1, 1.9)]:
-            omega = potential_vorticity(field, PolarPoint(t, r, 0.7))
+            omega = potential_vorticity(field, t, r, 0.7)
             assert omega == pytest.approx(0.5, abs=1e-12)
 
     def test_solid_body_pv(self, params11):
         # u = -omega y, v = omega x, h = h0: curl = 2 omega
-        from rswlab.core import FlowField
-
         omega_rot, h0 = 0.5, 2.0
 
         def value_fn(t, x, y):
@@ -143,7 +106,7 @@ class TestDiagnostics:
             return vals, grad
 
         field = FlowField("cartesian", params11, value_fn, jet_fn)
-        val = potential_vorticity(field, CartesianPoint(0.0, 0.4, -0.2))
+        val = potential_vorticity(field, 0.0, 0.4, -0.2)
         assert val == pytest.approx((2 * omega_rot + 1.0) / h0)
 
     def test_ring_froude_one_at_critical_depth(self, ring_params):
@@ -168,16 +131,60 @@ class TestDiagnostics:
         assert fr == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_depth_raises(self, params11):
-        from rswlab.core import FlowField
-
         field = FlowField(
             "polar", params11, lambda t, r, th: (0.0, 0.0, 0.0),
             lambda t, r, th: (np.zeros(3), np.zeros((3, 3))),
         )
         with pytest.raises(ZeroDepth):
-            diagnostics(field, PolarPoint(0.0, 1.0, 0.0))
+            diagnostics(field, 0.0, 1.0, 0.0)
         with pytest.raises(ZeroDepth):
-            potential_vorticity(field, PolarPoint(0.0, 1.0, 0.0))
+            potential_vorticity(field, 0.0, 1.0, 0.0)
+
+
+P11 = FlowParameters(1.0, 1.0)
+REST = rest_state(1.0, P11)
+Y9 = GroupAction("Y9", 2.0)
+
+
+class TestPointChecks:
+    """Every entry that takes a point checks it there and raises InvalidParams."""
+
+    @pytest.mark.parametrize(
+        "entry, args, match",
+        [
+            pytest.param(potential_vorticity, (REST, math.nan, 1.0, 0.0), "t must be finite", id="pv-t"),
+            pytest.param(diagnostics, (REST, 0.0, math.inf, 0.0), "a must be finite", id="diagnostics-a"),
+            pytest.param(potential_vorticity, (as_cartesian(REST), 0.0, 0.5, math.nan),
+                         "b must be finite", id="pv-b"),
+            pytest.param(diagnostics, (as_cartesian(REST), -math.inf, 0.5, 0.2),
+                         "t must be finite", id="diagnostics-t"),
+            pytest.param(potential_vorticity, (REST, 0.0, -0.5, 0.0),
+                         "radius must be nonnegative", id="pv-negative-r"),
+            pytest.param(diagnostics, (REST, 0.0, -1e-300, 0.0),
+                         "radius must be nonnegative", id="diagnostics-negative-r"),
+            pytest.param(finite_transform, (Y9, (math.nan, 1.0, 0.0, 0.0, 0.0, 1.0), P11),
+                         "six finite numbers", id="finite-transform-t"),
+            pytest.param(finite_transform, (Y9, (0.5, 1.0, 0.0, math.inf, 0.0, 1.0), P11),
+                         "six finite numbers", id="finite-transform-U"),
+            pytest.param(finite_transform, (Y9, (0.5, 1.0, 0.0, 0.0, 0.0), P11),
+                         "six finite numbers", id="finite-transform-length"),
+            pytest.param(finite_transform, (Y9, (0.5, 1.0, 0.0, 0.0, 0.0, -1.0), P11),
+                         "depth must be nonnegative", id="finite-transform-depth"),
+            pytest.param(finite_transform, (Y9, (0.5, -1.0, 0.0, 0.0, 0.0, 1.0), P11),
+                         "radius must be nonnegative", id="finite-transform-negative-r"),
+            pytest.param(equiv_jet_array, ((1.0, math.nan, 0.2, 0.0, 0.0, 1.0), P11),
+                         "six finite numbers", id="equiv-x"),
+            pytest.param(equiv_jet_array, ((-math.inf, 0.5, 0.2, 0.0, 0.0, 1.0), P11, "sw2rsw"),
+                         "six finite numbers", id="equiv-inverse-t"),
+            pytest.param(equiv_jet_array, ((1.0, 0.5, 0.2, 0.0, 0.0, -0.1), P11),
+                         "depth must be nonnegative", id="equiv-depth"),
+            pytest.param(equiv_jet_array, ((1.0, 0.5, 0.2, 0.0, 0.0, -0.1), P11, "sw2rsw"),
+                         "depth must be nonnegative", id="equiv-inverse-depth"),
+        ],
+    )
+    def test_rejects_bad_point(self, entry, args, match):
+        with pytest.raises(InvalidParams, match=match):
+            entry(*args)
 
 
 class TestFlowFieldWindow:

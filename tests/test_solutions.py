@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rswlab.core import FlowParameters, PolarPoint, potential_vorticity
+from rswlab.core import FlowParameters, potential_vorticity
 from rswlab.errors import InvalidParams, UnsupportedFamily, WindowViolation
 from rswlab.solutions import (
     FAMILY_NAMES,
@@ -152,7 +152,7 @@ class TestPulsatingCylinder:
             t = rng.uniform(0.0, 2 * math.pi)
             r = rng.uniform(0.05, 2.0)
             th = rng.uniform(0, 2 * math.pi)
-            assert potential_vorticity(field, PolarPoint(t, r, th)) == pytest.approx(
+            assert potential_vorticity(field, t, r, th) == pytest.approx(
                 1.0, abs=1e-10
             )
 
@@ -214,7 +214,7 @@ class TestStationaryRing:
         from rswlab.core import diagnostics
 
         for r in np.linspace(bounds.r_inner * 1.001, bounds.r_outer * 0.999, 50):
-            assert diagnostics(lower, PolarPoint(0.0, r, 0.0)).froude > 1.0
+            assert diagnostics(lower, 0.0, r, 0.0).froude > 1.0
 
     def test_upper_branch_subcritical_between_critical_crossings(self):
         # the upper branch depth exceeds the critical depth h_s only on an
@@ -237,9 +237,9 @@ class TestStationaryRing:
         r_hi = brentq(gap, 0.3 * bounds.r_outer, bounds.r_outer, xtol=1e-12)
         assert bounds.r_inner < r_lo < r_hi < bounds.r_outer
         for r in np.linspace(r_lo * 1.01, r_hi * 0.99, 25):
-            assert diagnostics(upper, PolarPoint(0.0, r, 0.0)).froude < 1.0
+            assert diagnostics(upper, 0.0, r, 0.0).froude < 1.0
         # just outside the band the upper branch is supercritical
-        assert diagnostics(upper, PolarPoint(0.0, r_hi * 1.05, 0.0)).froude > 1.0
+        assert diagnostics(upper, 0.0, r_hi * 1.05, 0.0).froude > 1.0
 
     def test_sonic_at_bounds(self):
         field = stationary_ring(1.0, 1.0, 1.0, RING)
@@ -356,6 +356,36 @@ class TestTrajectoryFormulaDispatch:
     def test_unsupported_family(self, catalog):
         with pytest.raises(UnsupportedFamily):
             trajectory_formula(catalog["stationary-ring"], 3.0, 0.0)
+
+    def test_equivalence_image_is_refused(self, params11):
+        # the image keeps the cylinder's family, but its paths are not the cylinder's circles
+        from rswlab.core import as_cartesian
+        from rswlab.transforms import map_field_rsw_to_sw
+
+        image = map_field_rsw_to_sw(as_cartesian(pulsating_cylinder(2.0, 1.0, params11)))
+        with pytest.raises(UnsupportedFamily, match="equivalence image"):
+            trajectory_formula(image, 0.5, 0.0)
+
+    @pytest.mark.parametrize("name", ["pulsating-cylinder", "pulsating-drop", "transported-swirl"])
+    def test_repeated_transport_matches_integrated_path(self, params11, name):
+        from rswlab.solutions import profile_gauss, stationary_rotsym
+        from rswlab.transforms import transport_solution
+        from rswlab.verify import integrate_trajectory
+
+        once = {
+            "pulsating-cylinder": lambda: pulsating_cylinder(2.0, 1.0, params11),
+            "pulsating-drop": lambda: pulsating_drop(2.0, params11),
+            "transported-swirl": lambda: transport_solution(
+                stationary_rotsym(profile_gauss(0.5), 1.0, params11), 2.0),
+        }[name]()
+        twice = transport_solution(once, 3.0)
+        r0, th0 = 0.5, 0.3
+        formula = trajectory_formula(twice, r0, th0)
+        record = np.linspace(0.0, 2.0 * math.pi, 9)
+        traj = integrate_trajectory(twice, r0, th0, 0.0, 2.0 * math.pi, record=record)
+        for t, (r, th) in zip(traj.times, traj.positions):
+            assert abs(r - formula.r_of_t(t)) < 1e-8, t
+            assert abs(th - formula.theta_of_t(t)) < 1e-8, t
 
 
 class TestClosure:

@@ -5,13 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rswlab.core import (
-    CartesianPoint,
-    CartesianState,
-    FlowParameters,
-    PolarPoint,
-    PolarState,
-)
+from rswlab.core import FlowParameters
 from rswlab.errors import InvalidParams, SingularTime
 from rswlab.solutions import (
     barochronous_sw,
@@ -26,7 +20,6 @@ from rswlab.solutions import (
 from rswlab.transforms import (
     GroupAction,
     equiv_jet_array,
-    equiv_point,
     finite_transform,
     map_field_rsw_to_sw,
     map_field_sw_to_rsw,
@@ -40,16 +33,16 @@ P = FlowParameters(1.0, 1.0)
 
 class TestEquivalencePoint:
     def test_rest_state_at_half_period(self):
-        p, s = equiv_point(CartesianPoint(math.pi, 0.8, -0.3), CartesianState(0, 0, 2.0), P)
-        assert p.t == pytest.approx(0.0, abs=1e-15)
-        assert p.x == pytest.approx(-0.3 / 2)
-        assert p.y == pytest.approx(-0.8 / 2)
-        assert s.u == pytest.approx(0.8 / 2)
-        assert s.v == pytest.approx(-0.3 / 2)
-        assert s.h == pytest.approx(2.0)
+        t, x, y, u, v, h = equiv_jet_array((math.pi, 0.8, -0.3, 0, 0, 2.0), P)
+        assert t == pytest.approx(0.0, abs=1e-15)
+        assert x == pytest.approx(-0.3 / 2)
+        assert y == pytest.approx(-0.8 / 2)
+        assert u == pytest.approx(0.8 / 2)
+        assert v == pytest.approx(-0.3 / 2)
+        assert h == pytest.approx(2.0)
         # consistency with the barochronous image at t' = 0: u' = -f y', v' = f x'
-        assert s.u == pytest.approx(-p.y)
-        assert s.v == pytest.approx(p.x)
+        assert u == pytest.approx(-y)
+        assert v == pytest.approx(x)
 
     @given(
         t=st.floats(0.3, 5.9),
@@ -58,20 +51,18 @@ class TestEquivalencePoint:
     )
     @settings(max_examples=60, deadline=None)
     def test_round_trip(self, t, x, y, u, v, h):
-        p1, s1 = equiv_point(CartesianPoint(t, x, y), CartesianState(u, v, h), P)
-        p2, s2 = equiv_point(p1, s1, P, direction="sw2rsw")
-        assert abs(p2.t - t) < 1e-10
-        assert abs(p2.x - x) < 1e-10 and abs(p2.y - y) < 1e-10
-        assert abs(s2.u - u) < 1e-9 and abs(s2.v - v) < 1e-9 and abs(s2.h - h) < 1e-10
+        image = equiv_jet_array((t, x, y, u, v, h), P)
+        t2, x2, y2, u2, v2, h2 = equiv_jet_array(image, P, direction="sw2rsw")
+        assert abs(t2 - t) < 1e-10
+        assert abs(x2 - x) < 1e-10 and abs(y2 - y) < 1e-10
+        assert abs(u2 - u) < 1e-9 and abs(v2 - v) < 1e-9 and abs(h2 - h) < 1e-10
 
     def test_full_period_time_is_singular(self):
         with pytest.raises(SingularTime):
-            equiv_point(CartesianPoint(2 * math.pi, 0.1, 0.1), CartesianState(0, 0, 1), P)
+            equiv_jet_array((2 * math.pi, 0.1, 0.1, 0, 0, 1), P)
 
     @pytest.mark.parametrize("direction", ["rws2sw", "bogus", ""])
     def test_unknown_direction_is_invalid(self, direction):
-        with pytest.raises(InvalidParams, match="direction"):
-            equiv_point(CartesianPoint(1.0, 0.5, 0.2), CartesianState(0, 0, 1), P, direction)
         with pytest.raises(InvalidParams, match="direction"):
             equiv_jet_array([1.0, 0.5, 0.2, 0.0, 0.0, 1.0], P, direction)
 
@@ -173,25 +164,20 @@ class TestFieldMapRoundTrips:
 
 class TestFiniteTransforms:
     def test_identity_at_unit_parameter(self):
-        p0 = PolarPoint(1.1, 0.8, 0.3)
-        s0 = PolarState(0.4, -0.2, 1.5)
-        p, s = finite_transform(GroupAction("Y9", 1.0), p0, s0, P)
-        assert p.t == pytest.approx(p0.t, abs=1e-14)
-        assert p.r == pytest.approx(p0.r, abs=1e-14)
-        assert p.theta == pytest.approx(p0.theta, abs=1e-14)
-        assert (s.U, s.V, s.h) == pytest.approx((s0.U, s0.V, s0.h), abs=1e-14)
+        point = (1.1, 0.8, 0.3, 0.4, -0.2, 1.5)
+        image = finite_transform(GroupAction("Y9", 1.0), point, P)
+        assert tuple(image) == pytest.approx(point, abs=1e-14)
 
     def test_half_period_values_alpha_four(self):
-        p, s = finite_transform(
-            GroupAction("Y9", 4.0), PolarPoint(math.pi, 1.0, 0.3),
-            PolarState(0.5, 0.2, 1.0), P,
+        t, r, theta, U, V, h = finite_transform(
+            GroupAction("Y9", 4.0), (math.pi, 1.0, 0.3, 0.5, 0.2, 1.0), P
         )
-        assert p.t == pytest.approx(math.pi)
-        assert p.r == pytest.approx(0.5)
-        assert p.theta == pytest.approx(0.3)
-        assert s.U == pytest.approx(1.0)  # U sqrt(alpha)
-        assert s.V == pytest.approx((0.2 + 3.0 / 8.0) * 2.0)
-        assert s.h == pytest.approx(4.0)
+        assert t == pytest.approx(math.pi)
+        assert r == pytest.approx(0.5)
+        assert theta == pytest.approx(0.3)
+        assert U == pytest.approx(1.0)  # U sqrt(alpha)
+        assert V == pytest.approx((0.2 + 3.0 / 8.0) * 2.0)
+        assert h == pytest.approx(4.0)
 
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(InvalidParams):
@@ -209,7 +195,7 @@ class TestFiniteTransforms:
             t = rng.uniform(0.2, 4.0)
             r = rng.uniform(0.2, 2.0)
             th = rng.uniform(-3, 3)
-            state = PolarState(rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0.5, 2))
+            state = (rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(0.5, 2))
             a1, a2 = rng.uniform(-0.7, 0.7, 2)
             if gen == "Y9":
                 g1 = GroupAction(gen, math.exp(-2 * a1))
@@ -218,14 +204,10 @@ class TestFiniteTransforms:
             else:
                 g1, g2 = GroupAction(gen, a1), GroupAction(gen, a2)
                 g12 = GroupAction(gen, a1 + a2)
-            p1, s1 = finite_transform(g2, PolarPoint(t, r, th), state, params)
-            p2, s2 = finite_transform(g1, p1, s1, params)
-            p3, s3 = finite_transform(g12, PolarPoint(t, r, th), state, params)
-            worst = max(
-                worst,
-                abs(p2.t - p3.t), abs(p2.r - p3.r), abs(p2.theta - p3.theta),
-                abs(s2.U - s3.U), abs(s2.V - s3.V), abs(s2.h - s3.h),
-            )
+            point = (t, r, th, *state)
+            twice = finite_transform(g1, finite_transform(g2, point, params), params)
+            once = finite_transform(g12, point, params)
+            worst = max(worst, float(np.max(np.abs(twice - once))))
         assert worst < 1e-10
 
     @pytest.mark.parametrize("gen", ["Y7", "Y8", "Y9"])
@@ -270,11 +252,7 @@ class TestFiniteTransforms:
                 k4 = rhs(y + hstep * k3)
                 y = y + (hstep / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
             param = math.exp(-2 * a) if gen == "Y9" else a
-            p, s = finite_transform(
-                GroupAction(gen, param),
-                PolarPoint(*state0[:3]), PolarState(*state0[3:]), params,
-            )
-            closed = np.array([p.t, p.r, p.theta, s.U, s.V, s.h])
+            closed = finite_transform(GroupAction(gen, param), state0, params)
             assert np.max(np.abs(closed - y)) < 1e-9
 
     def test_one_sided_limits_match_half_period_values(self):
@@ -282,15 +260,12 @@ class TestFiniteTransforms:
         # half-period time where the tangent form of each action breaks down
         f = 1.0
         params = FlowParameters(f, 1.0)
-        state = PolarState(0.3, -0.2, 1.1)
+        state = (0.3, -0.2, 1.1)
         cases = [("Y9", math.pi / f, (0.5, 4.0)), ("Y8", math.pi / f, (0.7, -1.3)),
                  ("Y7", 2.0 * math.pi / f, (0.7, -1.3))]
 
         def snapshot(gen, t, param):
-            p, s = finite_transform(
-                GroupAction(gen, param), PolarPoint(t, 1.2, 0.4), state, params
-            )
-            return np.array([p.t, p.r, p.theta, s.U, s.V, s.h])
+            return finite_transform(GroupAction(gen, param), (t, 1.2, 0.4, *state), params)
 
         for gen, t_star, parameters in cases:
             for param in parameters:
@@ -352,13 +327,10 @@ class TestParabolicActionsAgainstMpmath:
             near += abs(math.cos(half) if gen == "Y8" else math.sin(half)) < 1e-9
             a, r, theta = rng.uniform(-3.0, 3.0), rng.uniform(0.1, 2.0), rng.uniform(-3.0, 3.0)
             U, V, h = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(0.5, 2.0)
-            p, s = finite_transform(
-                GroupAction(gen, a), PolarPoint(t, r, theta), PolarState(U, V, h),
-                FlowParameters(f, 1.0),
-            )
+            image = finite_transform(GroupAction(gen, a), (t, r, theta, U, V, h), FlowParameters(f, 1.0))
             with mpmath.workdps(40):
                 want = self.tangent_form(mpmath, gen, t, r, theta, U, V, h, a, f)
-                for got, w in zip((p.t, p.r, p.theta, s.U, s.V, s.h), want):
+                for got, w in zip(image.tolist(), want):
                     # measured 4.2e-15, within 2e-9 of the tangent form's singular times and away from them
                     worst = max(worst, float(abs(mpmath.mpf(got) - w) / max(1, abs(w))))
         assert near >= 40
@@ -381,13 +353,10 @@ class TestParabolicActionsAgainstMpmath:
             t = ((2 * k + (gen == "Y8")) * math.pi + 2.0 / a) / f + rng.uniform(-1.0, 1.0) / (f * a * a)
             r, theta = rng.uniform(0.1, 2.0), rng.uniform(-3.0, 3.0)
             U, V, h = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0), rng.uniform(0.5, 2.0)
-            p, s = finite_transform(
-                GroupAction(gen, a), PolarPoint(t, r, theta), PolarState(U, V, h),
-                FlowParameters(f, 1.0),
-            )
+            image = finite_transform(GroupAction(gen, a), (t, r, theta, U, V, h), FlowParameters(f, 1.0))
             with mpmath.workdps(40):
                 want = self.tangent_form(mpmath, gen, t, r, theta, U, V, h, a, f)
-                got = (p.t, p.r, p.theta, s.U, s.V, s.h)
+                got = image.tolist()
                 err = [float(abs(mpmath.mpf(g) - w) / max(1, abs(w))) for g, w in zip(got, want)]
             assert err[3] <= eps * a * a, (a, f, t)
             assert max(err[:3] + err[4:]) <= 8 * eps * abs(a), (a, f, t)

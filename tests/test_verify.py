@@ -570,6 +570,23 @@ class TestFiniteVolumeOracle:
             fv_convergence(field, 0.0, 0.1, ns=ns)
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda field: fv_oracle(field, 0.0, 0.1, 0), id="fv-n-zero"),
+    pytest.param(lambda field: fv_oracle(field, 0.0, 0.1, -3), id="fv-n-negative"),
+    pytest.param(lambda field: fv_oracle(field, 0.1, 0.1, 8), id="fv-empty-span"),
+    pytest.param(lambda field: fv_oracle(field, 0.1, 0.0, 8), id="fv-reversed-span"),
+    pytest.param(lambda field: fv_oracle(field, 0.0, math.nan, 8), id="fv-t1-nan"),
+    pytest.param(lambda field: fv_oracle(field, 0.0, 0.1, 8, box=(1.0, -1.0)), id="fv-reversed-box"),
+    pytest.param(lambda field: fv_oracle(field, 0.0, 0.1, 8, box=(-1.0, math.inf)), id="fv-infinite-box"),
+    pytest.param(lambda field: evolve_material_curve(field, (0.0, 0.0), 0.5, 0, [0.0, 1.0]),
+                 id="curve-no-markers"),
+    pytest.param(lambda field: evolve_material_curve(field, (0.0, 0.0), 0.5, 4, []), id="curve-no-times"),
+])
+def test_degenerate_sizes_are_invalid(call):
+    with pytest.raises(InvalidParams):
+        call(rest_state(1.0, P, frame="cartesian"))
+
+
 class TestSampleGrid:
     def test_polar_grid_respects_window(self):
         from rswlab.solutions import stationary_ring
