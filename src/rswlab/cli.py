@@ -223,7 +223,8 @@ def cmd_trajectory(args) -> int:
             rows.append([idx, float(t), r, th, x, y, fit])
         summary: dict = {"particle": idx, "r0": r0, "theta0": theta0}
         meta = field_.meta
-        if anchored and meta.get("family") == "pulsating-drop":
+        # a transport keeps the drop's family, but its alpha is no longer the drop's own
+        if anchored and meta.get("family") == "pulsating-drop" and meta.get("kind") != "transported":
             cl = closure_condition(meta["alpha"], r0, field_.params)
             if cl.closed:
                 summary.update(kind="closed", m=cl.m, M=cl.M)

@@ -51,6 +51,26 @@ def _check_finite(**values: float) -> None:
             raise InvalidParams(f"{name} must be finite, got {value!r}")
 
 
+def _check_radius(r: float) -> None:
+    if r < 0.0:
+        raise InvalidParams(f"radius must be nonnegative, got {r!r}")
+
+
+def _checked_point(point) -> list[float]:
+    """A point (t, a, b, c1, c2, h) as six floats, or :class:`InvalidParams`.
+
+    Every entry must be finite and the depth ``h`` nonnegative.
+    """
+    arr = np.asarray(point, dtype=float)
+    if arr.shape != (6,):
+        raise InvalidParams(f"a point is six numbers (t, a, b, c1, c2, h), got {point!r}")
+    values = arr.tolist()
+    _check_finite(**dict(zip(("t", "a", "b", "c1", "c2", "h"), values)))
+    if values[5] < 0.0:
+        raise InvalidParams(f"depth must be nonnegative, got {values[5]!r}")
+    return values
+
+
 @dataclass(frozen=True)
 class FlowParameters:
     """Coriolis parameter ``f`` and gravity ``g`` shared by every operation.
@@ -540,8 +560,8 @@ def _state_and_pv(field_: FlowField, t: float, a: float, b: float) -> tuple[np.n
     :class:`InvalidParams` is raised.
     """
     _check_finite(t=t, a=a, b=b)
-    if field_.frame == "polar" and a < 0.0:
-        raise InvalidParams(f"radius must be nonnegative, got {a!r}")
+    if field_.frame == "polar":
+        _check_radius(a)
     values, grad = field_.jet(t, a, b)
     if not np.all(np.isfinite(values)):
         raise field_._nonfinite(t, a, b)

@@ -33,7 +33,7 @@ from typing import Literal
 
 import numpy as np
 
-from .core import FlowField, FlowParameters, Window, source_params
+from .core import FlowField, FlowParameters, Window, _check_radius, _checked_point, source_params
 from .core import arctan2, atan, cos, sin, sqrt, value_of  # jet-aware math
 from .errors import InvalidParams, SingularTime
 
@@ -85,19 +85,6 @@ def _inverse_arrays(arr, f: float) -> tuple:
     v = -f * x / 2.0 + up + (f * y / 2.0 - vp) * c
     h = hp * one_c2
     return t, x, y, u, v, h
-
-
-def _checked_point(point) -> list[float]:
-    """A point (t, a, b, c1, c2, h) as six floats, or :class:`InvalidParams`.
-
-    Every entry must be finite and the depth ``h`` nonnegative.
-    """
-    arr = np.asarray(point, dtype=float)
-    if arr.shape != (6,) or not np.isfinite(arr).all():
-        raise InvalidParams(f"a point is six finite numbers (t, a, b, c1, c2, h), got {point!r}")
-    if arr[5] < 0.0:
-        raise InvalidParams(f"depth must be nonnegative, got {arr[5]!r}")
-    return arr.tolist()
 
 
 def equiv_jet_array(point, params: FlowParameters, direction: Direction = "rsw2sw") -> np.ndarray:
@@ -242,8 +229,7 @@ def finite_transform(action: GroupAction, point, params: FlowParameters) -> np.n
     array.  The entries must be finite, and r and h nonnegative.
     """
     t, r, theta, U, V, h = _checked_point(point)
-    if r < 0.0:
-        raise InvalidParams(f"radius must be nonnegative, got {r!r}")
+    _check_radius(r)
     a, f = action.parameter, params.f
     if action.generator == "Y9":
         tbar, angle, rho, cu, cv = y9_dilation(t, a, f)

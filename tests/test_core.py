@@ -163,19 +163,19 @@ class TestPointChecks:
             pytest.param(diagnostics, (REST, 0.0, -1e-300, 0.0),
                          "radius must be nonnegative", id="diagnostics-negative-r"),
             pytest.param(finite_transform, (Y9, (math.nan, 1.0, 0.0, 0.0, 0.0, 1.0), P11),
-                         "six finite numbers", id="finite-transform-t"),
+                         "t must be finite", id="finite-transform-t"),
             pytest.param(finite_transform, (Y9, (0.5, 1.0, 0.0, math.inf, 0.0, 1.0), P11),
-                         "six finite numbers", id="finite-transform-U"),
+                         "c1 must be finite", id="finite-transform-U"),
             pytest.param(finite_transform, (Y9, (0.5, 1.0, 0.0, 0.0, 0.0), P11),
-                         "six finite numbers", id="finite-transform-length"),
+                         "six numbers", id="finite-transform-length"),
             pytest.param(finite_transform, (Y9, (0.5, 1.0, 0.0, 0.0, 0.0, -1.0), P11),
                          "depth must be nonnegative", id="finite-transform-depth"),
             pytest.param(finite_transform, (Y9, (0.5, -1.0, 0.0, 0.0, 0.0, 1.0), P11),
                          "radius must be nonnegative", id="finite-transform-negative-r"),
             pytest.param(equiv_jet_array, ((1.0, math.nan, 0.2, 0.0, 0.0, 1.0), P11),
-                         "six finite numbers", id="equiv-x"),
+                         "a must be finite", id="equiv-x"),
             pytest.param(equiv_jet_array, ((-math.inf, 0.5, 0.2, 0.0, 0.0, 1.0), P11, "sw2rsw"),
-                         "six finite numbers", id="equiv-inverse-t"),
+                         "t must be finite", id="equiv-inverse-t"),
             pytest.param(equiv_jet_array, ((1.0, 0.5, 0.2, 0.0, 0.0, -0.1), P11),
                          "depth must be nonnegative", id="equiv-depth"),
             pytest.param(equiv_jet_array, ((1.0, 0.5, 0.2, 0.0, 0.0, -0.1), P11, "sw2rsw"),
