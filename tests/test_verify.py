@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -13,15 +14,19 @@ from rswlab.errors import (
     BlowUp,
     InvalidParams,
     LeftDomain,
+    NegativeDepth,
     OriginSingular,
+    WindowViolation,
 )
 from rswlab.solutions import (
     FAMILY_NAMES,
     barochronous_sw,
+    make_family,
     profile_gauss,
     pulsating_cylinder,
     pulsating_drop,
     rest_state,
+    stationary_ring,
     stationary_rotsym,
     trajectory_formula,
 )
@@ -504,6 +509,28 @@ class TestMaterialCurves:
         assert mc.positions[-1, 0, 1] == pytest.approx(y, abs=1e-12)
 
 
+def _fv_case(case):
+    """Arguments of ``fv_oracle`` for a named reference case."""
+    cylinder = pulsating_cylinder(2.0, 1.0, P)
+    drop = pulsating_drop(2.0, P)
+    R = drop.meta["boundary_radius"]
+    r_safe = 0.7 * min(R(t) for t in np.linspace(0.1, 0.3, 7))
+
+    def mask(t1, X, Y):
+        return np.hypot(X, Y) < r_safe
+
+    return {
+        "exact-cylinder": (cylinder, 0.0, 0.25, 40, dict(box=(-2.0, 2.0))),
+        "exact-rotsym": (stationary_rotsym(profile_gauss(0.5), 1.0, P), 0.0, 0.2, 16,
+                         dict(box=(-2.0, 2.0))),
+        "drop-masked": (drop, 0.1, 0.3, 40,
+                        dict(box=(-2.0, 2.0), mask_fn=mask, dry_floor=True)),
+        "study-100": (cylinder, 0.0, math.pi / 2.0, 100, {}),
+        "ring-dry": (stationary_ring(1.0, 1.0, 1.0, FlowParameters(0.1, 1.0)), 0.0, 0.2, 32,
+                     dict(box=(-3.0, 3.0), dry_floor=True)),
+    }[case]
+
+
 class TestFiniteVolumeOracle:
     def test_rest_state_is_machine_exact(self):
         field = rest_state(1.0, P, frame="cartesian")
@@ -536,25 +563,63 @@ class TestFiniteVolumeOracle:
         ("drop-masked", 66, 0.06938543274540411, 0.1926061577156969),
     ])
     def test_reference_results(self, case, steps, l1_h, l1_all):
-        cylinder = pulsating_cylinder(2.0, 1.0, P)
-        drop = pulsating_drop(2.0, P)
-        R = drop.meta["boundary_radius"]
-        r_safe = 0.7 * min(R(t) for t in np.linspace(0.1, 0.3, 7))
-
-        def mask(t1, X, Y):
-            return np.hypot(X, Y) < r_safe
-
-        field, t0, t1, n, kw = {
-            "exact-cylinder": (cylinder, 0.0, 0.25, 40, dict(box=(-2.0, 2.0))),
-            "exact-rotsym": (stationary_rotsym(profile_gauss(0.5), 1.0, P), 0.0, 0.2, 16,
-                             dict(box=(-2.0, 2.0))),
-            "drop-masked": (drop, 0.1, 0.3, 40,
-                            dict(box=(-2.0, 2.0), mask_fn=mask, dry_floor=True)),
-        }[case]
+        field, t0, t1, n, kw = _fv_case(case)
         run = fv_oracle(field, t0, t1, n, **kw)
         assert run.steps == steps
         assert run.l1_error_h == pytest.approx(l1_h, rel=1e-12, abs=0.0)
         assert run.l1_error_all == pytest.approx(l1_all, rel=1e-12, abs=0.0)
+
+    # exact steps and error bits of the oracle on its (n + 2)^2 padded
+    # arrays with one numpy temporary per operation; "study-100" is the
+    # coarse run of criterion 9's study
+    @pytest.mark.parametrize("case, steps, l1_h, l1_all", [
+        ("exact-cylinder", 29, "0x1.4c96626e7c25bp-5", "0x1.58412359f09b7p-3"),
+        ("exact-rotsym", 7, "0x1.c0c00959141a6p-3", "0x1.663641375ca6cp-1"),
+        ("drop-masked", 66, "0x1.1c33e6475d76ep-4", "0x1.8a7518e32d55fp-3"),
+        ("study-100", 317, "0x1.0bb6e7d91e188p-3", "0x1.55a51712b0732p-2"),
+        ("ring-dry", 44, "0x1.d80f0d2768dbbp+0", "0x1.2cadc4b149e7ep+3"),
+    ])
+    def test_pinned_bits(self, case, steps, l1_h, l1_all):
+        field, t0, t1, n, kw = _fv_case(case)
+        run = fv_oracle(field, t0, t1, n, **kw)
+        assert (run.steps, run.l1_error_h.hex(), run.l1_error_all.hex()) == (steps, l1_h, l1_all)
+
+    def test_ring_case_has_dry_cells(self):
+        # inside the inner sonic circle the ring's depth continues as
+        # -2 phi1 / 3, which turns negative near the axis: the exact data
+        # there, clamped at 0, are dry, and the oracle takes its dry-cell branch
+        field, t0, _, n, kw = _fv_case("ring-dry")
+        lo, hi = kw["box"]
+        centers = lo + (hi - lo) / n * (np.arange(n) + 0.5)
+        X, Y = np.meshgrid(centers, centers, indexing="ij")
+        depth = as_cartesian(field).values_unchecked(t0, X, Y)[2]
+        assert np.count_nonzero(depth <= 1e-12) == 44
+
+    def test_negative_depth_is_raised_at_its_step(self):
+        # one cell on the axis, where the column is at rest: the step's rate
+        # reads that cell's speed only, while its interfaces take the faster
+        # ghosts', so the outflow drains more than the cell holds
+        field = pulsating_cylinder(8.0, 1.0, P)
+        with pytest.raises(NegativeDepth) as info:
+            fv_oracle(field, 0.0, 1.5, 1, box=(-3.0, 3.0))
+        depth, t = (float(s) for s in re.findall(r"-?\d+\.\d+", str(info.value)))
+        assert (depth, t) == (-5.541713424570015, 0.9545941546018389)
+
+    @pytest.mark.parametrize("name, t0, t1", [
+        ("collapse-contact", 0.0, 0.02),  # w = 0 at t = 0 divides 0 by 0
+        ("constant-sw-image", 1.0, 7.0),  # past the end of its inertial period
+    ])
+    def test_times_outside_the_window_are_refused(self, name, t0, t1):
+        with pytest.raises(WindowViolation, match="outside validity window"):
+            fv_oracle(make_family(name, P), t0, t1, 8)
+
+    def test_no_rate_for_an_exactly_kept_field(self):
+        field = rest_state(1.0, P, frame="cartesian")
+        with pytest.raises(InvalidParams, match=r"error is 0 at n=8, 16"):
+            fv_convergence(field, 0.0, 0.1, ns=(8, 16))
+        # the constant image at t = 0 sampled w = 0 and divided by it
+        with pytest.raises(WindowViolation):
+            fv_convergence(make_family("constant-sw-image", P), 0.0, 0.1, ns=(8, 16))
 
     def test_bad_bc_rejected(self):
         # the ghost cells are the exact field's; no other treatment exists
