@@ -595,13 +595,10 @@ def fv_oracle(
         q[:, ring] = _conserved(ring_x.shape, *cart.values_unchecked(t, ring_x, ring_y))
 
         h = flat[0]
-        if h.min() > 1e-12:  # all wet: max(h, 1e-12) and max(h, 0) are h
-            np.divide(flat[1:], h, out=vel)
-            np.multiply(h, g, out=pressure)
-        else:  # dry cells stand still
-            np.divide(flat[1:], np.maximum(h, 1e-12), out=vel)
+        np.divide(flat[1:], np.maximum(h, 1e-12, out=pressure), out=vel)
+        if h.min() <= 1e-12:  # dry cells stand still
             vel[:, ~(h > 1e-12)] = 0.0
-            np.multiply(np.maximum(h, 0.0), g, out=pressure)
+        np.multiply(np.maximum(h, 0.0, out=pressure), g, out=pressure)
         np.add(np.abs(vel, out=speed), np.sqrt(pressure, out=pressure), out=speed)
         rate = inner_speed[0].max() / dx + inner_speed[1].max() / dx
         step_dt = min(0.45 / rate, t1 - t) if rate > 0.0 else t1 - t

@@ -569,9 +569,8 @@ class TestFiniteVolumeOracle:
         assert run.l1_error_h == pytest.approx(l1_h, rel=1e-12, abs=0.0)
         assert run.l1_error_all == pytest.approx(l1_all, rel=1e-12, abs=0.0)
 
-    # exact steps and error bits of the oracle on its (n + 2)^2 padded
-    # arrays with one numpy temporary per operation; "study-100" is the
-    # coarse run of criterion 9's study
+    # exact steps and float.hex errors; "study-100" is the coarse run of
+    # criterion 9's study
     @pytest.mark.parametrize("case, steps, l1_h, l1_all", [
         ("exact-cylinder", 29, "0x1.4c96626e7c25bp-5", "0x1.58412359f09b7p-3"),
         ("exact-rotsym", 7, "0x1.c0c00959141a6p-3", "0x1.663641375ca6cp-1"),
