@@ -35,7 +35,6 @@ from .solutions import (
     canonical_family_name,
     closure_condition,
     make_family,
-    trajectory_formula,
 )
 from .transforms import map_field_rsw_to_sw, map_field_sw_to_rsw, transport_solution
 from .verify import integrate_trajectory, residual_report
@@ -202,10 +201,8 @@ def cmd_trajectory(args) -> int:
             rows.append([idx, args.t0, 0.0, theta0, 0.0, 0.0, ""])
             summaries.append({"particle": idx, "kind": "fixed-point"})
             continue
-        try:
-            formula = trajectory_formula(field_, r0, theta0)
-        except (UnsupportedFamily, InvalidParams):
-            formula = None
+        path = field_.meta.get("path")
+        formula = path(r0, theta0) if path else None
         # a closed form starts from (r0, theta0) at its anchor time, so its
         # circle and closure describe this path only when t0 is that time
         anchored = formula is not None and formula.anchor_time == args.t0
@@ -222,10 +219,8 @@ def cmd_trajectory(args) -> int:
             fits.append(fit)
             rows.append([idx, float(t), r, th, x, y, fit])
         summary: dict = {"particle": idx, "r0": r0, "theta0": theta0}
-        meta = field_.meta
-        # a transport keeps the drop's family, but its alpha is no longer the drop's own
-        if anchored and meta.get("family") == "pulsating-drop" and meta.get("kind") != "transported":
-            cl = closure_condition(meta["alpha"], r0, field_.params)
+        if anchored and field_.meta.get("family") == "pulsating-drop":
+            cl = closure_condition(field_.meta["alpha"], r0, field_.params)
             if cl.closed:
                 summary.update(kind="closed", m=cl.m, M=cl.M)
             else:

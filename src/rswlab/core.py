@@ -602,7 +602,8 @@ def as_cartesian(field_: FlowField, label: str | None = None) -> FlowField:
     singular at x = y = 0: there, and within 1e-150 of it, where the chart's
     slopes of order 1/r lose their precision, they come from the source's
     jets along the rays theta = 0 and theta = pi/2, exact for a source that
-    is smooth in Cartesian coordinates.
+    is smooth in Cartesian coordinates.  Its ``meta`` keeps the source's
+    ``path`` and ``boundary_radius`` and adds its ``source``.
     """
     if field_.frame == "cartesian":
         return field_
@@ -637,10 +638,17 @@ def as_cartesian(field_: FlowField, label: str | None = None) -> FlowField:
             for c, d_origin, j in zip(view(t.v, xv, yv), at_origin, away)
         ]
 
+    def to_view(rows):
+        t, r, theta = rows.T
+        return np.column_stack([t, r * np.cos(theta), r * np.sin(theta)])
+
+    meta = {key: src.meta[key] for key in ("path", "boundary_radius") if key in src.meta}
+    meta["source"] = (src, to_view)
     return replace(
         src,
         frame="cartesian",
         value_fn=value_fn,
         jet_fn=None,
         label=label or f"{src.label}(cartesian)",
+        meta=meta,
     )

@@ -1,8 +1,8 @@
 """Catalog of exact solution families.
 
 Each constructor returns a :class:`~rswlab.core.FlowField` with a validity
-window and metadata used by trajectory formulas and the CLI.  Each family
-writes its formula once, as its ``value_fn``; the analytic first
+window and metadata: its construction's keys and any closed-form ``path``.
+Each family writes its formula once, as its ``value_fn``; the analytic first
 derivatives come from running it on :class:`~rswlab.core.Jet` arguments.
 A quantity the formula solves for or reads from a table enters through
 one derivative rule: a cubic root through the implicit-function
@@ -45,13 +45,13 @@ profile through its ``deriv``.  Families:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
-from .core import FlowField, FlowParameters, Jet, Window, cos, implicit, sin
+from .core import FlowField, FlowParameters, Jet, Window, _check_finite, _check_radius, cos, implicit, sin
 from .errors import InvalidParams, UnsupportedFamily
 from .reduction import (
     IntegralTable,
@@ -62,7 +62,7 @@ from .reduction import (
     ring_bounds,
     solve_cubic_real,
 )
-from .transforms import _inverse_arrays, check_dilation, y9_dilation, y9_factors
+from .transforms import TrajectoryFormula, _inverse_arrays, check_dilation, dilated_path, y9_factors
 
 _ALIASES = {
     "rest-state": "rest",
@@ -168,6 +168,16 @@ def parse_profile(spec: str) -> RadialProfile:
 # ---------------------------------------------------------------------------
 
 
+def _swirl_path(profile: RadialProfile):
+    """``path(r0, theta0)`` of a stationary swirl V = profile(r): r = r0, theta turns at V(r0) / r0."""
+
+    def path(r0: float, theta0: float) -> TrajectoryFormula:
+        C = profile(r0) / r0 if r0 > 0.0 else 0.0
+        return TrajectoryFormula(lambda t: r0, lambda t: theta0 + C * t)
+
+    return path
+
+
 def rest_state(h0: float, params: FlowParameters, frame: str = "polar") -> FlowField:
     """State of rest with constant depth; exact in both frames."""
     if not h0 > 0.0:
@@ -184,7 +194,7 @@ def rest_state(h0: float, params: FlowParameters, frame: str = "polar") -> FlowF
         label=f"rest(h0={h0:g})",
         meta={
             "family": "rest",
-            "profile": profile_zero(),
+            "path": _swirl_path(profile_zero()),
             "sample_box": {"t": (0.0, params.period), "r": (0.0, 2.0), "x": (-2.0, 2.0)},
         },
     )
@@ -201,8 +211,9 @@ def constant_sw_image(
         v = -f x / 2 + u0 + (f y / 2 - v0) cot(f t / 2),
         h = 2 h0 / (1 - cos(f t)),
 
-    valid on one inertial period.  Particle paths are arcs of circles; the
-    solution blows up towards both window ends.
+    valid on one inertial period.  Particle paths are arcs of circles,
+    anchored at the window midpoint, where the map degenerates to a quarter
+    turn; the solution blows up towards both window ends.
     """
     if not h0 > 0.0:
         raise InvalidParams(f"h0 must be positive, got {h0}")
@@ -217,6 +228,19 @@ def constant_sw_image(
         v = -f * x / 2.0 + u0 + (f * y / 2.0 - v0) * c
         return u, v, 2.0 * h0 / w
 
+    def path(r0: float, theta0: float) -> TrajectoryFormula:
+        x0, y0 = r0 * math.cos(theta0), r0 * math.sin(theta0)
+
+        def xy_of_t(t):
+            # the inverse map of the straight path (y0/2, -x0/2) + (u0, v0) t'
+            q = -1.0 / (f * math.tan(f * t / 2.0))  # t'
+            return _inverse_arrays((q, y0 / 2.0 + u0 * q, -x0 / 2.0 + v0 * q, u0, v0, 1.0), f)[1:3]
+
+        circle = (x0 / 2.0 + u0 / f, y0 / 2.0 + v0 / f,
+                  math.hypot(u0 / f - x0 / 2.0, v0 / f - y0 / 2.0))
+        return TrajectoryFormula(lambda t: math.hypot(*xy_of_t(t)),
+                                 lambda t: math.atan2(*xy_of_t(t)[::-1]), circle, math.pi / f)
+
     return FlowField(
         frame="cartesian",
         params=params,
@@ -225,8 +249,7 @@ def constant_sw_image(
         label=f"constant-sw-image(u0={u0:g}, v0={v0:g}, h0={h0:g})",
         meta={
             "family": "constant-sw-image",
-            "u0": u0,
-            "v0": v0,
+            "path": path,
             "sample_box": {"t": (0.08 * period, 0.92 * period), "x": (-2.0, 2.0)},
         },
     )
@@ -316,7 +339,7 @@ def stationary_rotsym(profile: RadialProfile, h0: float, params: FlowParameters)
         label=f"stationary-rotsym({profile.label}, h0={h0:g})",
         meta={
             "family": "stationary-rotsym",
-            "profile": profile,
+            "path": _swirl_path(profile),
             "depth_fn": depth,
             "sample_box": {"t": (0.0, params.period), "r": (0.05, r_max * 0.9)},
         },
@@ -345,6 +368,13 @@ def pulsating_cylinder(alpha: float, h0: float, params: FlowParameters) -> FlowF
         _, _, D, cu, cv = y9_factors(t, alpha, f)
         return cu * r, cv * r, alpha * h0 / D
 
+    moved = dilated_path(_swirl_path(profile_zero()), alpha, f)
+
+    def path(r0: float, theta0: float) -> TrajectoryFormula:
+        k = 0.5 * (alpha + 1.0) * r0
+        return replace(moved(r0, theta0), circle=(k * math.cos(theta0), k * math.sin(theta0),
+                                                   0.5 * (alpha - 1.0) * r0))
+
     return FlowField(
         frame="polar",
         params=params,
@@ -353,8 +383,7 @@ def pulsating_cylinder(alpha: float, h0: float, params: FlowParameters) -> FlowF
         label=f"pulsating-cylinder(alpha={alpha:g}, h0={h0:g})",
         meta={
             "family": "pulsating-cylinder",
-            "alpha": alpha,
-            "profile": profile_zero(),
+            "path": path,
             "sample_box": {"t": (0.0, params.period), "r": (0.05, 2.0)},
         },
     )
@@ -407,7 +436,7 @@ def pulsating_drop(alpha: float, params: FlowParameters) -> FlowField:
     transported solution has depth zero on the moving circle
     R*(t) = (-f/l) sqrt(D / alpha), maximal depth at the center, and period
     one inertial period.  Particle paths generally only quasi-close; see
-    :func:`closure_condition`.
+    :func:`closure_condition`; they are the base swirl's, dilated.
     """
     check_dilation(alpha)
     f = params.f
@@ -438,7 +467,7 @@ def pulsating_drop(alpha: float, params: FlowParameters) -> FlowField:
             "family": "pulsating-drop",
             "alpha": alpha,
             "boundary_radius": boundary_radius,
-            "profile": profile_quadratic(l),
+            "path": dilated_path(_swirl_path(profile_quadratic(l)), alpha, f),
             "sample_box": {"t": (0.0, params.period), "r": (0.05, r_box)},
         },
     )
@@ -859,108 +888,25 @@ def default_catalog() -> dict[str, FlowField]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrajectoryFormula:
-    """Closed-form particle path of a transported or image solution."""
-
-    r_of_t: Callable[[float], float]
-    theta_of_t: Callable[[float], float]
-    x_of_t: Callable[[float], float]
-    y_of_t: Callable[[float], float]
-    circle: tuple[float, float, float] | None
-    anchor_time: float
-    label: str
-
-
 def trajectory_formula(
     field_: FlowField, r0: float, theta0: float
 ) -> TrajectoryFormula:
-    """Closed-form trajectory through (r0, theta0).
+    """``field_.meta["path"](r0, theta0)``, the closed-form trajectory through (r0, theta0).
 
-    Supported: the pulsating cylinder and drop, any transported stationary
-    rotationally symmetric solution, and the constant-stream image (whose
-    anchor time is the window midpoint, where the map degenerates to a
-    quarter turn).  Raises :class:`UnsupportedFamily` otherwise, and for an
-    equivalence image, which keeps its source's family but is another flow.
+    A family stores its ``path``, a transport composes its source's and a
+    Cartesian view keeps it.  A start that is not finite with r0 >= 0 raises
+    :class:`InvalidParams`; a field without a path, such as an equivalence
+    image, :class:`UnsupportedFamily`.
     """
-    meta = field_.meta
-    family = meta.get("family")
-    if meta.get("kind") == "equiv_image":
+    _check_finite(r0=r0, theta0=theta0)
+    _check_radius(r0)
+    path = field_.meta.get("path")
+    if path is None:
         raise UnsupportedFamily(
-            f"no closed-form trajectories for the equivalence image {field_.label!r}"
+            f"no closed-form trajectories for {field_.label!r}: a family with a closed form, "
+            "a transport or a Cartesian view of one has them; an equivalence image has none"
         )
-    f = field_.params.f
-    if family in ("pulsating-cylinder", "pulsating-drop") or meta.get("kind") == "transported":
-        alpha = meta["alpha"]
-        profile = meta.get("profile")
-        if profile is None:
-            raise UnsupportedFamily(
-                "transported field lacks a swirl profile; cannot form trajectories"
-            )
-        if r0 < 0.0:
-            raise InvalidParams("r0 must be nonnegative")
-        sa = math.sqrt(alpha)
-        C = profile(r0 * sa) / (r0 * sa) if r0 > 0.0 else 0.0
-
-        def r_of_t(t):
-            return r0 * math.sqrt(y9_factors(t, alpha, f)[2])
-
-        def theta_of_t(t):
-            tbar, angle, _, _, _ = y9_dilation(t, alpha, f)
-            return theta0 + angle + C * tbar
-
-        circle = None
-        if family == "pulsating-cylinder":
-            circle = (
-                0.5 * (alpha + 1.0) * r0 * math.cos(theta0),
-                0.5 * (alpha + 1.0) * r0 * math.sin(theta0),
-                0.5 * (alpha - 1.0) * r0,
-            )
-
-        def x_of_t(t):
-            return r_of_t(t) * math.cos(theta_of_t(t))
-
-        def y_of_t(t):
-            return r_of_t(t) * math.sin(theta_of_t(t))
-
-        return TrajectoryFormula(
-            r_of_t, theta_of_t, x_of_t, y_of_t, circle, 0.0, f"path({field_.label})"
-        )
-
-    if family == "constant-sw-image":
-        u0, v0 = meta["u0"], meta["v0"]
-        t_ref = math.pi / f
-        x0, y0 = r0 * math.cos(theta0), r0 * math.sin(theta0)
-
-        def xy_of_t(t):
-            # the inverse map of the straight path (y0/2, -x0/2) + (u0, v0) t'
-            q = -1.0 / (f * math.tan(f * t / 2.0))  # t'
-            return _inverse_arrays((q, y0 / 2.0 + u0 * q, -x0 / 2.0 + v0 * q, u0, v0, 1.0), f)[1:3]
-
-        def x_of_t(t):
-            return xy_of_t(t)[0]
-
-        def y_of_t(t):
-            return xy_of_t(t)[1]
-
-        A = x0 / 2.0 + u0 / f
-        B = y0 / 2.0 + v0 / f
-        R = math.hypot(u0 / f - x0 / 2.0, v0 / f - y0 / 2.0)
-
-        def r_of_t(t):
-            return math.hypot(x_of_t(t), y_of_t(t))
-
-        def theta_of_t(t):
-            return math.atan2(y_of_t(t), x_of_t(t))
-
-        return TrajectoryFormula(
-            r_of_t, theta_of_t, x_of_t, y_of_t, (A, B, R), t_ref,
-            f"path({field_.label})",
-        )
-
-    raise UnsupportedFamily(
-        f"no closed-form trajectories for family {family!r}"
-    )
+    return path(r0, theta0)
 
 
 @dataclass(frozen=True)
@@ -983,13 +929,12 @@ def closure_condition(alpha: float, r0: float, params: FlowParameters) -> Closur
     every period; interior ratios are generically irrational and the path
     only quasi-closes.
     """
-    if not (alpha > 0.0 and r0 > 0.0):
-        raise InvalidParams("alpha and r0 must be positive")
+    check_dilation(alpha)
     l = drop_swirl_coefficient(alpha, params)
     boundary = -params.f / (l * math.sqrt(alpha))
-    if r0 > boundary * (1.0 + 1e-12):
+    if not 0.0 < r0 <= boundary * (1.0 + 1e-12):
         raise InvalidParams(
-            f"r0={r0!r} outside the drop (boundary radius {boundary!r})"
+            f"r0={r0!r} must be positive and inside the drop (boundary radius {boundary!r})"
         )
     ratio = abs(l) * r0 * math.sqrt(alpha) / params.f
     for M in range(1, 1001):

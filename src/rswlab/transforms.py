@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Callable, Literal
 
 import numpy as np
 
@@ -111,7 +111,7 @@ def map_field_rsw_to_sw(field_: FlowField, params: FlowParameters | None = None)
     alone, so array positions read the source in one checked block call.
     Jets compose through the map and the source's own, and the source's
     window check applies to their values.  ``params``, when given, must
-    equal the source's.
+    equal the source's.  Its ``meta`` holds only its ``source``: no path.
     """
     params = source_params(field_.params, params)
     if field_.frame != "cartesian":
@@ -137,8 +137,8 @@ def map_field_sw_to_rsw(field_: FlowField, params: FlowParameters | None = None)
 
     Defined on the principal period (0, 2*pi/f) minus a guard band.  The
     source time depends on t alone, so array positions read the source in
-    one checked block call.  Jets compose, and ``params`` is checked, as in
-    :func:`map_field_rsw_to_sw`.
+    one checked block call.  Jets compose, ``params`` is checked and
+    ``meta`` is stated, as in :func:`map_field_rsw_to_sw`.
     """
     params = source_params(field_.params, params)
     if field_.frame != "cartesian":
@@ -162,6 +162,9 @@ def _equivalence_image(src: FlowField, params: FlowParameters, direction: Direct
         u, v, h = src.eval(ts, xs, ys)
         return push((ts, xs, ys, u, v, h), f)[3:]
 
+    def to_view(rows):
+        return np.array([push((t, a, b, 0.0, 0.0, 0.0), f)[:3] for t, a, b in rows.tolist()])
+
     system = "sw" if direction == "rsw2sw" else "rsw"
     return FlowField(
         frame="cartesian",
@@ -170,7 +173,7 @@ def _equivalence_image(src: FlowField, params: FlowParameters, direction: Direct
         window=window,
         system=system,
         label=f"{system}_image({src.label})",
-        meta={**src.meta, "kind": "equiv_image"},
+        meta={"source": (src, to_view)},
     )
 
 
@@ -182,20 +185,19 @@ def _equivalence_image(src: FlowField, params: FlowParameters, direction: Direct
 def check_dilation(alpha: float) -> None:
     """Raise :class:`InvalidParams` unless ``alpha`` is a usable Y9 dilation parameter.
 
-    The dilation needs alpha > 0 with D of :func:`y9_factors` positive at
-    every time.  D ranges over [min(1, alpha^2), max(1, alpha^2)], but it is
-    formed as a difference that rounds to zero at the half-period times (small
-    alpha) or the full-period times (large alpha) once alpha^2 is not resolved
-    against 1, roughly outside 7.5e-9 < alpha < 1.3e8.  Inside that range D,
-    and with it rho, cu and cv, carry a relative error of about
-    eps max(alpha^2, 1 / alpha^2) near those times (eps = 2.2e-16), which
-    reaches O(1) at the bounds; away from them the factors are accurate.
+    The dilation needs D of :func:`y9_factors` positive at every time.  D
+    ranges over [min(1, alpha^2), max(1, alpha^2)], but it is formed as a
+    difference that rounds to zero at the half-period times (small alpha)
+    or the full-period times (large alpha) unless alpha^2 is resolved
+    against 1: 2^-27 < alpha < 2^26.5 (about 7.45e-9 < alpha < 9.49e7).
+    Inside that range D, and with it rho, cu and cv, carry a relative error
+    of about eps max(alpha^2, 1 / alpha^2) near those times (eps = 2.2e-16),
+    which reaches O(1) at the bounds; away from them they are accurate.
     """
-    a2 = alpha * alpha
-    if not (alpha > 0.0 and (1.0 + a2) - (1.0 - a2) > 0.0 and (1.0 + a2) + (1.0 - a2) > 0.0):
+    if not 2.0 ** -27 < alpha < 2.0 ** 26.5:
         raise InvalidParams(
-            f"dilation parameter alpha must be positive with alpha^2 resolved against 1 "
-            f"(about 7.5e-9 < alpha < 1.3e8; near the half and full periods the dilation "
+            f"dilation parameter alpha must lie in (2^-27, 2^26.5), about 7.45e-9 < alpha < 9.49e7, "
+            f"where alpha^2 is resolved against 1 (near the half and full periods the dilation "
             f"loses about 2.2e-16 max(alpha^2, 1/alpha^2) relative), got {alpha!r}"
         )
 
@@ -312,6 +314,54 @@ def y9_dilation(t: float, alpha: float, f: float) -> tuple[float, float, float, 
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class TrajectoryFormula:
+    """Closed-form particle path through (r0, theta0) at ``anchor_time``, from ``meta["path"]``.
+
+    ``circle`` is (x_c, y_c, R) when the path is known to be that circle.
+    """
+
+    r_of_t: Callable[[float], float]
+    theta_of_t: Callable[[float], float]
+    circle: tuple[float, float, float] | None = None
+    anchor_time: float = 0.0
+
+    def x_of_t(self, t: float) -> float:
+        return self.r_of_t(t) * math.cos(self.theta_of_t(t))
+
+    def y_of_t(self, t: float) -> float:
+        return self.r_of_t(t) * math.sin(self.theta_of_t(t))
+
+
+def _dilated_radius(radius, alpha: float, f: float) -> Callable[[float], float]:
+    """A source radius, a number or ``t -> r``, in the transport by ``alpha``: radius(tbar) / rho."""
+
+    def r_of_t(t: float) -> float:
+        tbar, _, rho, _, _ = y9_dilation(t, alpha, f)
+        return (radius(tbar) if callable(radius) else radius) / rho
+
+    return r_of_t
+
+
+def dilated_path(src_path: Callable, alpha: float, f: float) -> Callable:
+    """``path(r0, theta0)`` of the transport by ``alpha`` of a flow whose paths are ``src_path``.
+
+    It is the source's path through (r0 sqrt(alpha), theta0) at t = 0, the
+    anchor, moved to r_src(tbar) / rho and theta_src(tbar) + angle.
+    """
+
+    def path(r0: float, theta0: float) -> TrajectoryFormula:
+        src = src_path(r0 * math.sqrt(alpha), theta0)
+
+        def theta_of_t(t):
+            tbar, angle, _, _, _ = y9_dilation(t, alpha, f)
+            return src.theta_of_t(tbar) + angle
+
+        return TrajectoryFormula(_dilated_radius(src.r_of_t, alpha, f), theta_of_t)
+
+    return path
+
+
 def transport_solution(
     field_: FlowField, alpha: float, params: FlowParameters | None = None
 ) -> FlowField:
@@ -324,7 +374,9 @@ def transport_solution(
     and the source's own.  Transporting the rest state
     produces the pulsating cylinder; transporting the stationary
     rotationally symmetric class produces the pulsating drop family.
-    ``params``, when given, must equal the source's.
+    ``params``, when given, must equal the source's, and 1/alpha must pass
+    :func:`check_dilation` where a finite time is mapped.  ``meta`` holds the
+    ``source`` and any ``path`` and ``boundary_radius`` of it, mapped.
     """
     params = source_params(field_.params, params)
     if field_.frame != "polar":
@@ -338,30 +390,29 @@ def transport_solution(
         Ub, Vb, hb = src.values_unchecked(tbar, r * rho, theta - angle)
         return rho * Ub + cu * r, rho * Vb + cv * r, hb * rho * rho
 
-    src_lo, src_hi = src.window.r_lo, src.window.r_hi
+    # the time map is inverted by the dilation with 1/alpha, so it must be usable too
+    def t_preimage(tbar):
+        check_dilation(1.0 / alpha)
+        return y9_dilation(tbar, 1.0 / alpha, f)[0]
+
+    def to_view(rows):
+        t = t_preimage(rows[:, 0])
+        _, angle, rho, _, _ = y9_dilation(t, alpha, f)
+        return np.column_stack([t, rows[:, 1] / rho, rows[:, 2] + angle])
 
     # the source is read at the dilated point, so its radial bounds apply
     # to r * rho(t) at the mapped time; rho is positive and finite, so an
     # infinite bound stays infinite
-    def mapped(bound):
-        def r_bound(t: float) -> float:
-            tbar, _, rho, _, _ = y9_dilation(t, alpha, f)
-            return (bound(tbar) if callable(bound) else bound) / rho
-
-        return r_bound
-
-    # the transported time window is the preimage of the source window;
-    # the time map is inverted by the dilation with 1/alpha
-    def t_preimage(bound: float) -> float:
-        return y9_dilation(bound, 1.0 / alpha, f)[0] if math.isfinite(bound) else bound
-
+    src_lo, src_hi = src.window.r_lo, src.window.r_hi
     window = Window(
-        t_lo=t_preimage(src.window.t_lo),
-        t_hi=t_preimage(src.window.t_hi),
+        *(t_preimage(b) if math.isfinite(b) else b for b in (src.window.t_lo, src.window.t_hi)),
         t_guard=src.window.t_guard,
-        r_lo=mapped(src_lo) if callable(src_lo) or src_lo else 0.0,
-        r_hi=mapped(src_hi) if callable(src_hi) or math.isfinite(src_hi) else math.inf,
+        r_lo=_dilated_radius(src_lo, alpha, f) if callable(src_lo) or src_lo else 0.0,
+        r_hi=_dilated_radius(src_hi, alpha, f) if callable(src_hi) or math.isfinite(src_hi) else math.inf,
     )
+    carried = {"path": dilated_path, "boundary_radius": _dilated_radius}
+    meta = {key: carry(src.meta[key], alpha, f) for key, carry in carried.items() if key in src.meta}
+    meta["source"] = (src, to_view)
     return FlowField(
         frame="polar",
         params=params,
@@ -369,6 +420,5 @@ def transport_solution(
         window=window,
         system="rsw",
         label=f"transport({src.label}, alpha={alpha:g})",
-        # transports compose: alpha after the source's own dilation is alpha times its alpha
-        meta={**src.meta, "kind": "transported", "alpha": alpha * src.meta.get("alpha", 1.0)},
+        meta=meta,
     )

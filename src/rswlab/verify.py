@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import FlowField, as_cartesian, potential_vorticity
+from .core import FlowField, _check_finite, _check_radius, as_cartesian, potential_vorticity
 from .errors import (
     BlowUp,
     InvalidParams,
@@ -46,13 +46,18 @@ GRID_MARGIN = 0.02
 def sample_grid(field_: FlowField, shape: tuple[int, int, int] = (10, 10, 10)) -> np.ndarray:
     """Deterministic (N, 3) sample of the field's preferred window.
 
-    Rows are time-major (t, then a, then b), built as whole arrays.  Uses
-    the family's ``sample_box`` metadata when present; spatial axes shrink
-    by :data:`GRID_MARGIN` so that finite-difference probes stay inside the
-    validity window.  For families whose natural domain is a moving level
-    set the box carries a ``lam`` range and the radius is derived from it
-    per time sample.
+    A view, with ``meta["source"] = (src, to_view)`` and ``to_view`` its
+    point map on (N, 3) rows, samples ``to_view(sample_grid(src, shape))``.
+    Otherwise rows are time-major (t, then a, then b), built as whole
+    arrays, from the family's ``sample_box`` metadata when present; spatial
+    axes shrink by :data:`GRID_MARGIN` so that finite-difference probes stay
+    inside the validity window.  For families whose natural domain is a
+    moving level set the box carries a ``lam`` range and the radius is
+    derived from it per time sample.
     """
+    if "source" in field_.meta:
+        src, to_view = field_.meta["source"]
+        return to_view(sample_grid(src, shape))
     box = field_.meta.get("sample_box", {})
     nt, na, nb = shape
     t_lo, t_hi = box.get("t", (0.0, field_.params.period))
@@ -380,12 +385,8 @@ def integrate_trajectory(
     Otherwise ``t0`` and ``t1`` must lie in the window's open time interval,
     guard included, or :class:`WindowViolation` names the window.
     """
-    if not (math.isfinite(r0) and math.isfinite(theta0)):
-        raise InvalidParams(
-            f"trajectory start must be finite, got r0={r0!r}, theta0={theta0!r}"
-        )
-    if r0 < 0.0:
-        raise InvalidParams(f"trajectory start radius must be >= 0, got r0={r0!r}")
+    _check_finite(r0=r0, theta0=theta0)
+    _check_radius(r0)
     if field_.frame == "polar":
         def rhs(t, y):
             r, th = y
