@@ -59,6 +59,13 @@ EXTRA = [
     ("ring-upper-field", "field --family ring --f 0.1 --branch upper --t 0 --r 3.4:24.5:50"),
     ("contact-cubic-upper-field", "field --family collapse-contact-cubic --branch upper "
                                   "--t 1.2 --r 6:15:30"),
+    # 64 x 64 CSV exports: polar states that repeat across theta, and
+    # Cartesian velocities that are all distinct (the y spacing is
+    # incommensurate with x's, so no two grid points share u or v)
+    ("drop-field-64x64", "field --family pulsating-drop --alpha 2 --t 1 --r 0:1.5:64 "
+                         "--theta 0:6.283185307179586:64"),
+    ("barochronous-field-64x64", "field --family barochronous-sw --t 2 --x=-1:1:64 "
+                                 "--y=-1:1.2345:64"),
     ("rotsym-gauss-residual", "residual --family stationary-rotsym --profile gauss:0.5,2"),
     ("contact-const-residual", "residual --family collapse-contact --psi const:0.5 --lam0 2"),
     ("map-rsw2sw-cylinder", "map --direction rsw2sw --family cylinder --alpha 1.7 "

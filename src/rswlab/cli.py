@@ -7,7 +7,7 @@ Conventions:
 
 * grids are ``lo:hi:count`` (inclusive of both ends), time lists are
   comma-separated;
-* CSV numbers carry 17 significant digits (round-trip exact for doubles);
+* CSV numbers are printf ``%.17g`` (round-trip exact for doubles);
 * output is written to a temporary file and atomically renamed, so no
   partial files survive a crash;
 * exit codes: 0 ok, 1 verification failure, 2 bad arguments,
@@ -67,9 +67,19 @@ def _write_atomic(path: str | None, text: str) -> None:
 
 
 def _csv_text(header: list[str], rows) -> str:
-    if isinstance(rows, np.ndarray):  # all-float rows: one format operation per row
-        line = ",".join(["%.17g"] * len(header)) + "\n"
-        return ",".join(header) + "\n" + "".join(line % row for row in map(tuple, rows.tolist()))
+    """CSV text: the header line, then one comma-separated line per row, each ending in "\\n".
+
+    Float rows (an ``(n, len(header))`` float64 array) print every value as
+    printf ``%.17g``; each distinct float64 bit pattern is formatted once and
+    its text reused wherever it repeats (a grid's coordinates, or the states
+    of a rotationally symmetric field across theta), and -0.0 keeps its own
+    text.  List rows go through :mod:`csv`, floats as ``%.17g``.
+    """
+    if isinstance(rows, np.ndarray):
+        bits, inverse = np.unique(rows.view(np.int64), return_inverse=True)
+        texts = np.array(["%.17g" % x for x in bits.view(np.float64).tolist()], dtype=object)
+        cells = texts[inverse.reshape(rows.shape)]  # numpy versions differ in inverse's shape
+        return "\n".join([",".join(header), *map(",".join, cells.tolist())]) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

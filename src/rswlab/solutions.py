@@ -930,7 +930,7 @@ def closure_condition(alpha: float, r0: float, params: FlowParameters) -> Closur
     only quasi-closes.
     """
     check_dilation(alpha)
-    l = drop_swirl_coefficient(alpha, params)
+    l = _drop_coefficients(alpha, params)[0]
     boundary = -params.f / (l * math.sqrt(alpha))
     if not 0.0 < r0 <= boundary * (1.0 + 1e-12):
         raise InvalidParams(

@@ -392,7 +392,14 @@ def transport_solution(
 
     # the time map is inverted by the dilation with 1/alpha, so it must be usable too
     def t_preimage(tbar):
-        check_dilation(1.0 / alpha)
+        try:
+            check_dilation(1.0 / alpha)
+        except InvalidParams:
+            raise InvalidParams(
+                f"transport by the dilation parameter alpha={alpha!r} maps times back through "
+                f"its inverse, and 1/alpha={1.0 / alpha!r} is out of range: the inverse must lie "
+                f"in (2^-27, 2^26.5), so alpha must exceed 2^-26.5, about 1.05e-8"
+            ) from None
         return y9_dilation(tbar, 1.0 / alpha, f)[0]
 
     def to_view(rows):

@@ -8,10 +8,10 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from rswlab.cli import build_parser, main
+from rswlab.cli import _csv_text, build_parser, main
 from rswlab.core import FlowParameters, as_cartesian
 from rswlab.solutions import FAMILY_NAMES, make_family
 from rswlab.transforms import map_field_rsw_to_sw, map_field_sw_to_rsw, transport_solution
@@ -266,6 +266,14 @@ class TestMapCommand:
         assert run(["map", "--transport", "--alpha", "2", "--family", "rest",
                     "--t", "0", "--r", "0:0:2"]) == 3
 
+    def test_transport_with_out_of_range_inverse_names_the_alpha_given(self, capsys):
+        # 1e-8 is a usable dilation but 1e8 is not, and the contact family's
+        # finite time window is mapped back through the inverse
+        assert run(["map", "--family", "collapse-contact", "--transport", "--alpha", "1e-8",
+                    "--t", "2", "--r", "0.5:1:3"]) == 2
+        err = capsys.readouterr().err
+        assert "alpha=1e-08" in err and "inverse" in err and "out of range" in err
+
 
 P11 = FlowParameters(1.0, 1.0)
 
@@ -495,6 +503,42 @@ class TestConsoleEntryPoint:
         assert proc.stdout.strip() == "[]"
         assert len(list(tmp_path.glob("*.csv"))) == 4
 
+
+
+# ---------------------------------------------------------------------------
+# CSV text: float rows print exactly as printf "%.17g" row by row
+# ---------------------------------------------------------------------------
+
+#: Values every drawn block may hold: both zeros, NaN, the infinities, the
+#: smallest subnormal and a larger one.
+CSV_SPECIALS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -1e-310, 1.0)
+
+
+def csv_reference(header, rows):
+    """The per-row float export: one printf ``%.17g`` line per row."""
+    line = ",".join(["%.17g"] * len(header)) + "\n"
+    return ",".join(header) + "\n" + "".join(line % row for row in map(tuple, rows.tolist()))
+
+
+@st.composite
+def float_blocks(draw):
+    """Float64 rows drawn from a small pool, so that values repeat heavily."""
+    pool = draw(st.lists(st.floats(width=64), max_size=6)) + list(CSV_SPECIALS)
+    n_rows, n_cols = draw(st.integers(0, 30)), draw(st.integers(1, 6))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=n_rows * n_cols,
+                          max_size=n_rows * n_cols))
+    return np.array(picks, dtype=np.float64).reshape(n_rows, n_cols)
+
+
+class TestCsvText:
+    @settings(max_examples=300, deadline=None)
+    @given(rows=float_blocks())
+    @example(rows=np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0]]))
+    @example(rows=np.empty((0, 6)))
+    @example(rows=np.array([[math.nan, math.inf, -math.inf, 5e-324, -0.0, 0.0]]))
+    def test_float_rows_equal_the_per_row_format(self, rows):
+        header = [f"c{j}" for j in range(rows.shape[1])]
+        assert _csv_text(header, rows) == csv_reference(header, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -409,6 +409,12 @@ class TestClosure:
         with pytest.raises(InvalidParams):
             closure_condition(2.0, 10.0, P)
 
+    def test_underflowing_swirl_coefficient_rejected(self):
+        # l = -f^2 sqrt(alpha / 12 g) underflows to 0 at f = 1e-200, and the
+        # boundary radius -f / (l sqrt(alpha)) would divide by it
+        with pytest.raises(InvalidParams, match="drop coefficients"):
+            closure_condition(2.0, 0.5, FlowParameters(1e-200, 1.0))
+
 
 class TestProfiles:
     def test_parse(self):
