@@ -87,10 +87,9 @@ EXTRA = [
     ("trajectory-constant-t1-7", "trajectory --family constant --r0 0.5 --t0 1 --t1 7"),
     ("trajectory-drop-t1-500", "trajectory --family drop --alpha 2 --t1 500 --samples 5"),
     # the integrator's Cartesian right-hand side, and a tight tolerance on it
-    ("trajectory-cylinder-cartesian", "trajectory --family cylinder --alpha 2 --frame cartesian "
-                                      "--r0 1 --t1 6"),
-    ("trajectory-contact-cartesian", "trajectory --family collapse-contact --frame cartesian "
-                                     "--r0 0.8 --t0 1.2 --t1 3 --tol 1e-13"),
+    ("trajectory-barochronous-cartesian", "trajectory --family barochronous-sw --r0 0.5,1.5 --t1 3"),
+    ("trajectory-constant-cartesian", "trajectory --family constant --r0 0.8 --theta0 1 "
+                                      "--t0 3.141592653589793 --t1 5 --tol 1e-13"),
     # inputs that must exit 1, 2 or 3
     ("residual-corrupt", "residual --family drop --corrupt-depth 1.5"),
     ("residual-fd-step-0", "residual --family rest --mode fd --fd-step 0"),

@@ -13,21 +13,8 @@ import sys
 import numpy as np
 
 from rswlab.core import FlowParameters, diagnostics
-from rswlab.reduction import depth_cubic_coeffs, ring_bounds
+from rswlab.reduction import bisect_bracket, depth_cubic_coeffs, ring_bounds
 from rswlab.solutions import stationary_ring
-
-
-def bisect_root(fn, lo: float, hi: float) -> float:
-    """A sign change of ``fn`` in [lo, hi], by bisection to 1e-12 relative."""
-    f_lo = fn(lo)
-    while hi - lo > 1e-12 * max(1.0, abs(lo)):
-        mid = 0.5 * (lo + hi)
-        f_mid = fn(mid)
-        if (f_mid < 0.0) == (f_lo < 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def main() -> int:
@@ -51,8 +38,13 @@ def main() -> int:
         phi1, phi2 = depth_cubic_coeffs(r, *C, params)
         return h_s ** 3 + phi1 * h_s ** 2 + phi2
 
-    r_lo = bisect_root(gap, bounds.r_inner, 0.3 * bounds.r_outer)
-    r_hi = bisect_root(gap, 0.3 * bounds.r_outer, bounds.r_outer)
+    def root(lo, hi):  # a sign change of gap in [lo, hi], to 1e-12 relative
+        below = gap(lo) < 0.0
+        lo, hi = bisect_bracket(lambda r: (gap(r) < 0.0) == below, lo, hi, 1e-12)
+        return 0.5 * (lo + hi)
+
+    r_lo = root(bounds.r_inner, 0.3 * bounds.r_outer)
+    r_hi = root(0.3 * bounds.r_outer, bounds.r_outer)
 
     args.out.parent.mkdir(parents=True, exist_ok=True)
     rows = ["r,h_lower,h_upper,froude_lower,froude_upper"]

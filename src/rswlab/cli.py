@@ -17,9 +17,7 @@ Conventions:
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import os
@@ -34,6 +32,7 @@ from .liealg import structure_constants, verify_isomorphism
 from .solutions import (
     canonical_family_name,
     closure_condition,
+    family_keywords,
     make_family,
 )
 from .transforms import map_field_rsw_to_sw, map_field_sw_to_rsw, transport_solution
@@ -44,10 +43,6 @@ SCHEMA_VERSION = 1
 _HEADERS = {"polar": ["t", "r", "theta", "U", "V", "h"], "cartesian": ["t", "x", "y", "u", "v", "h"]}
 # a count too large to allocate (numpy's MemoryError) is a bad argument too
 _BAD_ARGS = (InvalidParams, UnsupportedFamily, NoRingExists, MemoryError)
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _write_atomic(path: str | None, text: str) -> None:
@@ -73,19 +68,16 @@ def _csv_text(header: list[str], rows) -> str:
     printf ``%.17g``; each distinct float64 bit pattern is formatted once and
     its text reused wherever it repeats (a grid's coordinates, or the states
     of a rotationally symmetric field across theta), and -0.0 keeps its own
-    text.  List rows go through :mod:`csv`, floats as ``%.17g``.
+    text.  List rows (trajectories, commutators) hold ints, floats and "",
+    none of which needs quoting: floats print as ``%.17g``, the rest by ``str``.
     """
     if isinstance(rows, np.ndarray):
         bits, inverse = np.unique(rows.view(np.int64), return_inverse=True)
         texts = np.array(["%.17g" % x for x in bits.view(np.float64).tolist()], dtype=object)
-        cells = texts[inverse.reshape(rows.shape)]  # numpy versions differ in inverse's shape
-        return "\n".join([",".join(header), *map(",".join, cells.tolist())]) + "\n"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
-    return buf.getvalue()
+        cells = texts[inverse.reshape(rows.shape)].tolist()  # numpy versions differ in inverse's shape
+    else:
+        cells = [["%.17g" % v if isinstance(v, float) else str(v) for v in row] for row in rows]
+    return "\n".join([",".join(header), *map(",".join, cells)]) + "\n"
 
 
 def _json_text(payload: dict) -> str:
@@ -132,6 +124,8 @@ _FAMILY_FLAGS = {
 def _family_kwargs(args) -> dict:
     given = vars(args)
     kw = {name: given[name] for name in _FAMILY_FLAGS if given[name] is not None}
+    if "frame" in kw and "frame" not in family_keywords(args.family):
+        raise InvalidParams(f"--frame does not apply: family {args.family!r} has one frame only")
     for name, val in kw.items():
         if isinstance(val, float) and not math.isfinite(val):
             raise InvalidParams(f"--{name} must be finite, got {val!r}")
@@ -151,6 +145,10 @@ def _build_field(args) -> FlowField:
 def _field_points(field_: FlowField, args) -> np.ndarray:
     """The grid as one block of (t, a, b) rows per time: shape (nt, m, 3)."""
     times = np.array(_parse_list(args.t), dtype=float)
+    for name in ("x", "y") if field_.frame == "polar" else ("r", "theta"):
+        if getattr(args, name) is not None:
+            raise InvalidParams(
+                f"--{name} does not apply: {field_.label!r} is sampled on a {field_.frame} grid")
     if field_.frame == "polar":
         axes = (_parse_grid(args.r) if args.r else np.linspace(0.1, 2.0, 11),
                 _parse_grid(args.theta) if args.theta else np.array([0.0]))

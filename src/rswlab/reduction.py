@@ -10,6 +10,8 @@ Contents:
 * cumulative integral tables: Gauss-Legendre panels read by quintic
   Hermite interpolation, for the stationary rotationally symmetric depth
   and the contact family's psi^2 integral;
+* one bisection of a bracketed sign change (:func:`bisect_bracket`) for
+  every edge the package brackets: the ring bounds, the contact families';
 * the ring-bound finder: the radii where the depth cubic acquires a double
   root, bracketing the interval on which the two branches of the stationary
   ring exist;
@@ -279,6 +281,26 @@ def double_root_indicator(phi1: float, phi2: float) -> float:
     return (4.0 / 27.0) * phi1 ** 3 + phi2
 
 
+def bisect_bracket(
+    holds: Callable[[float], bool], lo: float, hi: float, rtol: float
+) -> tuple[float, float]:
+    """Halve [lo, hi], where ``holds`` is true at lo and false at hi.
+
+    Each halving keeps ``holds`` true at the new lo and false at the new hi;
+    it stops once hi - lo <= rtol max(1, lo), or after 200 halvings, and
+    returns the last bracket.
+    """
+    for _ in range(200):
+        if hi - lo <= rtol * max(1.0, lo):
+            break
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class RingBounds:
     """Radial interval on which the stationary ring branches exist.
@@ -301,7 +323,10 @@ def ring_bounds(
 
     A geometric scan brackets the sign changes of G (the minimum of phi1
     sits at r^2 = 2 |C2| / f, and the outer zero of phi1 bounds the ring),
-    then bisection refines each bracket to relative 1e-12.
+    then :func:`bisect_bracket` refines each bracket to relative 1e-12.
+    Both steps compare the signs of G, never multiply its values, so the
+    bounds do not depend on G's scale: under (f, C1, C2, C3) -> (e f,
+    e^2 C1, e C2, e^3 C3) G scales by e^6 while the radii stay put.
     """
     f, g = params.f, params.g
     if C3 == 0.0:
@@ -321,37 +346,21 @@ def ring_bounds(
 
     r = 0.01 * math.sqrt(2.0 * abs(C2) / f) if C2 != 0.0 else 1e-3 * math.sqrt(g) / f
     r_stop = 100.0 * math.sqrt(8.0 * g * C1) / f
-    scan: list[tuple[float, float]] = [(r, G(r))]
+    scan: list[tuple[float, bool]] = [(r, G(r) < 0.0)]
     while r < r_stop:
         r *= 1.1
-        scan.append((r, G(r)))
-    flips = [
-        (scan[i][0], scan[i + 1][0])
-        for i in range(len(scan) - 1)
-        if scan[i][1] * scan[i + 1][1] < 0.0
-    ]
+        scan.append((r, G(r) < 0.0))
+    flips = [(lo, hi, below) for (lo, below), (hi, after) in zip(scan, scan[1:]) if below != after]
     if len(flips) < 2:
         raise NoRingExists(
             f"indicator G(r) never becomes negative for C=({C1!r}, {C2!r}, {C3!r})"
         )
 
-    def bisect(lo: float, hi: float) -> float:
-        glo = G(lo)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            gm = G(mid)
-            if gm == 0.0:
-                return mid
-            if glo * gm < 0.0:
-                hi = mid
-            else:
-                lo, glo = mid, gm
-            if hi - lo <= 1e-12 * max(1.0, lo):
-                break
+    def edge(lo: float, hi: float, below: bool) -> float:
+        lo, hi = bisect_bracket(lambda r: (G(r) < 0.0) == below, lo, hi, 1e-12)
         return 0.5 * (lo + hi)
 
-    r_in = bisect(*flips[0])
-    r_out = bisect(*flips[-1])
+    r_in, r_out = edge(*flips[0]), edge(*flips[-1])
     h_in = -2.0 / 3.0 * depth_cubic_coeffs(r_in, C1, C2, C3, params)[0]
     h_out = -2.0 / 3.0 * depth_cubic_coeffs(r_out, C1, C2, C3, params)[0]
     return RingBounds(r_inner=r_in, r_outer=r_out, h_inner=h_in, h_outer=h_out)

@@ -55,6 +55,7 @@ from .core import FlowField, FlowParameters, Jet, Window, _check_finite, _check_
 from .errors import InvalidParams, UnsupportedFamily
 from .reduction import (
     IntegralTable,
+    bisect_bracket,
     collapse2_build,
     cubic_real_roots,
     cubic_roots,
@@ -564,20 +565,6 @@ def _contact_window(params: FlowParameters, lam_cap: float) -> Window:
                   r_lo=lambda t: _level_radius(params.f, t, lam_cap))
 
 
-def _bisect_last(holds: Callable[[float], bool], lo: float, hi: float, rtol: float) -> float:
-    """Bisect [lo, hi], where ``holds`` is true at lo and false at hi, until
-    hi - lo < rtol max(1, lo); return the last point where it holds."""
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if holds(mid):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < rtol * max(1.0, lo):
-            break
-    return lo
-
-
 def swirl_constant(c: float = 1.0) -> RadialProfile:
     return RadialProfile(lambda lam: c, lambda lam: 0.0, f"const:{c:g}")
 
@@ -657,7 +644,7 @@ def collapse_contact(
         lam_max = lam_ceiling
         psi_sq_integral.extend(lam_ceiling)
     else:
-        lam_max = _bisect_last(lambda lam: eta(lam) > 0.0, lam_max, lam_max + step, 1e-12)
+        lam_max = bisect_bracket(lambda lam: eta(lam) > 0.0, lam_max, lam_max + step, 1e-12)[0]
     lam_cap = lam0 + 0.95 * (lam_max - lam0)
 
     def depth(w, lam, r):
@@ -749,7 +736,7 @@ def collapse_contact_cubic(
     hi = 1.0
     while discriminant(hi) < 0.0 and hi < 1e8:
         hi *= 2.0
-    lam_c = _bisect_last(lambda lam: discriminant(lam) < 0.0, 1e-8, hi, 1e-14)
+    lam_c = bisect_bracket(lambda lam: discriminant(lam) < 0.0, 1e-8, hi, 1e-14)[0]
     lam_cap = 0.95 * lam_c
 
     # q = 2 g C3 / lam: three real roots put one root on the side opposite
@@ -853,6 +840,11 @@ _FAMILIES: dict[str, tuple[Callable[..., FlowField], dict]] = {
 }
 
 FAMILY_NAMES = tuple(_FAMILIES)
+
+
+def family_keywords(name: str) -> frozenset[str]:
+    """The keywords :func:`make_family` passes on to family ``name``."""
+    return frozenset(_FAMILIES[canonical_family_name(name)][1])
 
 
 def make_family(name: str, params: FlowParameters, **kw) -> FlowField:

@@ -238,8 +238,6 @@ class Trajectory:
 
     times: np.ndarray
     positions: np.ndarray  # (n, 2): (r, theta) or (x, y)
-    frame: str
-    start: tuple[float, float]
     stats: dict = dc_field(default_factory=dict)
 
 
@@ -413,17 +411,15 @@ def integrate_trajectory(
         # the origin is a stagnation point of every rotationally symmetric
         # member inside whose window it lies; report a single fixed sample
         field_.eval(t0, 0.0, theta0)
-        times = np.array([t0])
-        return Trajectory(times, np.array([[0.0, theta0]]), field_.frame, (r0, theta0),
-                          {"steps": 0, "rejected": 0, "rhs_evals": 0,
-                           "fixed_point": True})
+        return Trajectory(np.array([t0]), np.array([[0.0, theta0]]),
+                          {"steps": 0, "rejected": 0, "rhs_evals": 0, "fixed_point": True})
 
     # past the window's end the steps would shrink to underflow, or meet
     # non-finite values, before a stage reached the guard band
     field_.window.check_time(t0)
     field_.window.check_time(t1)
     ts, ys, stats = integrate_ode(rhs, y0, t0, t1, tol=tol, record=record)
-    return Trajectory(ts, ys, field_.frame, (r0, theta0), stats)
+    return Trajectory(ts, ys, stats)
 
 
 @dataclass(frozen=True)

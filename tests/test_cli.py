@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import io
 import json
 import math
@@ -73,6 +74,15 @@ class TestFieldCommand:
 
     def test_unknown_family_exits_2(self):
         assert run(["field", "--family", "tsunami", "--t", "1"]) == 2
+
+    def test_ring_at_a_tiny_scale_exists(self, capsys):
+        # the default ring with (f, C1, C2, C3) scaled by (1e-30, 1e-60, 1e-30,
+        # 1e-90): its double-root indicator scales by 1e-180, its radii stay put
+        code = run(["field", "--family", "ring", "--f", "1e-31", "--c1", "1e-60", "--c2", "1e-30",
+                    "--c3", "1e-90", "--t", "0", "--r", "3:20:3"])
+        assert code == 0
+        rows = [ln.split(",") for ln in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == 3 and all(float(row[-1]) > 0.0 for row in rows)
 
     def test_window_violation_exits_3(self):
         code = run([
@@ -196,6 +206,23 @@ class TestBadArguments:
         assert "Traceback" not in err
         assert err.splitlines()[-1].startswith("error: ")
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["trajectory", "--family", "cylinder", "--frame", "cartesian"], "--frame"),
+        (["field", "--family", "drop", "--frame", "polar"], "--frame"),
+        (["map", "--direction", "rsw2sw", "--family", "cylinder", "--frame", "cartesian"], "--frame"),
+        (["field", "--family", "drop", "--x=-1:1:3"], "--x"),
+        (["field", "--family", "drop", "--y=-1:1:3"], "--y"),
+        (["field", "--family", "barochronous-sw", "--t", "1", "--r", "0:1:3"], "--r"),
+        (["field", "--family", "rest", "--frame", "cartesian", "--theta", "0:1:3"], "--theta"),
+        (["map", "--direction", "rsw2sw", "--family", "cylinder", "--r", "0:1:3"], "--r"),
+        (["map", "--transport", "--alpha", "2", "--family", "rest", "--x=-1:1:3"], "--x"),
+    ], ids=["trajectory-frame", "field-frame", "map-frame", "polar-x", "polar-y",
+            "cartesian-r", "cartesian-theta", "map-cartesian-r", "map-polar-x"])
+    def test_flag_that_does_not_apply_exits_2_naming_it(self, argv, flag, capsys):
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {flag} does not apply")
 
 
 class TestCommutatorsCommand:
@@ -539,6 +566,16 @@ class TestCsvText:
     def test_float_rows_equal_the_per_row_format(self, rows):
         header = [f"c{j}" for j in range(rows.shape[1])]
         assert _csv_text(header, rows) == csv_reference(header, rows)
+
+    def test_list_rows_equal_the_csv_module(self):
+        header = ["particle", "t", "r", "fit"]
+        rows = [[0, 0.1, -0.0, ""], [12, 5e-324, math.inf, 1e300], [3, math.nan, 1.0, -2.5]]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([["%.17g" % v if isinstance(v, float) else v for v in row] for row in rows])
+        assert _csv_text(header, rows) == buf.getvalue()
+        assert _csv_text(header, []) == "particle,t,r,fit\n"
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from rswlab.core import FlowParameters
 from rswlab.errors import InvalidParams, NoRingExists
 from rswlab.reduction import (
+    bisect_bracket,
     collapse2_build,
     collapse2_verify_ode,
     cubic_real_roots,
@@ -153,6 +154,29 @@ class TestCubicArrays:
             cubic_real_roots(np.array([0.0, math.nan]), 0.0, 1.0)
 
 
+class TestBisectBracket:
+    def test_bracket_keeps_the_sign_change_and_stops_at_rtol(self):
+        lo, hi = bisect_bracket(lambda x: x * x < 2.0, 1.0, 2.0, 1e-12)
+        assert lo * lo < 2.0 <= hi * hi
+        assert 0.0 < hi - lo <= 1e-12
+
+    def test_a_bracket_already_within_rtol_is_returned_as_given(self):
+        calls = []
+        assert bisect_bracket(calls.append, 1.0, 1.0 + 1e-13, 1e-12) == (1.0, 1.0 + 1e-13)
+        assert calls == []
+
+    def test_stops_after_200_halvings(self):
+        calls = []
+
+        def holds(x):
+            calls.append(x)
+            return x < 0.5
+
+        lo, hi = bisect_bracket(holds, 0.0, 1.0, 0.0)  # rtol 0 never stops by width
+        assert lo < 0.5 <= hi
+        assert len(calls) == 200
+
+
 class TestRingBounds:
     def test_reference_constants(self):
         rb = ring_bounds(1.0, 1.0, 1.0, RING)
@@ -216,6 +240,18 @@ class TestRingBounds:
                 root = mpmath.findroot(indicator, (lo, hi), solver="anderson")
                 assert abs(r - root) <= 1e-11 * root
                 assert abs(h + 2 * phi1(root) / 3) <= 1e-10 * abs(h)
+
+    @pytest.mark.parametrize("eps", [1e-20, 1e-26, 1e-30, 1e-35, 1e-40, 1e-45])
+    def test_bounds_do_not_depend_on_the_scale_of_the_indicator(self, eps):
+        # (f, C1, C2, C3) -> (eps f, eps^2 C1, eps C2, eps^3 C3) scales G by
+        # eps^6 and the depths by eps^2, and leaves the radii put; a product
+        # of two values of G underflows from about eps = 1e-26 on
+        ref = ring_bounds(1.0, 1.0, 1.0, RING)
+        rb = ring_bounds(eps * eps, eps, eps ** 3, FlowParameters(RING.f * eps, RING.g))
+        assert rb.r_inner == pytest.approx(ref.r_inner, rel=1e-12)
+        assert rb.r_outer == pytest.approx(ref.r_outer, rel=1e-12)
+        assert rb.h_inner == pytest.approx(eps * eps * ref.h_inner, rel=1e-12)
+        assert rb.h_outer == pytest.approx(eps * eps * ref.h_outer, rel=1e-12)
 
     def test_threshold_case_has_no_ring(self):
         C2 = 1.0
