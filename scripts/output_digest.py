@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Print one ``label exit sha256`` line per ``rsw`` command of a fixed list.
 
-The list holds the README examples and, for every family, ``rsw field``
-in CSV and JSON, ``rsw residual`` with analytic and FD jets and ``rsw
-trajectory``, plus equivalence maps, transports, commutator tables and a
-few inputs that must exit 1, 2 or 3.  Each command runs in process in a
-fresh temporary directory; the digest covers its stdout and the file it
-writes.  The script exits 1 when a command raises (a traceback) or exits
-with a code outside 0-3.
+The list holds the commands of README's "Command line" block, read from
+it, and, for every family, ``rsw field`` in CSV and JSON, ``rsw residual``
+with analytic and FD jets and ``rsw trajectory``, plus equivalence maps,
+transports, commutator tables and a few inputs that must exit 1, 2 or 3.
+Each command runs in process in a fresh temporary directory; the digest
+covers its stdout and the file it writes.  The script exits 1 when a
+command raises (a traceback) or exits with a code outside 0-3.
 
 Two trees give byte-identical outputs when their listings are equal:
 
@@ -23,20 +23,23 @@ import contextlib
 import hashlib
 import io
 import os
+import shlex
 import sys
 import tempfile
 import traceback
 
-README = [
-    ("readme-field", "field --family pulsating-cylinder --alpha 2 --h0 1 --t 0,1.5708,3.1416 "
-                     "--r 0:2:21 --out cylinder.csv"),
-    ("readme-trajectory", "trajectory --family drop --alpha 2 --r0 0.5773502691896258 "
-                          "--t1 18.84955592153876 --format json"),
-    ("readme-residual", "residual --family stationary-ring --f 0.1"),
-    ("readme-commutators", "commutators --family Z --f 0.37 --out table.json"),
-    ("readme-map-rsw2sw", "map --direction rsw2sw --family rest --frame cartesian --format json"),
-    ("readme-map-transport", "map --transport --alpha 2 --family rest --t 0 --r 0:2:5"),
-]
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
+
+
+def readme_commands() -> list[tuple[str, list[str]]]:
+    """The ``rsw`` lines of README's "Command line" block, labelled by place and subcommand."""
+    with open(README) as fh:
+        section = fh.read().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+    argvs = [argv[1:] for argv in lines if argv and argv[0] == "rsw"]
+    return [(f"readme-{i + 1}-{argv[0]}", argv) for i, argv in enumerate(argvs)]
+
 
 # per family: its parameter flags, an in-window grid and a trajectory start
 FAMILIES = {
@@ -107,7 +110,7 @@ EXTRA = [
 
 
 def commands() -> list[tuple[str, list[str]]]:
-    out = [(label, line.split()) for label, line in README]
+    out = readme_commands()
     for family, (params, grid, start) in FAMILIES.items():
         base = f"--family {family} {params}"
         out += [

@@ -124,11 +124,11 @@ _FAMILY_FLAGS = {
 def _family_kwargs(args) -> dict:
     given = vars(args)
     kw = {name: given[name] for name in _FAMILY_FLAGS if given[name] is not None}
-    if "frame" in kw and "frame" not in family_keywords(args.family):
-        raise InvalidParams(f"--frame does not apply: family {args.family!r} has one frame only")
-    for name, val in kw.items():
-        if isinstance(val, float) and not math.isfinite(val):
-            raise InvalidParams(f"--{name} must be finite, got {val!r}")
+    # under map --transport, --alpha is the transport's, passed on if the family takes it
+    takes = family_keywords(args.family) | ({"alpha"} if given.get("transport") else set())
+    for name in kw:
+        if name not in takes:
+            raise InvalidParams(f"--{name} does not apply: family {args.family!r} does not take it")
     return kw
 
 

@@ -341,11 +341,11 @@ class FlowField:
     component it returns broadcasts to that shape (a component that does not
     depend on position may come back as a scalar).  Every family's kernel
     is written on arrays, and a float position gives the same bits as that
-    position in an array.  :meth:`eval` and the FD mode of :meth:`jet` take
-    such a block of positions at one time too, checked as a whole; scalar
-    calls stay the fast path for one point.  Their checked scalar kernel,
-    :meth:`_eval_point`, returns ``value_fn``'s tuple of floats, which
-    ``eval`` wraps in an array and the path integrator reads directly.
+    position in an array.  :meth:`eval` and :meth:`jet` take such a block
+    at one time too, checked as a whole; scalar calls stay the fast path for
+    one point.  A view (:func:`as_cartesian`, :func:`scale_depth`, the maps
+    of :mod:`rswlab.transforms`) reads its source's ``value_fn``: values are
+    checked by the outermost field's :meth:`eval` and :meth:`jet` alone.
 
     ``jet_fn(t, a, b)`` returns ``(values, grad)`` with ``grad[i, j]`` the
     derivative of component ``i`` with respect to coordinate ``j`` in the
@@ -384,7 +384,7 @@ class FlowField:
         return math.hypot(a, b) if self.frame == "cartesian" else a
 
     def eval(self, t: float, a, b) -> np.ndarray:
-        """State components at (t, a, b); raises WindowViolation outside.
+        """State components at a float point or a block; raises WindowViolation outside.
 
         Array positions ``a``, ``b`` of one shape are one block at the float
         time ``t``: one ``value_fn`` call, with the window and finiteness
@@ -393,12 +393,7 @@ class FlowField:
         Float positions are one point, checked by :meth:`_eval_point`; the
         result is its tuple as a ``(3,)`` array.  In both, an
         arithmetic error of the kernel counts as a non-finite value.
-        A :class:`Jet` time makes a jet evaluation: the checks apply to the
-        values, and the three state jets come back.
         """
-        if isinstance(t, Jet):
-            self.eval(t.v, value_of(a), value_of(b))
-            return self.value_fn(t, a, b)
         if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
             return np.array(self._eval_point(t, a, b), dtype=float)
         a, b = self._check_block(t, a, b)
@@ -449,8 +444,9 @@ class FlowField:
     def values_unchecked(self, t, a, b):
         """``value_fn(t, a, b)`` without the window or finiteness check.
 
-        For callers that verified the window themselves; array positions are
-        evaluated in one call under the broadcast contract of the class.
+        For callers that checked the window themselves, such as the FV
+        oracle's exact sampling; array positions are evaluated in one call
+        under the broadcast contract of the class.
         """
         return self.value_fn(t, a, b)
 

@@ -851,11 +851,13 @@ def make_family(name: str, params: FlowParameters, **kw) -> FlowField:
     """Build a family by (kebab-case) name with keyword parameters.
 
     A keyword the family does not take is ignored, and one given as None
-    takes its default.  ``profile`` and ``psi`` take a profile or its spec
-    string, as :func:`parse_profile` and :func:`parse_swirl` read it.
+    takes its default; a float that is not finite is :class:`InvalidParams`.
+    ``profile`` and ``psi`` take a profile or its spec string, as
+    :func:`parse_profile` and :func:`parse_swirl` read it.
     """
     build, defaults = _FAMILIES[canonical_family_name(name)]
     args = {k: v if kw.get(k) is None else kw[k] for k, v in defaults.items()}
+    _check_finite(**{k: v for k, v in args.items() if isinstance(v, float)})
     for key, parse in (("profile", parse_profile), ("psi", parse_swirl)):
         if isinstance(args.get(key), str):
             args[key] = parse(args[key])

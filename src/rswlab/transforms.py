@@ -34,7 +34,7 @@ from typing import Callable, Literal
 import numpy as np
 
 from .core import FlowField, FlowParameters, Window, _check_radius, _checked_point, source_params
-from .core import arctan2, atan, cos, sin, sqrt, value_of  # jet-aware math
+from .core import arctan2, atan, cos, hypot, sin, sqrt, value_of  # jet-aware math
 from .errors import InvalidParams, SingularTime
 
 Direction = Literal["rsw2sw", "sw2rsw"]
@@ -108,10 +108,10 @@ def map_field_rsw_to_sw(field_: FlowField, params: FlowParameters | None = None)
     inverse map, evaluates the source, and pushes the state forward.  The
     source is restricted to its principal period; the image time window is
     the monotone image of that interval.  The source time depends on t'
-    alone, so array positions read the source in one checked block call.
-    Jets compose through the map and the source's own, and the source's
-    window check applies to their values.  ``params``, when given, must
-    equal the source's.  Its ``meta`` holds only its ``source``: no path.
+    alone, so array positions read the source's ``value_fn`` in one call,
+    its window checked at the pulled-back points (the values of jets, which
+    compose through the map and the source's own).  ``params``, when given,
+    must equal the source's.  Its ``meta`` holds only its ``source``: no path.
     """
     params = source_params(field_.params, params)
     if field_.frame != "cartesian":
@@ -136,9 +136,8 @@ def map_field_sw_to_rsw(field_: FlowField, params: FlowParameters | None = None)
     """Rotating image of a non-rotating Cartesian-frame solution.
 
     Defined on the principal period (0, 2*pi/f) minus a guard band.  The
-    source time depends on t alone, so array positions read the source in
-    one checked block call.  Jets compose, ``params`` is checked and
-    ``meta`` is stated, as in :func:`map_field_rsw_to_sw`.
+    source is read, its window checked, jets composed, ``params`` checked
+    and ``meta`` stated as in :func:`map_field_rsw_to_sw`.
     """
     params = source_params(field_.params, params)
     if field_.frame != "cartesian":
@@ -151,7 +150,8 @@ def map_field_sw_to_rsw(field_: FlowField, params: FlowParameters | None = None)
 
 def _equivalence_image(src: FlowField, params: FlowParameters, direction: Direction,
                        window: Window) -> FlowField:
-    """The image of ``src`` under ``direction`` on ``window``: pull back, evaluate, push forward."""
+    """The image of ``src`` under ``direction`` on ``window``: pull back, check the
+    source's window there, read its ``value_fn``, push forward."""
     f = params.f
     pull, push = _inverse_arrays, _forward_arrays
     if direction == "sw2rsw":
@@ -159,8 +159,8 @@ def _equivalence_image(src: FlowField, params: FlowParameters, direction: Direct
 
     def value_fn(t, a, b):
         ts, xs, ys, _, _, _ = pull((t, a, b, 0.0, 0.0, 0.0), f)
-        u, v, h = src.eval(ts, xs, ys)
-        return push((ts, xs, ys, u, v, h), f)[3:]
+        src.window.check(value_of(ts), hypot(value_of(xs), value_of(ys)))
+        return push((ts, xs, ys, *src.value_fn(ts, xs, ys)), f)[3:]
 
     def to_view(rows):
         return np.array([push((t, a, b, 0.0, 0.0, 0.0), f)[:3] for t, a, b in rows.tolist()])
@@ -387,7 +387,7 @@ def transport_solution(
 
     def value_fn(t, r, theta):
         tbar, angle, rho, cu, cv = y9_dilation(t, alpha, f)
-        Ub, Vb, hb = src.values_unchecked(tbar, r * rho, theta - angle)
+        Ub, Vb, hb = src.value_fn(tbar, r * rho, theta - angle)
         return rho * Ub + cu * r, rho * Vb + cv * r, hb * rho * rho
 
     # the time map is inverted by the dilation with 1/alpha, so it must be usable too

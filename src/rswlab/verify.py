@@ -628,8 +628,8 @@ def fv_oracle(
                 new += coriolis[i - 1]
         if dry_floor:
             np.maximum(flat[0, band], 0.0, out=flat[0, band])
-        elif inner[0].min() < -1e-10:
-            raise NegativeDepth(f"depth reached {inner[0].min()!r} at t={t + step_dt!r}")
+        elif (depth := float(inner[0].min())) < -1e-10:
+            raise NegativeDepth(f"depth reached {depth!r} at t={float(t + step_dt)!r}")
         t += step_dt
         steps += 1
 

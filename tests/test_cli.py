@@ -218,11 +218,28 @@ class TestBadArguments:
         (["field", "--family", "rest", "--frame", "cartesian", "--theta", "0:1:3"], "--theta"),
         (["map", "--direction", "rsw2sw", "--family", "cylinder", "--r", "0:1:3"], "--r"),
         (["map", "--transport", "--alpha", "2", "--family", "rest", "--x=-1:1:3"], "--x"),
+        (["field", "--family", "rest", "--alpha", "2"], "--alpha"),
+        (["field", "--family", "drop", "--h0", "2"], "--h0"),
+        (["residual", "--family", "cylinder", "--branch", "upper"], "--branch"),
+        (["trajectory", "--family", "ring", "--f", "0.1", "--profile", "gauss:0.5"], "--profile"),
+        (["field", "--family", "collapse-scaling", "--psi", "sine:1"], "--psi"),
+        (["field", "--family", "rest", "--h0", "nan", "--c1", "2"], "--c1"),
+        (["map", "--direction", "rsw2sw", "--family", "rest", "--alpha", "2"], "--alpha"),
+        (["map", "--transport", "--alpha", "2", "--family", "drop", "--h0", "1"], "--h0"),
     ], ids=["trajectory-frame", "field-frame", "map-frame", "polar-x", "polar-y",
-            "cartesian-r", "cartesian-theta", "map-cartesian-r", "map-polar-x"])
+            "cartesian-r", "cartesian-theta", "map-cartesian-r", "map-polar-x",
+            "rest-alpha", "drop-h0", "cylinder-branch", "ring-profile", "scaling-psi",
+            "rest-c1-before-nan-h0", "map-direction-alpha", "map-transport-h0"])
     def test_flag_that_does_not_apply_exits_2_naming_it(self, argv, flag, capsys):
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: {flag} does not apply")
+
+    @pytest.mark.parametrize("family, source", [("drop", "pulsating-drop(alpha=2)"), ("rest", "rest(h0=1)")])
+    def test_transport_alpha_reaches_only_a_family_that_takes_it(self, family, source, tmp_path):
+        out = tmp_path / "map.json"
+        argv = ["map", "--transport", "--alpha", "2", "--family", family, "--format", "json"]
+        assert run([*argv, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["source"] == source
 
 
 class TestCommutatorsCommand:

@@ -1,28 +1,20 @@
 """Every ``rsw`` line of README's command-line block runs and exits 0."""
 
+import importlib.util
 import json
-import shlex
 from pathlib import Path
 
 import pytest
 
 from rswlab.cli import main
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+# the block is parsed once, by the output digest, which lists these commands too
+_DIGEST = Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py"
+_spec = importlib.util.spec_from_file_location("output_digest", _DIGEST)
+output_digest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(output_digest)
 
-
-def _readme_commands() -> list[list[str]]:
-    section = README.read_text().split("## Command line", 1)[1]
-    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
-    commands = []
-    for line in block.replace("\\\n", " ").splitlines():
-        argv = shlex.split(line, comments=True)
-        if argv and argv[0] == "rsw":
-            commands.append(argv[1:])
-    return commands
-
-
-COMMANDS = _readme_commands()
+COMMANDS = [argv for _, argv in output_digest.readme_commands()]
 
 
 def test_block_covers_every_subcommand():

@@ -50,6 +50,17 @@ class TestFamilyNames:
         field = make_family("ring", RING, c1=1.0, c2=1.0, c3=1.0)
         assert field.meta["family"] == "stationary-ring"
 
+    @pytest.mark.parametrize("name, kw", [
+        ("rest", {"h0": math.inf}),
+        ("constant-sw-image", {"u0": math.nan}),
+        ("barochronous-sw", {"h0": -math.inf}),
+        ("stationary-rotsym", {"h0": math.nan}),
+        ("collapse-scaling", {"phi0": math.inf}),
+    ])
+    def test_nonfinite_constant_is_invalid(self, name, kw):
+        with pytest.raises(InvalidParams, match=f"{next(iter(kw))} must be finite"):
+            make_family(name, P, **kw)
+
     @pytest.mark.parametrize("name, f", [("pulsating-drop", 1e300), ("pulsating-drop", 1e-300),
                                          ("barochronous-sw", 1e300)])
     def test_coefficients_out_of_float_range_are_invalid(self, name, f):

@@ -2,13 +2,15 @@
 sample, and composes its source's closed-form paths through its map."""
 
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from rswlab.cli import main
 from rswlab.core import FlowParameters, as_cartesian
-from rswlab.errors import InvalidParams, UnsupportedFamily
+from rswlab.errors import InvalidParams, UnsupportedFamily, WindowViolation
 from rswlab.solutions import (
     closure_condition,
     default_catalog,
@@ -126,6 +128,57 @@ def test_no_path_is_unsupported(catalog):
         trajectory_formula(VIEWS["image(pulsating-drop)"], 0.5, 0.0)
     with pytest.raises(UnsupportedFamily):
         trajectory_formula(transport_solution(catalog["collapse-scaling"], 2.0), 0.5, 0.0)
+
+
+class TestImagesReadTheSourceKernel:
+    """An equivalence image checks its source's window at the pulled-back
+    point, then reads the source's ``value_fn`` once; its own ``eval`` and
+    ``jet`` check the rest."""
+
+    @staticmethod
+    def image_of(source):
+        return (map_field_rsw_to_sw if source.system == "rsw" else map_field_sw_to_rsw)(source)
+
+    @pytest.mark.parametrize("name", ["rest", "barochronous-sw"])
+    @pytest.mark.parametrize("call", ["eval", "jet"])
+    @pytest.mark.parametrize("block", [False, True], ids=["point", "block"])
+    def test_one_source_kernel_call_per_call(self, catalog, name, call, block):
+        source = as_cartesian(catalog[name])
+        calls = []
+
+        def value_fn(t, x, y):
+            calls.append(t)
+            return source.value_fn(t, x, y)
+
+        image = self.image_of(replace(source, value_fn=value_fn))
+        t, x, y = sample_grid(image, (3, 4, 2))[5].tolist()
+        a, b = (np.array([x, -0.5 * y]), np.array([y, 0.5 * x])) if block else (x, y)
+        out = getattr(image, call)(t, a, b)
+        assert len(calls) == 1
+        plain = getattr(self.image_of(source), call)(t, a, b)
+        assert all(np.array_equal(o, p) for o, p in zip(out, plain))
+
+    @pytest.mark.parametrize("name", ["stationary-ring", "collapse-contact"])
+    def test_a_pre_image_outside_the_source_radial_window_raises(self, catalog, name):
+        source = as_cartesian(catalog[name])
+        image = map_field_rsw_to_sw(source)
+        t, _, _ = sample_grid(catalog[name], (3, 4, 2))[5].tolist()
+        lo, hi = source.window.radial_bounds(t)
+        outside = 1.5 * hi if math.isfinite(hi) else 0.5 * lo
+        ti, xi, yi = image.meta["source"][1](np.array([[t, outside * math.cos(0.3),
+                                                       outside * math.sin(0.3)]]))[0].tolist()
+        image.window.check_time(ti)  # the image's own window holds the point
+        for a, b in ((xi, yi), (np.array([xi]), np.array([yi]))):
+            for call in (image.eval, image.jet):
+                with pytest.raises(WindowViolation, match=r"^radius .* outside \["):
+                    call(ti, a, b)
+
+    def test_a_nonfinite_source_value_is_reported_at_the_image_point(self, catalog):
+        source = as_cartesian(catalog["rest"])
+        image = map_field_rsw_to_sw(replace(source, value_fn=lambda t, x, y: (x, y, math.nan)))
+        message = f"field {image.label!r} produced non-finite values at (t=0.5, 0.25, -0.5)"
+        with pytest.raises(WindowViolation, match=re.escape(message)):
+            image.eval(0.5, 0.25, -0.5)
 
 
 class TestDilationRange:
