@@ -326,7 +326,9 @@ def ring_bounds(
     then :func:`bisect_bracket` refines each bracket to relative 1e-12.
     Both steps compare the signs of G, never multiply its values, so the
     bounds do not depend on G's scale: under (f, C1, C2, C3) -> (e f,
-    e^2 C1, e C2, e^3 C3) G scales by e^6 while the radii stay put.
+    e^2 C1, e C2, e^3 C3) G scales by e^6 while the radii stay put.  A scan
+    point whose G fails in arithmetic or is not finite raises
+    :class:`InvalidParams`: its sign there means nothing.
     """
     f, g = params.f, params.g
     if C3 == 0.0:
@@ -338,11 +340,15 @@ def ring_bounds(
 
     def G(r: float) -> float:
         try:
-            return double_root_indicator(*depth_cubic_coeffs(r, C1, C2, C3, params))
-        except OverflowError as exc:
+            value = double_root_indicator(*depth_cubic_coeffs(r, C1, C2, C3, params))
+        except ArithmeticError:
+            value = math.nan
+        if not math.isfinite(value):
             raise InvalidParams(
-                f"C=({C1!r}, {C2!r}, {C3!r}) overflow the double-root indicator at r={r!r}"
-            ) from exc
+                f"C=({C1!r}, {C2!r}, {C3!r}) leave the double-root indicator "
+                f"without a finite value at r={r!r}"
+            )
+        return value
 
     r = 0.01 * math.sqrt(2.0 * abs(C2) / f) if C2 != 0.0 else 1e-3 * math.sqrt(g) / f
     r_stop = 100.0 * math.sqrt(8.0 * g * C1) / f

@@ -11,8 +11,8 @@
 * a deliberately simple first-order finite-volume solver used as a
   cross-check oracle: against a smooth exact solution its error must
   shrink at first order under mesh refinement.  It reads the exact field
-  in array calls (the grid, and the ghost ring once per step) under the
-  broadcast contract of :class:`~rswlab.core.FlowField`.
+  in array calls (the grid in bands of rows, and the ghost ring once per
+  step) under the broadcast contract of :class:`~rswlab.core.FlowField`.
 """
 
 from __future__ import annotations
@@ -180,8 +180,18 @@ def residual_report(
     time, one block call of :meth:`FlowField.jet` each.  The equations are
     evaluated on arrays.  A NaN pointwise residual fails the report: its
     ``max_residual`` is NaN and ``worst_point`` names the first such point.
+    ``points`` must be a non-empty (N, 3) array of finite (t, a, b) rows and
+    ``shape`` three positive counts, or :class:`InvalidParams` is raised.
     """
-    points = np.asarray(points if points is not None else sample_grid(field_, shape), dtype=float)
+    if points is None:
+        if not (len(shape) == 3 and all(isinstance(c, numbers.Integral) and c >= 1 for c in shape)):
+            raise InvalidParams(f"shape must be three positive counts, got {shape!r}")
+        points = sample_grid(field_, shape)
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1:] != (3,) or not len(points):
+        raise InvalidParams(f"points must be a non-empty (N, 3) array, got shape {points.shape}")
+    if not np.all(np.isfinite(points)):
+        raise InvalidParams("points must be finite")
     if field_.frame == "polar":
         if np.any(points[:, 1] <= 0.0):
             raise OriginSingular("polar residual grid must keep r > 0")
@@ -260,6 +270,12 @@ _DP_A = [np.array(row) for row in (
 _DP_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 
 
+#: Most steps one integration may take: :func:`integrate_ode` counts its
+#: accepted plus rejected steps, :func:`fv_oracle` its steps taken plus
+#: those its current step implies until the end time.
+STEP_BUDGET = 2_000_000
+
+
 def _check_span(t0: float, t1: float) -> None:
     if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
         raise InvalidParams("t1 must exceed t0, both finite")
@@ -297,7 +313,7 @@ def integrate_ode(
     which ``fn`` raises :class:`LeftDomain` rejects its step like a NaN
     error.  On step underflow the :class:`LeftDomain` of the last rejected
     step is raised again, or :class:`BlowUp` if it had none; :class:`BlowUp`
-    is also raised after 2,000,000 accepted plus rejected steps.
+    is also raised after :data:`STEP_BUDGET` accepted plus rejected steps.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise InvalidParams(f"tol must be finite and > 0, got {tol!r}")
@@ -323,7 +339,7 @@ def integrate_ode(
                 if left is not None:
                     raise left
                 raise BlowUp(f"step size underflow at t={t!r}")
-            if steps + rejects >= 2_000_000:
+            if steps + rejects >= STEP_BUDGET:
                 raise BlowUp(f"step budget exhausted at t={t!r}")
             t_new = target if lands else t + h
             try:
@@ -519,6 +535,98 @@ def _sample_conserved(field_: FlowField, t: float, X: np.ndarray, Y: np.ndarray)
     return _conserved(X.shape, u, v, h)
 
 
+def _sample_bands(field_: FlowField, t: float, centers: np.ndarray, out: np.ndarray) -> None:
+    """Exact conservative variables on the cell centers, written into ``out``.
+
+    ``out`` is (3, n, n) over the grid ``centers`` x ``centers``.  Bands of
+    rows about the size of the ghost ring, 4 (n + 2) cells, take one
+    :func:`_sample_conserved` call each, so the sample's temporaries are O(n).
+    """
+    n = len(centers)
+    rows = 4 * (n + 2) // n
+    for i in range(0, n, rows):
+        X, Y = np.meshgrid(centers[i:i + rows], centers, indexing="ij")
+        out[:, i:i + rows] = _sample_conserved(field_, t, X, Y)
+
+
+def _fv_steps(cart: FlowField, q: np.ndarray, t0: float, t1: float, gx: np.ndarray,
+              dx: float, dry_floor: bool) -> int:
+    """Advance the padded state ``q`` from ``t0`` to ``t1``; returns the steps.
+
+    ``gx`` holds the cell centers of a padded row, ghosts included, ``dx``
+    their spacing.  The step buffers live in this call only, so they are
+    freed on return.
+    """
+    g, f_eff = cart.params.g, cart.coriolis
+    w = len(gx)
+    m = w * w
+    ring = np.ones((w, w), dtype=bool)
+    ring[1:-1, 1:-1] = False
+    ring_rows, ring_cols = np.nonzero(ring)
+    ring_x, ring_y = gx[ring_rows], gx[ring_cols]
+
+    flat, band, b = q.reshape(3, m), slice(w, m - w), m - 2 * w  # band: rows 1..n
+    inner_depth = q[0, 1:-1, 1:-1]
+    vel, speed, a, twice_f = (np.empty((2, m)) for _ in range(4))
+    pressure, coriolis = np.empty(m), np.empty(b)
+    flux, tmp = speed  # free once the interface speeds are taken
+    inner_speed = speed.reshape(2, w, w)[:, 1:-1, 1:-1]
+    t = t0
+    steps = 0
+    while t < t1 - 1e-14:
+        q[:, ring] = _conserved(ring_x.shape, *cart.values_unchecked(t, ring_x, ring_y))
+
+        h = flat[0]
+        np.divide(flat[1:], np.maximum(h, 1e-12, out=pressure), out=vel)
+        if h.min() <= 1e-12:  # dry cells stand still
+            vel[:, ~(h > 1e-12)] = 0.0
+        np.multiply(np.maximum(h, 0.0, out=pressure), g, out=pressure)
+        np.add(np.abs(vel, out=speed), np.sqrt(pressure, out=pressure), out=speed)
+        rate = inner_speed[0].max() / dx + inner_speed[1].max() / dx
+        step_dt = min(0.45 / rate, t1 - t) if rate > 0.0 else t1 - t
+        if t1 - t > (STEP_BUDGET - steps) * step_dt:
+            raise BlowUp(f"step budget exhausted at t={float(t)!r}: "
+                         f"steps of {float(step_dt)!r} would pass {STEP_BUDGET} before t1")
+        np.maximum(speed[0, :-w], speed[0, w:], out=a[0, :-w])
+        np.maximum(speed[1, :-1], speed[1, 1:], out=a[1, :-1])
+        np.multiply(h, 0.5 * g, out=pressure)
+        pressure *= h
+        # the Coriolis terms, from the old hu and hv: -s hu is kept before hu
+        # is updated (adding it subtracts s hu), s hv is formed when hu is
+        # updated, before hv is
+        s = step_dt * f_eff
+        np.multiply(flat[1, band], -s, out=coriolis)
+
+        for i in range(3):  # h, hu, hv
+            for d, off in enumerate((w, 1)):  # x, then y
+                f = flat[1 + d] if i == 0 else np.multiply(flat[i], vel[d], out=flux)
+                if i == 1 + d:
+                    f += pressure
+                # twice the Rusanov flux at the interfaces of cells j and j + off
+                jump = np.subtract(flat[i, off:], flat[i, :-off], out=tmp[:-off])
+                jump *= a[d, :-off]
+                twice = np.add(f[:-off], f[off:], out=twice_f[d, :-off])
+                twice -= jump
+            div = np.subtract(twice_f[0, w:m - w], twice_f[0, :b], out=tmp[:b])
+            div /= dx
+            div_y = np.subtract(twice_f[1, w:m - w], twice_f[1, w - 1:m - w - 1], out=flux[:b])
+            div_y /= dx
+            div += div_y
+            div *= 0.5 * step_dt
+            new = np.subtract(flat[i, band], div, out=flat[i, band])
+            if i == 1:  # flux[:b] is free again
+                new += np.multiply(flat[2, band], s, out=flux[:b])
+            elif i == 2:
+                new += coriolis
+        if dry_floor:
+            np.maximum(flat[0, band], 0.0, out=flat[0, band])
+        elif (depth := float(inner_depth.min())) < -1e-10:
+            raise NegativeDepth(f"depth reached {depth!r} at t={float(t + step_dt)!r}")
+        t += step_dt
+        steps += 1
+    return steps
+
+
 def fv_oracle(
     field_: FlowField,
     t0: float,
@@ -546,10 +654,18 @@ def fv_oracle(
     takes twice its Rusanov flux, (F_L + F_R) - max(s_L, s_R) (q_R - q_L),
     and the half goes into the step, an exact power-of-two scaling.  The
     elementwise work of a step writes into buffers made once per run.  The
-    exact data come from array calls of the field: the grid once at each
-    end, the ring of ghost cells once per step.
+    exact data come from array calls of the field: the grid at each end in
+    bands of rows about the size of the ghost ring, 4 (n + 2) cells each,
+    and the ring of ghost cells once per step.
 
-    Raises :class:`NegativeDepth` when the update makes an interior depth
+    Memory: at most the state and the step buffers are alive at once, 13
+    arrays of (n + 2)^2 floats plus O(n).  The buffers are freed before the
+    exact sample at ``t1``, which goes into one (3, n, n) array; the full
+    coordinate grids are built only for ``mask_fn``.
+
+    Raises :class:`BlowUp` when the steps taken plus those the current step
+    implies until ``t1`` would pass :data:`STEP_BUDGET`,
+    :class:`NegativeDepth` when the update makes an interior depth
     significantly negative (set ``dry_floor`` to clamp instead, for fields
     with dry regions), :class:`WindowViolation` unless ``t0`` and ``t1`` lie
     in the field's time window, and :class:`InvalidParams` unless ``n`` is a
@@ -565,79 +681,23 @@ def fv_oracle(
     field_.window.check_time(t0)
     field_.window.check_time(t1)
     cart = as_cartesian(field_)
-    g = field_.params.g
-    f_eff = cart.coriolis
     dx = (hi - lo) / n
     centers = lo + dx * (np.arange(n) + 0.5)
-    X, Y = np.meshgrid(centers, centers, indexing="ij")
 
     # one ghost cell on each side, the corners included
-    w, m = n + 2, (n + 2) ** 2
-    q = np.zeros((3, w, w))
+    q = np.zeros((3, n + 2, n + 2))
     inner = q[:, 1:-1, 1:-1]
-    inner[...] = _sample_conserved(cart, t0, X, Y)
-    ring = np.ones((w, w), dtype=bool)
-    ring[1:-1, 1:-1] = False
+    _sample_bands(cart, t0, centers, inner)
     gx = np.concatenate([[lo - dx / 2.0], centers, [hi + dx / 2.0]])
-    ring_x, ring_y = (c[ring] for c in np.meshgrid(gx, gx, indexing="ij"))
-
-    flat, band, b = q.reshape(3, m), slice(w, m - w), m - 2 * w  # band: rows 1..n
-    vel, speed, a, twice_f = (np.empty((2, m)) for _ in range(4))
-    pressure, coriolis = np.empty(m), np.empty((2, b))
-    flux, tmp = speed  # free once the interface speeds are taken
-    inner_speed = speed.reshape(2, w, w)[:, 1:-1, 1:-1]
-    t = t0
-    steps = 0
-    while t < t1 - 1e-14:
-        q[:, ring] = _conserved(ring_x.shape, *cart.values_unchecked(t, ring_x, ring_y))
-
-        h = flat[0]
-        np.divide(flat[1:], np.maximum(h, 1e-12, out=pressure), out=vel)
-        if h.min() <= 1e-12:  # dry cells stand still
-            vel[:, ~(h > 1e-12)] = 0.0
-        np.multiply(np.maximum(h, 0.0, out=pressure), g, out=pressure)
-        np.add(np.abs(vel, out=speed), np.sqrt(pressure, out=pressure), out=speed)
-        rate = inner_speed[0].max() / dx + inner_speed[1].max() / dx
-        step_dt = min(0.45 / rate, t1 - t) if rate > 0.0 else t1 - t
-        np.maximum(speed[0, :-w], speed[0, w:], out=a[0, :-w])
-        np.maximum(speed[1, :-1], speed[1, 1:], out=a[1, :-1])
-        np.multiply(h, 0.5 * g, out=pressure)
-        pressure *= h
-        # the Coriolis terms, from the old hv and hu (adding -s hu subtracts s hu)
-        s = step_dt * f_eff
-        np.multiply(flat[2:0:-1, band], [[s], [-s]], out=coriolis)
-
-        for i in range(3):  # h, hu, hv
-            for d, off in enumerate((w, 1)):  # x, then y
-                f = flat[1 + d] if i == 0 else np.multiply(flat[i], vel[d], out=flux)
-                if i == 1 + d:
-                    f += pressure
-                # twice the Rusanov flux at the interfaces of cells j and j + off
-                jump = np.subtract(flat[i, off:], flat[i, :-off], out=tmp[:-off])
-                jump *= a[d, :-off]
-                twice = np.add(f[:-off], f[off:], out=twice_f[d, :-off])
-                twice -= jump
-            div = np.subtract(twice_f[0, w:m - w], twice_f[0, :b], out=tmp[:b])
-            div /= dx
-            div_y = np.subtract(twice_f[1, w:m - w], twice_f[1, w - 1:m - w - 1], out=flux[:b])
-            div_y /= dx
-            div += div_y
-            div *= 0.5 * step_dt
-            new = np.subtract(flat[i, band], div, out=flat[i, band])
-            if i:
-                new += coriolis[i - 1]
-        if dry_floor:
-            np.maximum(flat[0, band], 0.0, out=flat[0, band])
-        elif (depth := float(inner[0].min())) < -1e-10:
-            raise NegativeDepth(f"depth reached {depth!r} at t={float(t + step_dt)!r}")
-        t += step_dt
-        steps += 1
+    steps = _fv_steps(cart, q, t0, t1, gx, dx, dry_floor)
 
     h, hu, hv = inner
-    h_ex, hu_ex, hv_ex = _sample_conserved(cart, t1, X, Y)
+    exact = np.empty((3, n, n))
+    _sample_bands(cart, t1, centers, exact)
+    h_ex, hu_ex, hv_ex = exact
     mask = np.ones_like(h, dtype=bool)
     if mask_fn is not None:
-        mask = mask_fn(t1, X, Y)
+        mask = mask_fn(t1, *np.meshgrid(centers, centers, indexing="ij"))
     cell = dx * dx
     l1_h = float(np.abs(h - h_ex)[mask].sum() * cell)
     l1_all = float(

@@ -188,6 +188,9 @@ class TestBadArguments:
         ["field", "--family", "stationary-rotsym", "--profile", "gauss:0.5,1e-200"],
         ["field", "--family", "ring", "--c1", "1e300"],
         ["field", "--family", "stationary-rotsym", "--profile", "solid:1e200"],
+        # the radius of the ring's bound scan underflows to 0 and C2^2 / (2 r^2) divides by it
+        ["field", "--family", "stationary-ring", "--f", "1e200", "--g", "1e300", "--c1", "1e308",
+         "--c2", "1e-200", "--c3", "2", "--t", "0", "--r", "3:20:3"],
     ], ids=["shape-not-integers", "profile-not-numbers", "psi-not-numbers",
             "profile-too-many-numbers", "psi-too-many-numbers", "gauss-zero-width",
             "drop-alpha-underflow", "h0-inf", "u0-nan", "profile-nan", "phi0-nan", "rest-h0-nan",
@@ -197,7 +200,7 @@ class TestBadArguments:
             "t-nan", "r-nan", "r-inf", "map-t-inf",
             "samples-unallocatable", "points-unallocatable", "grid-count-unallocatable",
             "scaling-eta0-underflow", "scaling-eta0-overflow", "gauss-width-square-underflow",
-            "ring-c1-overflow", "solid-depth-overflow"])
+            "ring-c1-overflow", "solid-depth-overflow", "ring-scan-divides-by-zero"])
     def test_exit_2_with_an_error_line(self, argv, tmp_path, capsys):
         out = tmp_path / "out"
         code = run([*argv, "--out", str(out)])

@@ -261,6 +261,16 @@ class TestRingBounds:
         with pytest.raises(NoRingExists):
             ring_bounds(C1 * 1.000001, C2, 1.0, RING)  # barely above: G never < 0
 
+    @pytest.mark.parametrize("C, params", [
+        # the scan starts at r = 0 (its radius underflows): C2^2 / (2 r^2) divides by 0
+        ((1e308, 1e-200, 2.0), FlowParameters(1e200, 1e300)),
+        # f^2 overflows to inf without an exception: G is inf, its sign says nothing
+        ((1e300, 1.0, 1.0), FlowParameters(1e200, 1.0)),
+    ])
+    def test_indicator_without_a_finite_value_is_invalid(self, C, params):
+        with pytest.raises(InvalidParams, match="without a finite value"):
+            ring_bounds(*C, params)
+
 
 class TestContactSubmodel:
     def test_sine_swirl_with_quadrature(self):

@@ -3,12 +3,14 @@ import math
 import re
 import subprocess
 import sys
+import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from rswlab import cli
+from rswlab import cli, verify
 from rswlab.core import FlowParameters, as_cartesian, scale_depth
 from rswlab.errors import (
     BlowUp,
@@ -21,6 +23,7 @@ from rswlab.errors import (
 from rswlab.solutions import (
     FAMILY_NAMES,
     barochronous_sw,
+    default_catalog,
     make_family,
     profile_gauss,
     pulsating_cylinder,
@@ -164,6 +167,22 @@ class TestResidualReports:
         field = pulsating_cylinder(2.0, 1.0, P)
         with pytest.raises(OriginSingular):
             residual_report(field, points=np.array([[0.1, 0.0, 0.0]]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kw, match", [
+        (dict(points=np.empty((0, 3))), "non-empty"),  # no point: no vacuous pass
+        (dict(points=np.ones((4, 2))), r"\(N, 3\)"),
+        (dict(points=np.ones(3)), r"\(N, 3\)"),
+        (dict(points=np.array([[0.1, math.inf, 0.0]])), "finite"),
+        (dict(points=np.array([[math.nan, 0.5, 0.0]])), "finite"),
+        (dict(shape=(0, 3, 3)), "positive counts"),
+        (dict(shape=(3, 3)), "positive counts"),
+        (dict(shape=(3, 2.5, 3)), "positive counts"),
+    ])
+    def test_points_and_shape_are_checked(self, kw, match):
+        field = pulsating_cylinder(2.0, 1.0, P)
+        with pytest.raises(InvalidParams, match=match):
+            residual_report(field, **kw)
 
 
 class TestTrajectories:
@@ -627,6 +646,59 @@ class TestFiniteVolumeOracle:
         for bc in ("reflecting", "periodic", "outflow"):
             with pytest.raises(InvalidParams, match="unknown boundary treatment"):
                 fv_oracle(field, 0.0, 0.1, 8, bc=bc)
+
+    @pytest.mark.parametrize("n", [150, 300])
+    def test_memory_is_the_state_and_the_step_buffers(self, n):
+        # 13 arrays of (n + 2)^2 floats stay alive at most, and the exact
+        # samples are O(n); sampling whole grids at both ends took about 25
+        field = pulsating_cylinder(2.0, 1.0, P)
+        fv_oracle(field, 0.0, 0.005, 8)  # first-call allocations, outside the count
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            run = fv_oracle(field, 0.0, 0.005, n)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert 1 <= run.steps <= 5
+        assert peak <= 14 * (n + 2) ** 2 * 8
+
+    @pytest.mark.parametrize("case", ["drop-masked", "ring-dry"])
+    def test_bands_sample_as_the_whole_grid_does(self, monkeypatch, case):
+        field, t0, t1, n, kw = _fv_case(case)
+        banded = fv_oracle(field, t0, t1, n, **kw)
+        sample = verify._sample_conserved
+
+        def whole_grid(field_, t, X, Y):
+            # the band's rows, cut from one sample of the whole grid
+            centers = Y[0]
+            grid = sample(field_, t, *np.meshgrid(centers, centers, indexing="ij"))
+            rows = np.searchsorted(centers, X[:, 0])
+            assert np.array_equal(centers[rows], X[:, 0])
+            return tuple(c[rows] for c in grid)
+
+        monkeypatch.setattr(verify, "_sample_conserved", whole_grid)
+        whole = fv_oracle(field, t0, t1, n, **kw)
+        assert (banded.steps, banded.l1_error_h.hex(), banded.l1_error_all.hex()) == (
+            whole.steps, whole.l1_error_h.hex(), whole.l1_error_all.hex())
+
+    def test_step_budget_refuses_a_run_it_cannot_finish(self):
+        # cells of 3e-10 on a column of unit depth: the Courant step implies
+        # billions of steps, refused at the first
+        field = default_catalog()["pulsating-cylinder"]
+        start = time.perf_counter()
+        with pytest.raises(BlowUp, match="step budget"):
+            fv_oracle(field, 0.0, 0.5, 3, box=(0.0, 1e-9))
+        assert time.perf_counter() - start < 1.0
+
+    def test_one_step_budget_for_the_ode_and_the_fv_oracle(self, monkeypatch):
+        monkeypatch.setattr(verify, "STEP_BUDGET", 100)
+        field, t0, t1, n, kw = _fv_case("exact-cylinder")  # 29 steps
+        with pytest.raises(BlowUp, match="step budget"):
+            fv_oracle(field, t0, t1, 4 * n, **kw)
+        assert fv_oracle(field, t0, t1, n, **kw).steps == 29
+        with pytest.raises(BlowUp, match="step budget"):
+            integrate_ode(lambda t, y: (math.cos(50.0 * t),), np.zeros(1), 0.0, 100.0)
 
     @pytest.mark.parametrize("ns", [(), (20,), (20, 20), (40, 20)])
     def test_convergence_needs_a_refinement(self, ns):
