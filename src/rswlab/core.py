@@ -130,16 +130,29 @@ class Window:
 
     def check_time(self, t: float) -> None:
         """Raise WindowViolation unless t lies in the open time interval, guard included."""
+        self.check(t, None)
+
+    def check(self, t: float, radius) -> None:
+        """Raise WindowViolation outside; an array of radii names its first offender.
+
+        The one definition of the window test: the open time interval with
+        its guard first, then the radial bounds at ``t`` (closed).  A
+        ``radius`` of None tests the time alone.  Time and bounds are
+        decided inline, since the float RHS of every particle path calls
+        this once per stage.
+        """
         if not (self.t_lo + self.t_guard < t < self.t_hi - self.t_guard):
             raise WindowViolation(
                 f"t={t!r} outside validity window "
                 f"({self.t_lo!r}, {self.t_hi!r}) with guard {self.t_guard!r}"
             )
-
-    def check(self, t: float, radius) -> None:
-        """Raise WindowViolation outside; an array of radii names its first offender."""
-        self.check_time(t)
-        lo, hi = self.radial_bounds(t)
+        if radius is None:
+            return
+        lo, hi = self.r_lo, self.r_hi
+        if callable(lo):
+            lo = lo(t)
+        if callable(hi):
+            hi = hi(t)
         if isinstance(radius, np.ndarray):
             outside = ~((lo <= radius) & (radius <= hi))
             if not outside.any():
@@ -251,6 +264,8 @@ def _elementary(math_fn, np_fn, slope):
         return x.chain(fx, slope(x.v, fx))
 
     def elementary(x):
+        if type(x) is float:  # the scalar kernels' common case, tested first
+            return math_fn(x)
         if isinstance(x, Jet):
             return on_jet(x, elementary)
         return np_fn(x) if isinstance(x, np.ndarray) else math_fn(x)
@@ -380,9 +395,6 @@ class FlowField:
 
     # -- evaluation ------------------------------------------------------
 
-    def _radius(self, a: float, b: float) -> float:
-        return math.hypot(a, b) if self.frame == "cartesian" else a
-
     def eval(self, t: float, a, b) -> np.ndarray:
         """State components at a float point or a block; raises WindowViolation outside.
 
@@ -412,7 +424,7 @@ class FlowField:
         The window first, then each component by ``math.isfinite``; a
         kernel's :class:`ArithmeticError` counts as a non-finite value.
         """
-        self.window.check(t, self._radius(a, b))
+        self.window.check(t, math.hypot(a, b) if self.frame == "cartesian" else a)
         try:
             out = self.value_fn(t, a, b)
             if all(map(math.isfinite, out)):
@@ -462,7 +474,7 @@ class FlowField:
         if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
             a, b = self._check_block(t, a, b)
         else:
-            self.window.check(t, self._radius(a, b))
+            self.window.check(t, math.hypot(a, b) if self.frame == "cartesian" else a)
         if self.derivative_mode == "analytic":
             try:
                 values, grad = self.jet_fn(t, a, b)
@@ -535,17 +547,17 @@ class Diagnostics:
     speed: float
 
 
-def _absolute_vorticity(field_: FlowField, a: float, values, grad) -> float:
-    """v_x - u_y + f from a jet at a point with first coordinate ``a``."""
+def _absolute_vorticity(field_: FlowField, a: float, values: list, grad: list) -> float:
+    """v_x - u_y + f from a jet's float rows at a point with first coordinate ``a``."""
     f_eff = field_.coriolis
     if field_.frame == "cartesian":
-        return grad[1, 1] - grad[0, 2] + f_eff
+        return grad[1][1] - grad[0][2] + f_eff
     r = a
     if r <= 0.0:
         raise OriginSingular("vorticity in polar form requires r > 0")
     U, V = values[0], values[1]
-    U_theta = grad[0, 2]
-    V_r = grad[1, 1]
+    U_theta = grad[0][2]
+    V_r = grad[1][1]
     return V_r + V / r - U_theta / r + f_eff
 
 
@@ -553,18 +565,22 @@ def _state_and_pv(field_: FlowField, t: float, a: float, b: float) -> tuple[np.n
     """State values and potential vorticity at (t, a, b), from one checked jet.
 
     The coordinates must be finite and a polar radius ``a`` nonnegative, or
-    :class:`InvalidParams` is raised.
+    :class:`InvalidParams` is raised.  The vorticity is formed on the
+    jet's rows as Python floats (``tolist``): the same IEEE operations,
+    and so the same bits, as on numpy scalars, at a fraction of the cost.
+    The state comes back as the jet's array.
     """
     _check_finite(t=t, a=a, b=b)
     if field_.frame == "polar":
         _check_radius(a)
     values, grad = field_.jet(t, a, b)
-    if not np.all(np.isfinite(values)):
+    state = values.tolist()
+    if not all(map(math.isfinite, state)):
         raise field_._nonfinite(t, a, b)
-    h = float(values[2])
+    h = state[2]
     if h <= DEPTH_FLOOR:
         raise ZeroDepth(f"depth {h!r} at or below floor {DEPTH_FLOOR!r}")
-    return values, _absolute_vorticity(field_, a, values, grad) / h
+    return values, _absolute_vorticity(field_, a, state, grad.tolist()) / h
 
 
 def potential_vorticity(field_: FlowField, t: float, a: float, b: float) -> float:

@@ -326,7 +326,10 @@ def ring_bounds(
     then :func:`bisect_bracket` refines each bracket to relative 1e-12.
     Both steps compare the signs of G, never multiply its values, so the
     bounds do not depend on G's scale: under (f, C1, C2, C3) -> (e f,
-    e^2 C1, e C2, e^3 C3) G scales by e^6 while the radii stay put.  A scan
+    e^2 C1, e C2, e^3 C3) G scales by e^6 while the radii stay put.  The
+    scan starts at 0.01 sqrt(2 |C2| / f), or at 1e-3 sqrt(g C1) / f when
+    C2 = 0; both are unchanged by that scaling, so the scan visits the same
+    radii at every e.  A scan
     point whose G fails in arithmetic or is not finite raises
     :class:`InvalidParams`: its sign there means nothing.
     """
@@ -350,7 +353,7 @@ def ring_bounds(
             )
         return value
 
-    r = 0.01 * math.sqrt(2.0 * abs(C2) / f) if C2 != 0.0 else 1e-3 * math.sqrt(g) / f
+    r = 0.01 * math.sqrt(2.0 * abs(C2) / f) if C2 != 0.0 else 1e-3 * math.sqrt(g * C1) / f
     r_stop = 100.0 * math.sqrt(8.0 * g * C1) / f
     scan: list[tuple[float, bool]] = [(r, G(r) < 0.0)]
     while r < r_stop:

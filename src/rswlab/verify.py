@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field as dc_field
+from itertools import repeat
+from operator import add, mul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -165,6 +167,44 @@ def _polar_equations(values, g_, r, grav, f_eff) -> np.ndarray:
     return np.array([e1, e2, e3])
 
 
+def _sample_jets(field_: FlowField, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values (3, N) and gradients (3, 3, N) of the field's jets at the rows of ``points``.
+
+    When every point has its own time, as along a particle path, each
+    point is one float jet and the arrays are filled once from them;
+    otherwise each time is one block jet, a lone point as floats, written
+    into the arrays as it comes, so that one block's jet is alive at a
+    time.  An arithmetic error outside the kernel, as in FD differences
+    under ``np.errstate``, is the field's non-finite :class:`WindowViolation`.
+    """
+    n = len(points)
+    times, block_of, counts = np.unique(points[:, 0], return_inverse=True, return_counts=True)
+    try:
+        if len(times) == n:
+            rows = points.tolist()
+            jets = []
+            for t, a, b in rows:
+                jets.append(field_.jet(t, a, b))
+        else:
+            values, grad = np.empty((3, n)), np.empty((3, 3, n))
+            blocks = np.split(np.argsort(block_of, kind="stable"), np.cumsum(counts)[:-1])
+            for t, idx in zip(times.tolist(), blocks):  # one block jet per time
+                a, b = points[idx, 1], points[idx, 2]
+                if len(idx) == 1:  # a lone point costs less as floats than as a block
+                    a, b = float(a[0]), float(b[0])
+                block_values, block_grad = field_.jet(t, a, b)
+                values[:, idx], grad[..., idx] = block_values.reshape(3, -1), block_grad.reshape(3, 3, -1)
+            return values, grad
+    except ArithmeticError:
+        raise field_._nonfinite(t, a, b) from None
+    values, grad = (np.array(part) for part in zip(*jets))
+    if not (np.isfinite(values).all() and np.isfinite(grad).all()):
+        # float arithmetic overflows without a signal, as eval sees it
+        ok = np.isfinite(values).all(axis=1) & np.isfinite(grad).all(axis=(1, 2))
+        raise field_._nonfinite(*rows[int(np.argmin(ok))])
+    return values.T, np.moveaxis(grad, 0, -1)
+
+
 def residual_report(
     field_: FlowField,
     points: np.ndarray | None = None,
@@ -177,11 +217,23 @@ def residual_report(
     non-rotating system, so images under the equivalence map are checked
     against the equations they claim to solve.  A polar sample must keep
     r > 0 (:class:`OriginSingular`).  Jets, analytic or FD, are grouped by
-    time, one block call of :meth:`FlowField.jet` each.  The equations are
-    evaluated on arrays.  A NaN pointwise residual fails the report: its
-    ``max_residual`` is NaN and ``worst_point`` names the first such point.
-    ``points`` must be a non-empty (N, 3) array of finite (t, a, b) rows and
-    ``shape`` three positive counts, or :class:`InvalidParams` is raised.
+    time, one block call of :meth:`FlowField.jet` each; when every point has
+    its own time, as the recorded points of a particle path do, each point
+    is one float jet and the arrays are filled once, with the same bits.
+    The equations are evaluated on arrays.
+
+    Jets and equations run with numpy's overflow, invalid and divide
+    errors raised, whatever the caller's ``np.errstate``, so the report
+    never warns: a jet or an equation term that fails in arithmetic raises
+    the field's :class:`WindowViolation` for non-finite values, naming the
+    point (the first of its block, or the first point whose terms fail),
+    as the CLI reports it.  A float jet cannot signal, so a point jet with
+    a non-finite entry is reported the same way, as :meth:`FlowField.eval`
+    reports a non-finite value.  In a block, a NaN the kernel returns fails
+    the report instead: its ``max_residual`` is NaN and ``worst_point``
+    names the first such point.  ``points`` must be a non-empty (N, 3)
+    array of finite (t, a, b) rows and ``shape`` three positive counts, or
+    :class:`InvalidParams` is raised.
     """
     if points is None:
         if not (len(shape) == 3 and all(isinstance(c, numbers.Integral) and c >= 1 for c in shape)):
@@ -199,16 +251,18 @@ def residual_report(
     else:
         eq_fn, names = _cartesian_equations, ("x-momentum", "y-momentum", "mass")
     n = len(points)
-    values, grad = np.empty((3, n)), np.empty((3, 3, n))
-    times, block_of, counts = np.unique(points[:, 0], return_inverse=True, return_counts=True)
-    blocks = np.split(np.argsort(block_of, kind="stable"), np.cumsum(counts)[:-1])
-    for t, rows in zip(times.tolist(), blocks):  # one block jet per time
-        a, b = points[rows, 1], points[rows, 2]
-        if len(rows) == 1:  # a lone point costs less as floats than as a block
-            a, b = float(a[0]), float(b[0])
-        block_values, block_grad = field_.jet(t, a, b)
-        values[:, rows], grad[..., rows] = block_values.reshape(3, -1), block_grad.reshape(3, 3, -1)
-    res = eq_fn(values, grad, points[:, 1], field_.params.g, field_.coriolis).T
+    terms = (points[:, 1], field_.params.g, field_.coriolis)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        values, grad = _sample_jets(field_, points)
+        try:
+            res = eq_fn(values, grad, *terms).T
+        except FloatingPointError:
+            for i in range(n):  # name the first point whose terms fail
+                try:
+                    eq_fn(values[:, i:i + 1], grad[..., i:i + 1], points[i:i + 1, 1], *terms[1:])
+                except FloatingPointError:
+                    break
+            raise field_._nonfinite(*points[i].tolist()) from None
     # worst point: the first NaN, else where the largest residual first
     # appears in the last equation to reach it (the order of a running max)
     flat = res.ravel()
@@ -303,11 +357,14 @@ def integrate_ode(
     FSAL a step costs six evaluations of ``fn``, which gets the state as a
     tuple of floats and may return any sequence of floats (it is stored
     into a row of the stage array).  Each stage sum, and the error
-    estimate's, is one BLAS ``dot`` of a tableau row with the stage array;
-    the steps around it run on floats, with the bits of the numpy
-    expressions, and a stage state or error that is not finite is
-    recomputed by those expressions, so that ``np.errstate`` signals as it
-    does on arrays.  A NaN error counts as an infinite one.  The integrator lands
+    estimate's, is one BLAS ``dot`` of a tableau row with the stage array:
+    a sequential float sum rounds differently in a third to a half of them,
+    so the ``dot`` is what fixes every bit of a path.  Around it a stage
+    costs one float pass building its state and the call of ``fn``, and the
+    error norm one loop over the components, all with the bits of the numpy
+    expressions; a stage state or error that is not finite is recomputed by
+    those expressions, so that ``np.errstate`` signals as it does on
+    arrays.  A NaN error counts as an infinite one.  The integrator lands
     exactly on every time in ``record`` and returns the recorded states
     with ``{"steps", "rejected", "rhs_evals"}`` counts.  A trial stage for
     which ``fn`` raises :class:`LeftDomain` rejects its step like a NaN
@@ -326,7 +383,11 @@ def integrate_ode(
     ys_out = [y] if ts_out else []
     k = np.empty((7, len(y)))
     k[0] = fn(t, y)
-    stage_sums = [(_DP_A[i].dot, k[:i]) for i in range(1, 7)]
+    # per stage: its tableau row's dot, the stage rows it reads, its index
+    # and c (None for the last two, evaluated at the step's end time)
+    stages = [(_DP_A[i].dot, k[:i], i, _DP_C[i] if i < 5 else None) for i in range(1, 7)]
+    error_dot = _DP_E.dot
+    isfinite = math.isfinite
     h = (t1 - t0) / 64.0
     steps = rejects = 0
     left = None  # why the last rejected step left the domain, if it did
@@ -343,23 +404,30 @@ def integrate_ode(
                 raise BlowUp(f"step budget exhausted at t={t!r}")
             t_new = target if lands else t + h
             try:
-                for i, (dot, ki) in enumerate(stage_sums, 1):
-                    y_new = tuple([yi + h * si for yi, si in zip(y, dot(ki).tolist())])
-                    if not all(map(math.isfinite, y_new)):
+                hs = repeat(h)
+                for dot, rows, i, c in stages:
+                    y_new = tuple(map(add, y, map(mul, hs, dot(rows).tolist())))
+                    if not all(map(isfinite, y_new)):
                         # numpy's own expression, to signal under np.errstate
-                        y_new = tuple((np.array(y) + h * (_DP_A[i] @ ki)).tolist())
-                    k[i] = fn(t + _DP_C[i] * h if i < 5 else t_new, y_new)
+                        y_new = tuple((np.array(y) + h * (_DP_A[i] @ rows)).tolist())
+                    k[i] = fn(t_new if c is None else t + c * h, y_new)
             except LeftDomain as exc:
                 left, err = exc, math.inf
             else:
                 # max(|y_i|, 1.0) keeps a NaN y_i, which max(1.0, |y_i|) would drop;
                 # a NaN error is rejected and shrunk like an infinite one
                 left = None
-                errs = [h * e for e in _DP_E.dot(k).tolist()]
-                if not all(map(math.isfinite, errs)):
-                    errs = (h * (_DP_E @ k)).tolist()
-                ratios = [abs(e) / max(abs(yi), 1.0) for e, yi in zip(errs, y_new)]
-                err = math.inf if any(map(math.isnan, ratios)) else max(ratios)
+                row = error_dot(k).tolist()
+                err = 0.0
+                for e, yi in zip(row, y_new):
+                    ratio = abs(h * e) / max(abs(yi), 1.0)
+                    if ratio > err:
+                        err = ratio
+                    elif ratio != ratio:
+                        err = math.inf
+                        break
+                if err == math.inf and not all(isfinite(h * e) for e in row):
+                    h * (_DP_E @ k)  # numpy's own expression, to signal under np.errstate
             factor = 0.9 * (tol / err) ** 0.2 if err > 0.0 else 5.0
             h *= min(5.0, max(0.2, factor))
             if err > tol:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from rswlab.cli import main as cli_main
 from rswlab.core import FlowParameters
 from rswlab.errors import InvalidParams, NoRingExists
 from rswlab.reduction import (
@@ -252,6 +253,20 @@ class TestRingBounds:
         assert rb.r_outer == pytest.approx(ref.r_outer, rel=1e-12)
         assert rb.h_inner == pytest.approx(eps * eps * ref.h_inner, rel=1e-12)
         assert rb.h_outer == pytest.approx(eps * eps * ref.h_outer, rel=1e-12)
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-3, 1e-2, 1.0, 1e3, 1e6])
+    def test_scan_without_swirl_starts_from_the_constants_scale(self, eps):
+        # with C2 = 0 the scan starts at 1e-3 sqrt(g C1) / f, which the
+        # scaling leaves put, so every eps scans the same radii; a start of
+        # 1e-3 sqrt(g) / f moved the bits and missed the ring at eps <= 1e-3
+        rb = ring_bounds(eps * eps, 0.0, eps ** 3, FlowParameters(RING.f * eps, RING.g))
+        assert (rb.r_inner, rb.r_outer) == (1.8489563529428712, 25.735880020937223)
+
+    def test_small_scale_ring_without_swirl_is_a_ring(self, capsys):
+        argv = ["field", "--family", "ring", "--f", "1e-4", "--c1", "1e-6", "--c2", "0",
+                "--c3", "1e-9", "--t", "0", "--r", "3:20:3"]
+        assert cli_main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
 
     def test_threshold_case_has_no_ring(self):
         C2 = 1.0

@@ -163,6 +163,59 @@ class TestResidualReports:
         assert payload["passed"] is False
         assert not payload["report"]["max_residual"] < math.inf
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("family, params, kw, where", [
+        ("pulsating-drop", FlowParameters(1e-30, 1e300), dict(alpha=0.3),
+         "(t=1.2566370614359171e+29, 6.235382907247959e+178, 0.0)"),
+        ("constant-sw-image", FlowParameters(1e200, 1e300), dict(u0=1e308, h0=1e308),
+         "(t=6.0821233773498394e-201, -2.0, -2.0)"),
+    ])
+    def test_overflow_is_a_window_violation_not_a_warning(self, family, params, kw, where):
+        # the CLI's exit-3 text, from a library call with no np.errstate of
+        # its own; per time block and per path point (every time its own)
+        field = make_family(family, params, **kw)
+        message = f"field {field.label!r} produced non-finite values at {where}"
+        caller_state = np.geterr()
+        with pytest.raises(WindowViolation) as block:
+            residual_report(field)
+        assert str(block.value) == message
+        points = sample_grid(field)
+        points = points[np.unique(points[:, 0], return_index=True)[1]]
+        with pytest.raises(WindowViolation) as path:
+            residual_report(field, points=points)
+        assert str(path.value) == message
+        assert np.geterr() == caller_state
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_term_names_its_point(self):
+        # finite jets whose g h_r term overflows at the second point only
+        base = rest_state(1.0, FlowParameters(1.0, 1e300), frame="polar")
+
+        def jet_fn(t, r, theta):
+            values, grad = base.jet_fn(t, r, theta)
+            grad = np.array(grad, dtype=float)
+            grad[2, 1] = np.where(r > 0.5, 1e10, 0.0)
+            return values, grad
+
+        field = replace(base, jet_fn=jet_fn)
+        for points in ([[0.1, 0.3, 0.0], [0.2, 0.7, 1.0]], [[0.1, 0.3, 0.0], [0.1, 0.7, 1.0]]):
+            with pytest.raises(WindowViolation, match=re.escape(f"at (t={points[1][0]!r}, 0.7, 1.0)")):
+                residual_report(field, points=np.array(points))
+
+    def test_a_non_finite_point_jet_is_a_window_violation(self):
+        # a point's float jet cannot signal an overflow, so a non-finite
+        # entry there is reported as eval reports a non-finite value
+        base = pulsating_cylinder(2.0, 1.0, P)
+
+        def jet_fn(t, r, theta):
+            values, grad = base.jet_fn(t, r, theta)
+            return values, np.where(r > 1.0, math.inf, np.asarray(grad, dtype=float))
+
+        field = replace(base, jet_fn=jet_fn)
+        points = np.array([[0.1, 0.5, 0.0], [0.2, 1.5, 1.0], [0.3, 1.7, 2.0]])
+        with pytest.raises(WindowViolation, match=re.escape("at (t=0.2, 1.5, 1.0)")):
+            residual_report(field, points=points)
+
     def test_polar_grid_must_avoid_origin(self):
         field = pulsating_cylinder(2.0, 1.0, P)
         with pytest.raises(OriginSingular):
@@ -350,36 +403,32 @@ class TestIntegrateOde:
         assert "RuntimeWarning" not in proc.stderr
 
 
-def _reference_integrate(field, r0, th0, t0, t1, tol, record):
-    """The integrator loop as it was on numpy states: ``np.array`` RHS rows
-    of scalar ``eval`` calls and a numpy error norm.  Returns the recorded
-    positions, steps and rejections."""
+def _reference_ode(fn, y0, t0, record, tol):
+    """The integrator loop as it was on numpy states: ``np.array`` stage
+    states and RHS rows, a numpy error norm, and a :class:`LeftDomain`
+    stage that rejects its step like an infinite error.  Returns the
+    states at ``record`` (whose first time is ``t0``), steps and rejections."""
     from rswlab.verify import _DP_A, _DP_C, _DP_E
 
-    def fn(t, y):
-        if field.frame == "polar":
-            r, th = y
-            U, V, _ = field.eval(t, r, th)
-            return np.array([U, V / r])
-        u, v, _ = field.eval(t, y[0], y[1])
-        return np.array([u, v])
-
-    polar = field.frame == "polar"
-    y = np.array([r0, th0] if polar else [r0 * math.cos(th0), r0 * math.sin(th0)])
+    y = np.array(y0, dtype=float)
     t, out, steps, rejects = t0, [y.copy()], 0, 0
-    k = np.empty((7, 2))
+    k = np.empty((7, len(y)))
     k[0] = fn(t, y)
-    h = (t1 - t0) / 64.0
+    h = (record[-1] - t0) / 64.0
     for target in record[1:]:
         while t < target - 1e-14 * max(1.0, abs(target)):
             lands = h >= target - t
             if lands:
                 h = target - t
             t_new = target if lands else t + h
-            for i in range(1, 7):
-                y_new = y + h * (_DP_A[i] @ k[:i])
-                k[i] = fn(t + _DP_C[i] * h if i < 5 else t_new, y_new)
-            err = float(np.max(np.abs(h * (_DP_E @ k)) / np.maximum(1.0, np.abs(y_new))))
+            try:
+                for i in range(1, 7):
+                    y_new = y + h * (_DP_A[i] @ k[:i])
+                    k[i] = fn(t + _DP_C[i] * h if i < 5 else t_new, y_new)
+            except LeftDomain:
+                err = math.inf
+            else:
+                err = float(np.max(np.abs(h * (_DP_E @ k)) / np.maximum(1.0, np.abs(y_new))))
             if math.isnan(err):
                 err = math.inf
             factor = 0.9 * (tol / err) ** 0.2 if err > 0.0 else 5.0
@@ -393,6 +442,23 @@ def _reference_integrate(field, r0, th0, t0, t1, tol, record):
         t = target
         out.append(y.copy())
     return np.array(out), steps, rejects
+
+
+def _reference_integrate(field, r0, th0, t0, t1, tol, record):
+    """:func:`_reference_ode` on a field's path: ``np.array`` RHS rows of
+    scalar ``eval`` calls."""
+
+    def fn(t, y):
+        if field.frame == "polar":
+            r, th = y
+            U, V, _ = field.eval(t, r, th)
+            return np.array([U, V / r])
+        u, v, _ = field.eval(t, y[0], y[1])
+        return np.array([u, v])
+
+    polar = field.frame == "polar"
+    y0 = [r0, th0] if polar else [r0 * math.cos(th0), r0 * math.sin(th0)]
+    return _reference_ode(fn, y0, t0, record, tol)
 
 
 def _one_path(name, catalog):
@@ -424,6 +490,36 @@ class TestFloatPathIsBitIdentical:
 
     def test_cartesian_view(self, catalog):
         self._check(as_cartesian(catalog["pulsating-drop"]), 0.8, 0.4, 0.0, 2 * math.pi)
+
+    def test_stage_leaving_the_domain_partway_through_a_step(self):
+        # a rotation on the unit circle, whose domain ends just outside it:
+        # the path stays inside, but a trial stage that steps along a
+        # tangent leaves, after the step's first stages have run
+        raised = []
+
+        def fn(t, y):
+            if y[0] * y[0] + y[1] * y[1] > 1.0 + 1e-5:
+                raised.append(t)
+                raise LeftDomain(f"y={y!r}")
+            return (-2.0 * y[1], 2.0 * y[0])
+
+        self._check_ode(fn, [1.0, 0.0], np.linspace(0.0, 1.5, 4))
+        assert raised
+
+    def test_three_components(self):
+        def fn(t, y):  # Lorenz's system: |y| well above 1, all three coupled
+            x, v, z = y
+            return (10.0 * (v - x), x * (28.0 - z) - v, x * v - 8.0 / 3.0 * z)
+
+        self._check_ode(fn, [1.0, 1.0, 20.0], np.linspace(0.0, 1.0, 9))
+
+    @staticmethod
+    def _check_ode(fn, y0, record):
+        ts, ys, stats = integrate_ode(fn, np.array(y0), record[0], record[-1], tol=1e-10, record=record)
+        states, steps, rejects = _reference_ode(lambda t, y: np.array(fn(t, y)), y0, record[0], record, 1e-10)
+        assert ys.tobytes() == states.tobytes()
+        assert (stats["steps"], stats["rejected"]) == (steps, rejects)
+        assert rejects >= 1
 
     @staticmethod
     def _check(field, r0, th0, t0, t1):

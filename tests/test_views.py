@@ -8,8 +8,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rswlab import verify
 from rswlab.cli import main
-from rswlab.core import FlowParameters, as_cartesian
+from rswlab.core import FlowParameters, as_cartesian, potential_vorticity
 from rswlab.errors import InvalidParams, UnsupportedFamily, WindowViolation
 from rswlab.solutions import (
     closure_condition,
@@ -179,6 +180,47 @@ class TestImagesReadTheSourceKernel:
         message = f"field {image.label!r} produced non-finite values at (t=0.5, 0.25, -0.5)"
         with pytest.raises(WindowViolation, match=re.escape(message)):
             image.eval(0.5, 0.25, -0.5)
+
+
+def _grouped_jets(field_, points):
+    """Jets as ``residual_report`` sampled them before path points took float
+    jets of their own: one block per time (``np.unique``, ``np.split``), a
+    lone point as floats, each block written into the arrays by its rows."""
+    n = len(points)
+    values, grad = np.empty((3, n)), np.empty((3, 3, n))
+    times, block_of, counts = np.unique(points[:, 0], return_inverse=True, return_counts=True)
+    blocks = np.split(np.argsort(block_of, kind="stable"), np.cumsum(counts)[:-1])
+    for t, rows in zip(times.tolist(), blocks):
+        a, b = points[rows, 1], points[rows, 2]
+        if len(rows) == 1:
+            a, b = float(a[0]), float(b[0])
+        block_values, block_grad = field_.jet(t, a, b)
+        values[:, rows], grad[..., rows] = block_values.reshape(3, -1), block_grad.reshape(3, 3, -1)
+    return values, grad
+
+
+def _numpy_scalar_pv(field_, t, a, b):
+    """Potential vorticity on the jet's numpy scalars, as it was computed
+    before it read the jet's rows as Python floats."""
+    values, grad = field_.jet(t, a, b)
+    if field_.frame == "cartesian":
+        vorticity = grad[1, 1] - grad[0, 2] + field_.coriolis
+    else:
+        vorticity = grad[1, 1] + values[1] / a - grad[0, 2] / a + field_.coriolis
+    return vorticity / float(values[2])
+
+
+@pytest.mark.parametrize("name", sorted(VIEWS))
+def test_path_points_keep_the_bits_of_the_grouped_jets(name, monkeypatch):
+    # nine in-window points, each at its own time, as along a particle path
+    view = VIEWS[name]
+    points = sample_grid(view, (9, 3, 3))[::10]
+    assert len(np.unique(points[:, 0])) == 9
+    report = repr(residual_report(view, points=points).as_dict())  # repr keeps every bit
+    pvs = [potential_vorticity(view, *p).hex() for p in points.tolist()]
+    monkeypatch.setattr(verify, "_sample_jets", _grouped_jets)
+    assert repr(residual_report(view, points=points).as_dict()) == report
+    assert [float(_numpy_scalar_pv(view, *p)).hex() for p in points.tolist()] == pvs
 
 
 class TestDilationRange:
