@@ -568,6 +568,7 @@ def _state_and_pv(field_: FlowField, t: float, a: float, b: float) -> tuple[np.n
     :class:`InvalidParams` is raised.  The vorticity is formed on the
     jet's rows as Python floats (``tolist``): the same IEEE operations,
     and so the same bits, as on numpy scalars, at a fraction of the cost.
+    A non-finite value or vorticity raises :meth:`FlowField.eval`'s :class:`WindowViolation`.
     The state comes back as the jet's array.
     """
     _check_finite(t=t, a=a, b=b)
@@ -580,7 +581,10 @@ def _state_and_pv(field_: FlowField, t: float, a: float, b: float) -> tuple[np.n
     h = state[2]
     if h <= DEPTH_FLOOR:
         raise ZeroDepth(f"depth {h!r} at or below floor {DEPTH_FLOOR!r}")
-    return values, _absolute_vorticity(field_, a, state, grad.tolist()) / h
+    pv = _absolute_vorticity(field_, a, state, grad.tolist()) / h
+    if not math.isfinite(pv):
+        raise field_._nonfinite(t, a, b)
+    return values, pv
 
 
 def potential_vorticity(field_: FlowField, t: float, a: float, b: float) -> float:

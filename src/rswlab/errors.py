@@ -50,4 +50,4 @@ class NegativeDepth(RswError):
 
 
 class QuadratureFail(RswError):
-    """The collapse solution's tabulated time map is not strictly increasing."""
+    """The collapse solution's tabulated time map is not monotone."""

@@ -7,20 +7,20 @@ Contents:
   deciding near-double roots), for floats and, bit for bit the same, for
   arrays; the stationary ring and the contact-characteristic family with
   constant swirl use it;
-* cumulative integral tables: Gauss-Legendre panels read by quintic
-  Hermite interpolation, for the stationary rotationally symmetric depth
-  and the contact family's psi^2 integral;
+* cumulative integral tables: Gauss-Legendre panels read by quintic Hermite
+  interpolation, and backwards when monotone, for the stationary rotsym depth,
+  the contact family's psi^2 integral and the collapse's time map;
 * one bisection of a bracketed sign change (:func:`bisect_bracket`) for
   every edge the package brackets: the ring bounds, the contact families';
 * the ring-bound finder: the radii where the depth cubic acquires a double
   root, bracketing the interval on which the two branches of the stationary
   ring exist;
 * central-difference residuals of the contact-characteristic submodel ODEs;
-* the implicit solution of the self-similar collapse submodel: a tabulated
-  monotone map t(eta) built by quadrature with a square-root substitution
-  removing the integrable endpoint singularity, its inverse, the blow-up
-  time, and an independent cross-check of the reduced ODEs integrated by
-  the package's Dormand-Prince 5(4) integrator (:func:`verify.integrate_ode`).
+* the implicit solution of the self-similar collapse submodel: one integral
+  table of t per monotone branch, in a square-root variable removing the
+  integrable endpoint singularity, read backwards; the blow-up time; and a
+  cross-check of the reduced ODEs integrated by the package's Dormand-Prince
+  5(4) integrator (:func:`verify.integrate_ode`).
 """
 
 from __future__ import annotations
@@ -440,15 +440,8 @@ def _gl_partial_weights() -> np.ndarray:
 _GL_PANEL_WEIGHTS = np.column_stack([_GL_WEIGHTS, _gl_partial_weights()])
 
 
-def _gl_integrate(fn, a: float, b: float) -> float:
-    """24-point Gauss-Legendre quadrature of a smooth integrand on [a, b]."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    return float(half * np.dot(_GL_WEIGHTS, fn(mid + half * _GL_NODES)))
-
-
 def _gl_panels(fn, grid: np.ndarray) -> np.ndarray:
-    """:func:`_gl_integrate` over each panel of ``grid``, in one array call of ``fn``."""
+    """24-point Gauss-Legendre integrals of ``fn`` over each panel of ``grid``, in one array call."""
     half = 0.5 * np.diff(grid)
     mid = 0.5 * (grid[:-1] + grid[1:])
     return half * (fn(mid[:, None] + half[:, None] * _GL_NODES) @ _GL_WEIGHTS)
@@ -496,6 +489,8 @@ class IntegralTable:
 
     MAX_PANELS = 1 << 15
     RTOL = 1e-14
+    #: Newton steps of :meth:`invert`: five converge, more alternate by an ulp of u >= 0.5.
+    NEWTON_STEPS = 8
 
     def __init__(self, fn, dfn, breaks, origin: float, value: float = 0.0,
                  scale: float = 0.0) -> None:
@@ -523,7 +518,8 @@ class IntegralTable:
         return len(self.coef)
 
     def _panels(self, a: np.ndarray, h: np.ndarray):
-        """Each panel's integral, end slopes and curvatures, and interpolation error.
+        """Each panel's integral, its quintic with value 0 at the panel's
+        start, and the quintic's interpolation error.
 
         The error is checked against the integrals over the panel's first
         quarter and first half, from the same 24 integrand values.
@@ -536,13 +532,13 @@ class IntegralTable:
         df = np.broadcast_to(self.dfn(ends), ends.shape)
         shape = _quintic_coefficients(np.zeros_like(h), q[0], f, df, h)
         err = np.maximum(np.abs(_horner5(shape, 0.25) - q[1]), np.abs(_horner5(shape, 0.5) - q[2]))
-        return q[0], f, df, err
+        return q[0], shape, err
 
     def _append(self, x: np.ndarray, origin: float, value: float) -> None:
         with np.errstate(all="ignore"):
             while True:
                 h = np.diff(x)
-                inc, f, df, err = self._panels(x[:-1], h)
+                inc, coef, err = self._panels(x[:-1], h)
                 k = int(np.searchsorted(x, origin))
                 F = np.concatenate([value - np.cumsum(inc[:k][::-1])[::-1], [value],
                                     value + np.cumsum(inc[k:])])
@@ -561,13 +557,26 @@ class IntegralTable:
                 j = np.arange(1, int(cuts.sum()) + 1) - np.repeat(np.cumsum(cuts) - cuts, cuts)
                 x = np.sort(np.concatenate([x, np.repeat(x[:-1][bad], cuts)
                                             + np.repeat(h[bad], cuts) * (j / np.repeat(pieces, cuts))]))
-            coef = _quintic_coefficients(F[:-1], inc, f, df, h)
+            coef[:, 0] = F[:-1]
         first = not self.coef.size
         self.nodes = x if first else np.concatenate([self.nodes, x[1:]])
+        self.values = F if first else np.concatenate([self.values, F[1:]])
         self.widths = np.diff(self.nodes)
         self.coef = coef if first else np.concatenate([self.coef, coef])
         self.lo, self.hi = float(self.nodes[0]), float(self.nodes[-1])
         self._rows = None
+
+    def _float_rows(self):
+        """Nodes, rows (x0, h, c0..c5), and the values' direction and values times it."""
+        table = self._rows
+        if table is None:
+            nodes = self.nodes.tolist()
+            rows = list(zip(nodes, self.widths.tolist(), *self.coef.T.tolist()))
+            rows.append(rows[-1])  # the last row twice, for x at the last node
+            direction = -1.0 if self.values[-1] < self.values[0] else 1.0
+            keys = (direction * self.values).tolist()
+            table = self._rows = nodes, rows, direction, keys  # published whole, for concurrent readers
+        return table
 
     def __call__(self, x):
         if isinstance(x, Jet):
@@ -578,30 +587,29 @@ class IntegralTable:
             return np.where((x >= self.lo) & (x <= self.hi), v, np.nan)
         if not self.lo <= x <= self.hi:
             return math.nan
-        table = self._rows
-        if table is None:  # the last row twice, for x at the last node
-            nodes = self.nodes.tolist()
-            rows = list(zip(nodes, self.widths.tolist(), *self.coef.T.tolist()))
-            rows.append(rows[-1])
-            table = self._rows = nodes, rows  # published whole, for concurrent readers
-        nodes, rows = table
+        nodes, rows, _, _ = self._float_rows()
         x0, h, c0, c1, c2, c3, c4, c5 = rows[bisect.bisect_right(nodes, x) - 1]
         s = (x - x0) / h
         return c0 + s * (c1 + s * (c2 + s * (c3 + s * (c4 + s * c5))))
 
-
-@dataclass
-class _Branch:
-    """One monotone piece of t(eta), parametrized by s = sqrt(eta - eta_z)."""
-
-    sign: float                 # sign of phi on this piece
-    s_nodes: np.ndarray         # ascending in t
-    t_nodes: np.ndarray         # ascending, same length
-
-    def __post_init__(self) -> None:
-        # float copies for the per-call panel search
-        self.s_list = self.s_nodes.tolist()
-        self.t_list = self.t_nodes.tolist()
+    def invert(self, y: float) -> float:
+        """The float x where a strictly monotone table reads ``y``: the panel
+        by ``bisect`` over the node values, then Newton on its quintic from
+        the linear guess until a step in the panel variable is below 1e-16.
+        A ``y`` slightly past an end value extrapolates the end panel."""
+        _, rows, direction, keys = self._float_rows()
+        key = direction * y
+        i = min(max(bisect.bisect_right(keys, key) - 1, 0), len(rows) - 2)
+        x0, h, c0, c1, c2, c3, c4, c5 = rows[i]
+        u = (key - keys[i]) / (keys[i + 1] - keys[i])
+        d = c0 - y
+        for _ in range(self.NEWTON_STEPS):
+            step = (d + u * (c1 + u * (c2 + u * (c3 + u * (c4 + u * c5))))) / (
+                c1 + u * (2.0 * c2 + u * (3.0 * c3 + u * (4.0 * c4 + u * 5.0 * c5))))
+            u -= step
+            if abs(step) < 1e-16:
+                break
+        return x0 + u * h
 
 
 class ImplicitCollapse:
@@ -619,13 +627,12 @@ class ImplicitCollapse:
     which the sign switches and eta grows without bound (collapse).  The
     blow-up time T* is finite because the tail integral converges.
 
-    The map t(eta) is tabulated by Gauss-Legendre panels in the variable
+    Each monotone branch of t is one :class:`IntegralTable` in the variable
     s = sqrt(eta - eta_z), which removes the integrable singularity at the
-    radicand zero, and inverted by safeguarded Newton iteration.
+    radicand zero, with the analytic d^2t/ds^2 as its curvature.  A time is
+    read backwards on the branch's quintic (:meth:`IntegralTable.invert`).
     """
 
-    #: Panels of each tabulated branch; the tail from eta_cap to infinity takes a tenth.
-    PANELS = 400
     #: Times held by the memo of :meth:`state_of_t` (about 0.3 MB); a full memo is cleared.
     MEMO_CAP = 2048
 
@@ -644,18 +651,22 @@ class ImplicitCollapse:
         # without cancellation arbitrarily close to its zero.
         kk = self.K / math.sqrt(eta0)
         disc = math.sqrt(kk * kk + 2.0 * g * f * f)
-        self._m_plus = (-kk + disc) / (4.0 * g)
+        if kk > 0.0:  # -kk + disc cancels; the roots' product is -f^2 / (8 g)
+            self._m_plus = f * f / (2.0 * (kk + disc))
+        else:
+            self._m_plus = (-kk + disc) / (4.0 * g)
         self._m_minus = (-kk - disc) / (4.0 * g)
         self.eta_z = self._m_plus ** 2
-        if not math.isfinite(self.eta_z):
-            raise InvalidParams(f"collapse parameters overflow: radicand zero eta_z = {self.eta_z!r}")
+        if not (math.isfinite(self.eta_z) and self.eta_z > 0.0):  # dt/ds is infinite at eta_z = 0
+            raise InvalidParams(f"collapse parameters put the radicand zero at eta_z = {self.eta_z!r}")
         # eta_z <= eta0 up to rounding (the radicand is phi0^2 >= 0 at eta0),
         # so the cap lies at least 2e4 times above both
         self.eta_cap = 2e4 * max(1.0, eta0)
 
         self.eta1: float | None = None
         self.t1: float | None = None
-        self.branches: list[_Branch] = []
+        #: (sign of phi, table of t over s) per branch, in the order time runs through them
+        self.branches: list[tuple[float, IntegralTable]] = []
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 self._build()
@@ -674,51 +685,70 @@ class ImplicitCollapse:
         rad = np.maximum(self.radicand(eta), 0.0)
         return sign * np.sqrt(rad)
 
-    def _dt_ds(self, s, sign: float):
-        """dt/ds along a branch, parametrized by s = sqrt(eta - eta_z).
-
-        sqrt(radicand) = s * sqrt(factor) with the factored quadratic, so
-        the integrand is smooth through s = 0 with no explicit division by
-        the vanishing root.
+    def _rates(self, sign: float):
+        """dt/ds = -sign / (2 eta sqrt(F)) and d^2t/ds^2 = (dt/ds)(-2s/eta - F'/(2F)) on a
+        branch, s = sqrt(eta - eta_z): radicand = s^2 F, F = 2 g (m - m_-) / (m + m_+) with
+        m = sqrt(eta) and m_- < 0 < m_+, so no factor cancels and dt/ds is smooth at s = 0.
+        The functions hold floats, not the collapse, so its tables form no reference cycle.
         """
-        g = self.params.g
-        nu = self.eta_z + s * s
-        m = np.hypot(self._m_plus, s)  # sqrt(eta_z + s^2), stable
-        factor = 2.0 * g * (m - self._m_minus) / (m + self._m_plus)
-        return -sign / (2.0 * nu * np.sqrt(factor))
+        eta_z, mp, mm = self.eta_z, self._m_plus, self._m_minus
+        c = -0.5 * sign / math.sqrt(2.0 * self.params.g)
 
-    def _tabulate(self, sign: float, s_from: float, s_to: float, t_start: float) -> _Branch:
-        n_seg = self.PANELS
-        u = np.linspace(0.0, 1.0, n_seg + 1)
-        s_min, s_max = min(s_from, s_to), max(s_from, s_to)
-        ascending = s_min + (s_max - s_min) * u * u
-        grid = ascending if s_from <= s_to else ascending[::-1].copy()
-        increments = _gl_panels(lambda s: self._dt_ds(s, sign), grid)
-        t_nodes = t_start + np.concatenate([[0.0], np.cumsum(increments)])
-        if np.any(np.diff(t_nodes) <= 0.0):
-            raise QuadratureFail("tabulated time map is not strictly increasing")
-        return _Branch(sign=sign, s_nodes=grid, t_nodes=t_nodes)
+        def dt_ds(s):
+            nu = s * s
+            nu += eta_z
+            m = np.sqrt(nu)
+            out = m + mp
+            out /= m - mm
+            np.sqrt(out, out=out)
+            out /= nu
+            out *= c
+            return out
+
+        def d2t_ds2(s):
+            nu = eta_z + s * s
+            m = np.sqrt(nu)
+            return -s * dt_ds(s) * (2.0 / nu + (mp + mm) / (2.0 * m * (m + mp) * (m - mm)))
+
+        return dt_ds, d2t_ds2
+
+    def _table(self, sign: float, s_lo: float, s_hi: float, origin: float, value: float) -> IntegralTable:
+        """t over s in [s_lo, s_hi], ``value`` at ``origin``, from 32 panels geometric in
+        s + m_+ (their Gauss-Legendre sum is its scale); a map flat in floats is refused."""
+        fn, dfn = self._rates(sign)
+        a = s_lo + self._m_plus
+        breaks = s_lo + a * np.expm1(np.linspace(0.0, math.log1p((s_hi - s_lo) / a), 33))
+        breaks[-1] = s_hi
+        span = float(_gl_panels(fn, breaks).sum())
+        table = IntegralTable(fn, dfn, breaks, origin, value, span)
+        steps = sign * np.diff(table.values)  # negative where time runs forward
+        if not (steps <= 0.0).all():
+            raise QuadratureFail("tabulated time map is not monotone")
+        if not (steps < 0.0).all():
+            raise InvalidParams(f"collapse parameters leave the time map flat in floating point "
+                                f"at s={float(table.nodes[np.argmax(steps == 0.0)])!r}")
+        return table
 
     def _build(self) -> None:
         s_cap = math.sqrt(self.eta_cap - self.eta_z)
-        s0 = math.sqrt(max(self.eta0 - self.eta_z, 0.0))
+        # radicand = s^2 F(m) with F as in _rates, and phi0^2 at eta0: s0 without cancellation
+        m0 = math.sqrt(self.eta0)
+        s0 = abs(self.phi0) / math.sqrt(2.0 * self.params.g * (m0 - self._m_minus) / (m0 + self._m_plus))
         if self.phi0 > 0.0:
             self.eta1 = self.eta_z
-            # spreading: eta runs from eta0 down to eta1, i.e. s down to 0;
-            # reverse the s direction so that t ascends along the nodes.
-            down = self._tabulate(+1.0, s0, 0.0, 0.0)
-            self.t1 = float(down.t_nodes[-1])
-            self.branches.append(down)
-            self.branches.append(self._tabulate(-1.0, 0.0, s_cap, self.t1))
+            # spreading: eta runs from eta0 down to eta1, so t falls as s grows
+            down = self._table(+1.0, 0.0, s0, s0, 0.0)
+            self.t1 = float(down.values[0])
+            self.branches.append((+1.0, down))
+            self.branches.append((-1.0, self._table(-1.0, 0.0, s_cap, 0.0, self.t1)))
         else:
-            self.branches.append(self._tabulate(-1.0, s0, s_cap, 0.0))
-        tail_branch = self.branches[-1]
-        self.t_cap = float(tail_branch.t_nodes[-1])
+            self.branches.append((-1.0, self._table(-1.0, s0, s_cap, s0, 0.0)))
+        self.t_cap = float(self.branches[-1][1].values[-1])
         self.Tstar = self.t_cap + self._tail_time()
 
     def _tail_time(self) -> float:
-        """Remaining time from eta_cap to infinity via the 1/eta substitution."""
-        g = self.params.g
+        """Remaining time from eta_cap to infinity via the 1/eta substitution; the integrand
+        tends to 1 / (2 sqrt(2 g)) as sig -> 0, which the 40 panels' interior nodes never reach."""
 
         def integrand(sig):
             nu = 1.0 / (sig * sig)
@@ -726,20 +756,12 @@ class ImplicitCollapse:
             return 1.0 / (2.0 * sig * root)
 
         sig_cap = 1.0 / math.sqrt(self.eta_cap)
-        n_seg = self.PANELS // 10
-        # integrand -> 1 / (2 sqrt(2 g)) smoothly as sig -> 0
-        grid = sig_cap * np.linspace(0.0, 1.0, n_seg + 1) ** 2
-
-        def safe(sig):
-            return np.where(
-                sig > 0.0, integrand(np.where(sig > 0.0, sig, 1.0)), 1.0 / (2.0 * math.sqrt(2.0 * g))
-            )
-
-        return float(sum(_gl_panels(safe, grid).tolist()))
+        grid = sig_cap * np.linspace(0.0, 1.0, 41) ** 2
+        return float(sum(_gl_panels(integrand, grid).tolist()))
 
     # -- evaluation ------------------------------------------------------
 
-    def _branch_for_time(self, t: float) -> _Branch:
+    def _branch_for_time(self, t: float) -> tuple[float, IntegralTable]:
         if not -1e-12 <= t <= self.t_cap * (1.0 + 1e-12):
             raise InvalidParams(
                 f"t={t!r} outside tabulated range [0, {self.t_cap!r}]"
@@ -749,43 +771,13 @@ class ImplicitCollapse:
         return self.branches[-1]
 
     def eta_of_t(self, t: float) -> float:
-        """Invert the tabulated map by bracketed Newton iteration in s.
+        """eta_z + s^2, with s read backwards from t on its branch's table.
 
-        Within the bracketing tabulation segment, T(s) = t_lo + integral of
-        dt/ds from the segment start; the derivative is analytic, so Newton
-        converges in a few steps, with bisection as the safeguard.  This
-        call is not memoized; :meth:`state_of_t`, which
+        This call is not memoized; :meth:`state_of_t`, which
         :meth:`piston_radius` reads, keeps the per-time memo.
         """
         t = float(t)
-        br = self._branch_for_time(t)
-        tn, sn = br.t_list, br.s_list
-        i = min(max(bisect.bisect_left(tn, t) - 1, 0), len(tn) - 2)
-        lo_s, hi_s = sn[i], sn[i + 1]
-        lo_t = tn[i]
-        fn = lambda s: self._dt_ds(s, br.sign)
-        # traversal-ordered bracket: F(lo_b) <= 0 <= F(hi_b)
-        lo_b, hi_b = lo_s, hi_s
-        span = tn[i + 1] - lo_t
-        frac = 0.0 if span == 0.0 else (t - lo_t) / span
-        s = lo_s + (hi_s - lo_s) * frac
-        for _ in range(80):
-            F = lo_t + _gl_integrate(fn, lo_s, s) - t
-            if abs(F) <= 1e-13 * max(1.0, abs(t)):
-                break
-            if F > 0.0:
-                hi_b = s
-            else:
-                lo_b = s
-            dF = float(self._dt_ds(s, br.sign))
-            s_new = s - F / dF if dF != 0.0 else 0.5 * (lo_b + hi_b)
-            s_min, s_max = min(lo_b, hi_b), max(lo_b, hi_b)
-            if not s_min <= s_new <= s_max:
-                s_new = 0.5 * (lo_b + hi_b)
-            if abs(s_new - s) <= 1e-16 * max(1.0, abs(s)):
-                s = s_new
-                break
-            s = s_new
+        s = self._branch_for_time(t)[1].invert(t)
         return self.eta_z + s * s
 
     def state_of_t(self, t: float) -> tuple[float, float]:
@@ -804,9 +796,9 @@ class ImplicitCollapse:
         t = float(t)
         state = self._memo.get(t)
         if state is None:
-            br = self._branch_for_time(t)
+            sign = self._branch_for_time(t)[0]
             eta = self.eta_of_t(t)
-            state = float(self.phi_hat(eta, br.sign)), eta
+            state = float(self.phi_hat(eta, sign)), eta
             with self._memo_lock:  # the cap holds for concurrent callers too
                 if len(self._memo) >= self.MEMO_CAP:
                     self._memo.clear()

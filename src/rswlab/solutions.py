@@ -786,8 +786,9 @@ def collapse_contact_cubic(
 def collapse_scaling(phi0: float, eta0: float, params: FlowParameters) -> FlowField:
     """Self-similar spreading/collapse regime.
 
-    U = r phi(t), V = -f r / 2, h = r^2 eta(t), with (phi, eta) from the
-    implicit tabulation.  For phi0 > 0 the ring first spreads until the
+    U = r phi(t), V = -f r / 2, h = r^2 eta(t), with (phi, eta) read
+    backwards from one :class:`~rswlab.reduction.IntegralTable` of t per
+    monotone branch.  For phi0 > 0 the ring first spreads until the
     turning time, then collapses; eta grows without bound as t approaches
     the finite blow-up time T*.  Time derivatives come from the reduced
     ODEs themselves (:meth:`~rswlab.reduction.ImplicitCollapse.state_of_t`

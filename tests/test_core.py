@@ -130,6 +130,20 @@ class TestDiagnostics:
         fr = q / math.sqrt(ring_params.g * h_s)
         assert fr == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entry", [potential_vorticity, diagnostics])
+    @pytest.mark.parametrize("slope", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_gradient_raises_like_nonfinite_values(self, entry, slope, params11):
+        # finite values, dv/dr not finite: the PV would come back inf or NaN
+        def jet_fn(t, r, th):
+            grad = np.zeros((3, 3))
+            grad[1, 1] = slope
+            return np.array([0.0, 0.5 * r, 1.0]), grad
+
+        field = FlowField("polar", params11, lambda t, r, th: (0.0, 0.5 * r, 1.0), jet_fn)
+        with pytest.raises(WindowViolation, match=r"non-finite values at \(t=0.5, 0.7, 0.1\)"):
+            entry(field, 0.5, 0.7, 0.1)
+
     def test_zero_depth_raises(self, params11):
         field = FlowField(
             "polar", params11, lambda t, r, th: (0.0, 0.0, 0.0),

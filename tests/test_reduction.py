@@ -355,8 +355,10 @@ class TestImplicitCollapse:
     @pytest.mark.parametrize("phi0", [0.0, -1.0, 0.5])
     def test_time_map_matches_30_digit_quadrature(self, phi0):
         # t(eta) = -(1/4) int_{eta0}^{eta} dnu / (nu phi_hat(nu)) by mpmath.quad.
-        # Differences measured at most 6e-14: eta_of_t stops its Newton
-        # iteration at a time residual of 1e-13
+        # Differences measured at most 3.6e-15 (phi0 = 0.5): each branch is
+        # a table checked to 1e-14 of its time span, read backwards to the
+        # last few bits.  Probes: t = 0, t1 (1 -/+ 1e-3) on either side of
+        # the turn, 0.997 t_cap, where the time map is flattest, and t_cap.
         mpmath = pytest.importorskip("mpmath")
         ic = collapse2_build(phi0, 1.0, P)
         with mpmath.workdps(30):
@@ -371,14 +373,39 @@ class TestImplicitCollapse:
 
             t1 = leg(eta_z, eta0) if phi0 > 0 else 0
             start = eta_z if phi0 > 0 else eta0
-            assert abs(ic.Tstar - (t1 + leg(start, mpmath.inf))) <= 1e-13
+            assert abs(ic.Tstar - (t1 + leg(start, mpmath.inf))) <= 1e-14
+            probes = [0.0, 0.997 * ic.t_cap, ic.t_cap] + list(np.linspace(0.02, 0.9, 9) * ic.Tstar)
             if phi0 > 0:
-                assert abs(ic.t1 - t1) <= 1e-13
-            for t in np.linspace(0.02, 0.9, 9) * ic.Tstar:
+                assert abs(ic.t1 - t1) <= 1e-14
+                probes += [ic.t1 * (1 - 1e-3), ic.t1 * (1 + 1e-3)]
+            for t in probes:
                 eta = mpmath.mpf(ic.eta_of_t(t))
                 spreading = ic.t1 is not None and t <= ic.t1
                 t_of_eta = leg(eta, eta0) if spreading else t1 + leg(start, eta)
-                assert abs(t_of_eta - t) <= 1e-13, t
+                assert abs(t_of_eta - t) <= 1e-14, t
+
+    @given(phi0=st.floats(-2, 2), eta0=st.floats(0.1, 10),
+           fractions=st.lists(st.floats(0, 1), min_size=2, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_inverse_read_is_monotone_and_reads_back(self, phi0, eta0, fractions):
+        try:
+            ic = collapse2_build(phi0, eta0, P)
+        except InvalidParams as exc:  # a spreading leg of subnormal length (1e-315 still builds)
+            assert 0.0 < phi0 < 1e-300 and "flat in floating point" in str(exc)
+            return
+        times = sorted(u * ic.t_cap for u in fractions)
+        for t in times:
+            sign, table = ic._branch_for_time(t)
+            s = table.invert(t)
+            assert ic.eta_of_t(t) == ic.eta_z + s * s
+            # the forward read gives t back to a few units in the last place of the time scale
+            back = table(min(max(s, table.lo), table.hi))
+            assert abs(back - t) <= 4 * np.spacing(np.abs(table.values).max()), (t, back)
+        for sign, _ in ic.branches:  # eta falls while spreading (sign +1) and grows while collapsing
+            etas = [ic.eta_of_t(t) for t in times if ic._branch_for_time(t)[0] == sign]
+            assert all(sign * (b - a) <= 0.0 for a, b in zip(etas, etas[1:]))
+        if ic.t1 is not None:
+            assert [ic.eta_z + table.invert(ic.t1) ** 2 for _, table in ic.branches] == [ic.eta_z] * 2
 
     def test_rejects_bad_eta0(self):
         with pytest.raises(InvalidParams):
