@@ -159,7 +159,7 @@ def _field_points(field_: FlowField, args) -> np.ndarray:
     return grid.reshape(len(times), axes[0].size * axes[1].size, 3)
 
 
-def _eval_rows(field_: FlowField, blocks: np.ndarray) -> np.ndarray:
+def _eval_grid(field_: FlowField, blocks: np.ndarray) -> np.ndarray:
     """Rows (t, a, b, state) of the grid, one checked ``eval`` call per time."""
     values = [field_.eval(float(block[0, 0]), block[:, 1], block[:, 2]).T for block in blocks]
     return np.concatenate([blocks, np.reshape(values, blocks.shape)], axis=2).reshape(-1, 6)
@@ -172,7 +172,7 @@ def _eval_rows(field_: FlowField, blocks: np.ndarray) -> np.ndarray:
 
 def cmd_field(args) -> int:
     field_ = _build_field(args)
-    rows = _eval_rows(field_, _field_points(field_, args))
+    rows = _eval_grid(field_, _field_points(field_, args))
     header = _HEADERS[field_.frame]
     if args.format == "json":
         text = _json_text(
@@ -330,7 +330,7 @@ def cmd_map(args) -> int:
         mapped = map_field_sw_to_rsw(as_cartesian(source), params)
     else:
         raise InvalidParams("map needs either --transport or --direction")
-    rows = _eval_rows(mapped, _field_points(mapped, args))
+    rows = _eval_grid(mapped, _field_points(mapped, args))
     header = _HEADERS[mapped.frame]
     checked = rows[:, :3]
     if mapped.frame == "polar":

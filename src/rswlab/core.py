@@ -2,9 +2,8 @@
 diagnostics.
 
 Every type here is immutable from the outside, and every operation returns
-the same result for the same inputs.  Some fields keep internal caches (the
-float rows of an integral table, the per-time memo of the collapse
-tabulation); they are written so that fields can be shared across threads.
+the same result for the same inputs.  A field is complete once built: a
+read changes nothing in it, so fields can be shared across threads.
 
 Conventions used throughout the package:
 
@@ -374,7 +373,8 @@ class FlowField:
     ``derivative_mode="fd"`` jets are central differences with relative
     step ``fd_step`` instead.
 
-    Fields capture their defining closures immutably and are safe to share
+    Fields capture their defining closures immutably, and a read changes
+    nothing in them or in what they capture, so they are safe to share
     across threads.
     """
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import bisect
 import math
-import threading
+import struct
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -459,6 +459,10 @@ def _quintic_coefficients(F0, delta, f, df, h):
                      -15.0 * A + 7.0 * B - C, 6.0 * A - 3.0 * B + 0.5 * C], axis=-1)
 
 
+#: A panel's six quintic coefficients as Python floats, from a view of ``coef`` at byte offset 48 i.
+_QUINTIC = struct.Struct("6d").unpack_from
+
+
 def _horner5(c, s):
     v = c[..., 5]
     for k in (4, 3, 2, 1, 0):
@@ -481,10 +485,12 @@ class IntegralTable:
     :attr:`MAX_PANELS` panels: a range that would need more raises
     :class:`InvalidParams`.  ``fn`` and ``dfn`` take arrays.
 
-    A call with a float takes a ``bisect`` lookup and plain arithmetic; an
-    array takes ``np.searchsorted`` and the same arithmetic, so both give
-    the same bits.  Outside the tabulated range the reading is NaN.  A
+    A call with a float takes a ``bisect`` lookup and plain arithmetic on
+    Python floats read from ``memoryview``s of the arrays; an array takes
+    ``np.searchsorted`` and the same arithmetic, so both give the same bits.
+    Outside the tabulated range the reading is NaN.  A
     :class:`~rswlab.core.Jet` reads its value so, with ``fn`` as the slope.
+    The table is complete once built: a reading changes nothing in it.
     """
 
     MAX_PANELS = 1 << 15
@@ -499,7 +505,6 @@ class IntegralTable:
         self.nodes = np.zeros(1)
         self.coef = np.zeros((0, 6))
         self._width = math.inf  # of the panels that splitting produced last
-        self._rows = None
         self._append(np.asarray(breaks, dtype=float), origin, value)
 
     def extend(self, end: float) -> None:
@@ -543,6 +548,7 @@ class IntegralTable:
                 F = np.concatenate([value - np.cumsum(inc[:k][::-1])[::-1], [value],
                                     value + np.cumsum(inc[k:])])
                 tol = self.RTOL * (self.scale + np.maximum(np.abs(F[:-1]), np.abs(F[1:])))
+                tol = np.maximum(tol, 4.0 * math.ulp(0.0))  # a subnormal range resolves no finer
                 bad = err > tol
                 if not bad.any():
                     break
@@ -564,19 +570,14 @@ class IntegralTable:
         self.widths = np.diff(self.nodes)
         self.coef = coef if first else np.concatenate([self.coef, coef])
         self.lo, self.hi = float(self.nodes[0]), float(self.nodes[-1])
-        self._rows = None
-
-    def _float_rows(self):
-        """Nodes, rows (x0, h, c0..c5), and the values' direction and values times it."""
-        table = self._rows
-        if table is None:
-            nodes = self.nodes.tolist()
-            rows = list(zip(nodes, self.widths.tolist(), *self.coef.T.tolist()))
-            rows.append(rows[-1])  # the last row twice, for x at the last node
-            direction = -1.0 if self.values[-1] < self.values[0] else 1.0
-            keys = (direction * self.values).tolist()
-            table = self._rows = nodes, rows, direction, keys  # published whole, for concurrent readers
-        return table
+        # float reads index these views, which copy nothing
+        self._x0 = memoryview(self.nodes)[:-1]  # each panel's start
+        self._h, self._c = memoryview(self.widths), memoryview(self.coef)
+        # invert's keys: the values times their direction, ascending if monotone, and those
+        # between the panels, on which bisect gives the panel (the end panels past the ends)
+        self._direction = -1.0 if self.values[-1] < self.values[0] else 1.0
+        self._keys = memoryview(-self.values if self._direction < 0.0 else self.values)
+        self._cuts = self._keys[1:-1]
 
     def __call__(self, x):
         if isinstance(x, Jet):
@@ -587,21 +588,20 @@ class IntegralTable:
             return np.where((x >= self.lo) & (x <= self.hi), v, np.nan)
         if not self.lo <= x <= self.hi:
             return math.nan
-        nodes, rows, _, _ = self._float_rows()
-        x0, h, c0, c1, c2, c3, c4, c5 = rows[bisect.bisect_right(nodes, x) - 1]
-        s = (x - x0) / h
+        i = bisect.bisect_right(self._x0, x) - 1
+        c0, c1, c2, c3, c4, c5 = _QUINTIC(self._c, 48 * i)
+        s = (x - self._x0[i]) / self._h[i]
         return c0 + s * (c1 + s * (c2 + s * (c3 + s * (c4 + s * c5))))
 
     def invert(self, y: float) -> float:
         """The float x where a strictly monotone table reads ``y``: the panel
         by ``bisect`` over the node values, then Newton on its quintic from
-        the linear guess until a step in the panel variable is below 1e-16.
-        A ``y`` slightly past an end value extrapolates the end panel."""
-        _, rows, direction, keys = self._float_rows()
-        key = direction * y
-        i = min(max(bisect.bisect_right(keys, key) - 1, 0), len(rows) - 2)
-        x0, h, c0, c1, c2, c3, c4, c5 = rows[i]
-        u = (key - keys[i]) / (keys[i + 1] - keys[i])
+        the linear guess until a step in the panel variable is below 1e-16."""
+        key = self._direction * y
+        i = bisect.bisect_right(self._cuts, key)
+        c0, c1, c2, c3, c4, c5 = _QUINTIC(self._c, 48 * i)
+        k0 = self._keys[i]
+        u = (key - k0) / (self._keys[i + 1] - k0)
         d = c0 - y
         for _ in range(self.NEWTON_STEPS):
             step = (d + u * (c1 + u * (c2 + u * (c3 + u * (c4 + u * c5))))) / (
@@ -609,7 +609,7 @@ class IntegralTable:
             u -= step
             if abs(step) < 1e-16:
                 break
-        return x0 + u * h
+        return self._x0[i] + u * self._h[i]
 
 
 class ImplicitCollapse:
@@ -631,10 +631,9 @@ class ImplicitCollapse:
     s = sqrt(eta - eta_z), which removes the integrable singularity at the
     radicand zero, with the analytic d^2t/ds^2 as its curvature.  A time is
     read backwards on the branch's quintic (:meth:`IntegralTable.invert`).
+    A time within rounding of the range is read at its end, so no table is
+    read past its ends; nothing is stored by a reading.
     """
-
-    #: Times held by the memo of :meth:`state_of_t` (about 0.3 MB); a full memo is cleared.
-    MEMO_CAP = 2048
 
     def __init__(self, phi0: float, eta0: float, params: FlowParameters) -> None:
         if not (math.isfinite(phi0) and math.isfinite(eta0)):
@@ -672,18 +671,18 @@ class ImplicitCollapse:
                 self._build()
         except FloatingPointError as exc:
             raise InvalidParams(f"collapse parameters overflow the tabulation: {exc}") from exc
-        self._memo: dict[float, tuple[float, float]] = {}
-        self._memo_lock = threading.Lock()
 
     # -- construction ----------------------------------------------------
 
     def radicand(self, eta):
+        """2 g eta - f^2/4 + K sqrt(eta/eta0), for a float or an array; math.sqrt
+        and np.sqrt are both correctly rounded, so the two give the same bits."""
         f, g = self.params.f, self.params.g
-        return 2.0 * g * eta - f * f / 4.0 + self.K * np.sqrt(eta / self.eta0)
+        sqrt = np.sqrt if isinstance(eta, np.ndarray) else math.sqrt
+        return 2.0 * g * eta - f * f / 4.0 + self.K * sqrt(eta / self.eta0)
 
-    def phi_hat(self, eta, sign: float):
-        rad = np.maximum(self.radicand(eta), 0.0)
-        return sign * np.sqrt(rad)
+    def phi_hat(self, eta: float, sign: float) -> float:
+        return sign * math.sqrt(max(self.radicand(eta), 0.0))
 
     def _rates(self, sign: float):
         """dt/ds = -sign / (2 eta sqrt(F)) and d^2t/ds^2 = (dt/ds)(-2s/eta - F'/(2F)) on a
@@ -771,39 +770,31 @@ class ImplicitCollapse:
         return self.branches[-1]
 
     def eta_of_t(self, t: float) -> float:
-        """eta_z + s^2, with s read backwards from t on its branch's table.
-
-        This call is not memoized; :meth:`state_of_t`, which
-        :meth:`piston_radius` reads, keeps the per-time memo.
-        """
+        """eta_z + s^2, with s read backwards from t on its branch's table; a time
+        inside the range check's slack is read at the nearer end of [0, t_cap]."""
         t = float(t)
-        s = self._branch_for_time(t)[1].invert(t)
+        table = self._branch_for_time(t)[1]
+        if not 0.0 <= t <= self.t_cap:
+            t = min(max(t, 0.0), self.t_cap)
+        s = table.invert(t)
         return self.eta_z + s * s
 
     def state_of_t(self, t: float) -> tuple[float, float]:
         """(phi, eta) at time t; a jet t gives jets, with the reduced ODEs'
         right-hand sides phi' = -f^2/4 - phi^2 - 2 g eta, eta' = -4 phi eta as slopes.
 
-        Float results are memoized per time, up to :attr:`MEMO_CAP` times;
-        a full memo is cleared.  A repeated time returns the bits computed
-        the first time, which are the bits of a fresh computation, and a
-        time outside the tabulated range raises before anything is stored.
+        eta comes from :meth:`eta_of_t`, which refuses a time outside the
+        tabulated range, and phi = :meth:`phi_hat` with the branch's sign.
+        Each call computes afresh; a repeated time gives the same bits.
         """
         if isinstance(t, Jet):
             phi, eta = self.state_of_t(t.v)
             f, g = self.params.f, self.params.g
             return t.chain(phi, -f * f / 4.0 - phi * phi - 2.0 * g * eta), t.chain(eta, -4.0 * phi * eta)
         t = float(t)
-        state = self._memo.get(t)
-        if state is None:
-            sign = self._branch_for_time(t)[0]
-            eta = self.eta_of_t(t)
-            state = float(self.phi_hat(eta, sign)), eta
-            with self._memo_lock:  # the cap holds for concurrent callers too
-                if len(self._memo) >= self.MEMO_CAP:
-                    self._memo.clear()
-                self._memo[t] = state
-        return state
+        eta = self.eta_of_t(t)
+        spreading = self.t1 is not None and t <= self.t1  # as in the branch lookup of eta_of_t
+        return self.phi_hat(eta, 1.0 if spreading else -1.0), eta
 
     def piston_radius(self, t: float, r0: float) -> float:
         """Material boundary radius r0 (eta0/eta)^{1/4}; moves with the flow."""

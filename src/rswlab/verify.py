@@ -630,8 +630,8 @@ def _fv_steps(cart: FlowField, q: np.ndarray, t0: float, t1: float, gx: np.ndarr
     m = w * w
     ring = np.ones((w, w), dtype=bool)
     ring[1:-1, 1:-1] = False
-    ring_rows, ring_cols = np.nonzero(ring)
-    ring_x, ring_y = gx[ring_rows], gx[ring_cols]
+    ring_i, ring_j = np.nonzero(ring)
+    ring_x, ring_y = gx[ring_i], gx[ring_j]
 
     flat, band, b = q.reshape(3, m), slice(w, m - w), m - 2 * w  # band: rows 1..n
     inner_depth = q[0, 1:-1, 1:-1]

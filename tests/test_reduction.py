@@ -4,14 +4,15 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from rswlab.cli import main as cli_main
-from rswlab.core import FlowParameters
+from rswlab.core import FlowParameters, Jet
 from rswlab.errors import InvalidParams, NoRingExists
 from rswlab.reduction import (
+    IntegralTable,
     bisect_bracket,
     collapse2_build,
     collapse2_verify_ode,
@@ -23,6 +24,7 @@ from rswlab.reduction import (
     solve_cubic_real,
     submodel_residual_contact,
 )
+from rswlab.solutions import make_family
 
 RING = FlowParameters(0.1, 1.0)
 P = FlowParameters(1.0, 1.0)
@@ -387,6 +389,7 @@ class TestImplicitCollapse:
     @given(phi0=st.floats(-2, 2), eta0=st.floats(0.1, 10),
            fractions=st.lists(st.floats(0, 1), min_size=2, max_size=6))
     @settings(max_examples=60, deadline=None)
+    @example(phi0=2.2250738585e-313, eta0=1.5, fractions=[0.0, 0.5])  # a subnormal spreading leg
     def test_inverse_read_is_monotone_and_reads_back(self, phi0, eta0, fractions):
         try:
             ic = collapse2_build(phi0, eta0, P)
@@ -416,36 +419,55 @@ class TestImplicitCollapse:
             collapse2_build(0.0, 1.0, FlowParameters(1.0, 1e300))
 
 
-class TestStateMemo:
-    """``state_of_t`` memoizes per time, bounded, with the bits of a fresh solve."""
+def _same_attributes(obj, before):
+    """Whether ``obj`` holds the attributes of the copy ``before = dict(vars(obj))``, each the same object."""
+    return vars(obj).keys() == before.keys() and all(vars(obj)[k] is v for k, v in before.items())
 
-    @pytest.mark.parametrize("phi0", [0.0, 0.5])
-    def test_bounded_and_bit_identical_after_eviction(self, phi0):
-        ic = collapse2_build(phi0, 1.0, P)
-        probes = np.linspace(0.0, 0.9 * ic.Tstar, 7).tolist()
-        first = [ic.state_of_t(t) for t in probes]
-        assert [ic.state_of_t(t) for t in probes] == first  # repeated: memo hits
-        for t in np.linspace(0.001, 0.91 * ic.Tstar, 10_000).tolist():
-            ic.state_of_t(t)
-            assert len(ic._memo) <= ic.MEMO_CAP
-        assert not set(probes) & set(ic._memo)
-        again = [ic.state_of_t(t) for t in probes]
-        fresh = collapse2_build(phi0, 1.0, P)
-        assert again == first == [fresh.state_of_t(t) for t in probes]
+
+class TestIntegralTableReads:
+    """A float read is the array read, bit for bit, and no read changes the table."""
+
+    @staticmethod
+    def _table(which):
+        if which == "depth":
+            return make_family("stationary-rotsym", P).meta["depth_fn"]
+        if which == "psi-sq":  # extended past its first range
+            return make_family("collapse-contact", P).meta["psi_sq_integral"]
+        spreading, collapsing = (table for _, table in collapse2_build(0.5, 1.0, P).branches)
+        return spreading if which == "spreading" else collapsing
+
+    @pytest.mark.parametrize("which", ["depth", "psi-sq", "spreading", "collapsing"])
+    def test_float_reads_are_array_reads_and_change_nothing(self, which):
+        table = self._table(which)
+        assert isinstance(table, IntegralTable)
+        before = dict(vars(table))
+        # every node, both ends among them, and every panel's midpoint
+        xs = np.concatenate([table.nodes, 0.5 * (table.nodes[:-1] + table.nodes[1:])])
+        floats = [table(x) for x in xs.tolist()]
+        assert all(type(v) is float for v in floats)
+        assert np.array(floats).tobytes() == table(xs).tobytes()
+        jet = table(Jet(xs, 1.0))  # the collapse's rates take arrays only
+        assert jet.v.tobytes() == table(xs).tobytes()
+        if which in ("spreading", "collapsing"):  # monotone: read backwards too
+            for y in table.values.tolist():
+                table.invert(y)
+        assert _same_attributes(table, before)
+
+
+class TestStateOfT:
+    """``state_of_t`` computes afresh on every call and stores nothing."""
 
     def test_shared_across_threads(self):
         ic = collapse2_build(0.5, 1.0, P)
         times = np.linspace(0.0, 0.9 * ic.Tstar, 600).tolist()
         fresh = collapse2_build(0.5, 1.0, P)
         expect = [fresh.state_of_t(t) for t in times]
-        ic.MEMO_CAP = 64  # many clears while the threads run
-        results, sizes = {}, []
+        results = {}
 
         def work(k):
             results[k] = []
             for t in times[k % 3::3] + times:
                 results[k].append(ic.state_of_t(t))
-                sizes.append(len(ic._memo))
 
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -459,15 +481,43 @@ class TestStateMemo:
             sys.setswitchinterval(switch)
         assert not any(th.is_alive() for th in threads)
         assert all(results[k] == expect[k % 3::3] + expect for k in range(6))
-        assert max(sizes) <= 64
 
     @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf, 2.0])
     def test_out_of_range_times_raise_and_are_not_stored(self, t):
         ic = collapse2_build(0.0, 1.0, P)
+        before = dict(vars(ic))
         ic.state_of_t(0.1)
         with pytest.raises(InvalidParams):
             ic.state_of_t(t)
-        assert list(ic._memo) == [0.1]
+        assert _same_attributes(ic, before)
+
+    @pytest.mark.parametrize("phi0, eta0, below, above", [
+        (0.0, 1e30, -1e-15, None),  # t_cap = 7.0e-16: the slack is wider than the range
+        (0.0, 1.0, -1e-13, 1e-13),
+        (0.5, 1.0, -1e-13, 1e-13),
+    ])
+    def test_times_in_the_slack_read_the_ends(self, phi0, eta0, below, above):
+        ic = collapse2_build(phi0, eta0, P)
+        assert ic.state_of_t(below) == ic.state_of_t(0.0)
+        if above is not None:
+            assert ic.state_of_t(ic.t_cap * (1.0 + above)) == ic.state_of_t(ic.t_cap)
+        assert abs(ic.state_of_t(below)[1] / ic.eta0 - 1.0) < 1e-12
+
+    @given(phi0=st.floats(-2, 2), eta0=st.floats(0.1, 10), fraction=st.floats(0, 1),
+           f=st.floats(0.1, 4), g=st.floats(0.1, 10))
+    @settings(max_examples=300, deadline=None)
+    def test_phi_is_the_numpy_formula_bit_for_bit(self, phi0, eta0, fraction, f, g):
+        try:
+            ic = collapse2_build(phi0, eta0, FlowParameters(f, g))
+        except InvalidParams as exc:  # as in test_inverse_read_is_monotone_and_reads_back
+            assert 0.0 < phi0 < 1e-300 and "flat in floating point" in str(exc)
+            return
+        t = fraction * ic.t_cap
+        phi, eta = ic.state_of_t(t)
+        sign = 1.0 if ic.t1 is not None and t <= ic.t1 else -1.0
+        e = np.float64(eta)
+        radicand = 2.0 * g * e - f * f / 4.0 + ic.K * np.sqrt(e / ic.eta0)
+        assert np.float64(phi).tobytes() == (sign * np.sqrt(np.maximum(radicand, 0.0))).tobytes()
 
 
 class TestCollapseOdeAgreement:

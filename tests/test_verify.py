@@ -44,6 +44,8 @@ from rswlab.verify import (
     sample_grid,
 )
 
+from cases import CARTESIAN_CYLINDER_PATH, fv_case, one_path
+
 P = FlowParameters(1.0, 1.0)
 
 
@@ -461,32 +463,12 @@ def _reference_integrate(field, r0, th0, t0, t1, tol, record):
     return _reference_ode(fn, y0, t0, record, tol)
 
 
-def _one_path(name, catalog):
-    """One path of criterion 6's plan for a catalog family: (r0, theta0, t0, t1)."""
-    field = catalog[name]
-    w0 = 1 - math.cos(1.2)
-    if name == "stationary-ring":
-        b = field.meta["bounds"]
-        r0 = 0.5 * (b.r_inner + b.r_outer)
-        U0 = float(field.values_unchecked(0.0, r0, 0.0)[0])
-        return r0, 2.1, 0.0, min(field.params.period, 0.35 * (b.r_outer - r0) / U0)
-    if name == "collapse-contact":
-        return math.sqrt(w0 / (0.4 * field.meta["lam_max"])), 2.1, 1.2, 4.8
-    if name == "collapse-contact-cubic":
-        return math.sqrt(w0 / (0.4 * field.meta["lam_c"])), 2.1, 1.2, 4.2
-    if name == "collapse-scaling":
-        return 0.97, 2.1, 0.0, 0.85 * field.meta["tabulation"].Tstar
-    if name == "constant-sw-image":
-        return 0.7, 2.1, 0.7, 5.6
-    return 0.97, 2.1, 0.0, 2 * math.pi
-
-
 class TestFloatPathIsBitIdentical:
     """Float RHS and float error norm against the numpy loop, bit for bit."""
 
     @pytest.mark.parametrize("name", FAMILY_NAMES)
     def test_catalog_path(self, name, catalog):
-        self._check(catalog[name], *_one_path(name, catalog))
+        self._check(catalog[name], *one_path(name, catalog))
 
     def test_cartesian_view(self, catalog):
         self._check(as_cartesian(catalog["pulsating-drop"]), 0.8, 0.4, 0.0, 2 * math.pi)
@@ -557,15 +539,15 @@ class TestPinnedPathBits:
 
     @pytest.mark.parametrize("name, steps, rejected, hexes", PINNED_PATHS)
     def test_catalog_path(self, name, steps, rejected, hexes, catalog):
-        r0, th0, t0, t1 = _one_path(name, catalog)
+        r0, th0, t0, t1 = one_path(name, catalog)
         traj = integrate_trajectory(catalog[name], r0, th0, t0, t1, tol=1e-10,
                                     record=np.linspace(t0, t1, 9))
         self._assert_pinned(traj.stats, traj.positions[-1], steps, rejected, hexes)
 
     def test_cartesian_path(self, catalog):
-        field = as_cartesian(catalog["pulsating-cylinder"])
-        traj = integrate_trajectory(field, 0.9, 0.4, 0.0, 2 * math.pi, tol=1e-10,
-                                    record=np.linspace(0.0, 2 * math.pi, 9))
+        r0, th0, t0, t1 = CARTESIAN_CYLINDER_PATH
+        traj = integrate_trajectory(as_cartesian(catalog["pulsating-cylinder"]), r0, th0, t0, t1,
+                                    tol=1e-10, record=np.linspace(t0, t1, 9))
         self._assert_pinned(traj.stats, traj.positions[-1], 88, 1,
                             ("0x1.a86cc6a454750p-1", "0x1.66e35050d3e14p-2"))
 
@@ -624,28 +606,6 @@ class TestMaterialCurves:
         assert mc.positions[-1, 0, 1] == pytest.approx(y, abs=1e-12)
 
 
-def _fv_case(case):
-    """Arguments of ``fv_oracle`` for a named reference case."""
-    cylinder = pulsating_cylinder(2.0, 1.0, P)
-    drop = pulsating_drop(2.0, P)
-    R = drop.meta["boundary_radius"]
-    r_safe = 0.7 * min(R(t) for t in np.linspace(0.1, 0.3, 7))
-
-    def mask(t1, X, Y):
-        return np.hypot(X, Y) < r_safe
-
-    return {
-        "exact-cylinder": (cylinder, 0.0, 0.25, 40, dict(box=(-2.0, 2.0))),
-        "exact-rotsym": (stationary_rotsym(profile_gauss(0.5), 1.0, P), 0.0, 0.2, 16,
-                         dict(box=(-2.0, 2.0))),
-        "drop-masked": (drop, 0.1, 0.3, 40,
-                        dict(box=(-2.0, 2.0), mask_fn=mask, dry_floor=True)),
-        "study-100": (cylinder, 0.0, math.pi / 2.0, 100, {}),
-        "ring-dry": (stationary_ring(1.0, 1.0, 1.0, FlowParameters(0.1, 1.0)), 0.0, 0.2, 32,
-                     dict(box=(-3.0, 3.0), dry_floor=True)),
-    }[case]
-
-
 class TestFiniteVolumeOracle:
     def test_rest_state_is_machine_exact(self):
         field = rest_state(1.0, P, frame="cartesian")
@@ -678,7 +638,7 @@ class TestFiniteVolumeOracle:
         ("drop-masked", 66, 0.06938543274540411, 0.1926061577156969),
     ])
     def test_reference_results(self, case, steps, l1_h, l1_all):
-        field, t0, t1, n, kw = _fv_case(case)
+        field, t0, t1, n, kw = fv_case(case)
         run = fv_oracle(field, t0, t1, n, **kw)
         assert run.steps == steps
         assert run.l1_error_h == pytest.approx(l1_h, rel=1e-12, abs=0.0)
@@ -694,7 +654,7 @@ class TestFiniteVolumeOracle:
         ("ring-dry", 44, "0x1.d80f0d2768dbbp+0", "0x1.2cadc4b149e7ep+3"),
     ])
     def test_pinned_bits(self, case, steps, l1_h, l1_all):
-        field, t0, t1, n, kw = _fv_case(case)
+        field, t0, t1, n, kw = fv_case(case)
         run = fv_oracle(field, t0, t1, n, **kw)
         assert (run.steps, run.l1_error_h.hex(), run.l1_error_all.hex()) == (steps, l1_h, l1_all)
 
@@ -702,7 +662,7 @@ class TestFiniteVolumeOracle:
         # inside the inner sonic circle the ring's depth continues as
         # -2 phi1 / 3, which turns negative near the axis: the exact data
         # there, clamped at 0, are dry, and the oracle takes its dry-cell branch
-        field, t0, _, n, kw = _fv_case("ring-dry")
+        field, t0, _, n, kw = fv_case("ring-dry")
         lo, hi = kw["box"]
         centers = lo + (hi - lo) / n * (np.arange(n) + 0.5)
         X, Y = np.meshgrid(centers, centers, indexing="ij")
@@ -761,7 +721,7 @@ class TestFiniteVolumeOracle:
 
     @pytest.mark.parametrize("case", ["drop-masked", "ring-dry"])
     def test_bands_sample_as_the_whole_grid_does(self, monkeypatch, case):
-        field, t0, t1, n, kw = _fv_case(case)
+        field, t0, t1, n, kw = fv_case(case)
         banded = fv_oracle(field, t0, t1, n, **kw)
         sample = verify._sample_conserved
 
@@ -789,7 +749,7 @@ class TestFiniteVolumeOracle:
 
     def test_one_step_budget_for_the_ode_and_the_fv_oracle(self, monkeypatch):
         monkeypatch.setattr(verify, "STEP_BUDGET", 100)
-        field, t0, t1, n, kw = _fv_case("exact-cylinder")  # 29 steps
+        field, t0, t1, n, kw = fv_case("exact-cylinder")  # 29 steps
         with pytest.raises(BlowUp, match="step budget"):
             fv_oracle(field, t0, t1, 4 * n, **kw)
         assert fv_oracle(field, t0, t1, n, **kw).steps == 29
